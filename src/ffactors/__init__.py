@@ -19,17 +19,14 @@ from .graph import (
     cycle,
     degree_spec,
     disjoint_union,
-    edge_count_between,
     empty_graph,
     f_sum,
     is_connected,
     is_star_free,
     join,
     min_degree,
-    neighborhood_set,
     path,
     petersen_graph,
-    remove_vertices,
     star,
 )
 from .invariants import (

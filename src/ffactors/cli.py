@@ -8,7 +8,8 @@ runtime error.
 
 Size caps for the exponential routines default from environment variables
 FFACTORS_AUDIT_MAX_N, FFACTORS_TOUGHNESS_MAX_N, and FFACTORS_ORACLE_MAX_M,
-and are overridden by the corresponding flags.
+and are overridden by the corresponding flags.  The toughness cap also
+reaches ``verify-theorem main``, which has no flag for it.
 """
 
 from __future__ import annotations
@@ -95,18 +96,14 @@ def _cmd_invariants(args) -> int:
         verdicts["alpha_witness"] = list(witness)
     if args.kappa:
         verdicts["kappa"] = invariants.vertex_connectivity(g)
-    if args.toughness:
-        value = invariants.toughness(g, max_n=cap)
-        verdicts["toughness"] = str(value)
-        verdicts["toughness_witness"] = (
-            None if value.witness is None else list(value.witness)
-        )
-    if args.odd_toughness:
-        value = invariants.odd_toughness(g, f, max_n=cap)
-        verdicts["odd_toughness"] = str(value)
-        verdicts["odd_toughness_witness"] = (
-            None if value.witness is None else list(value.witness)
-        )
+    for key, wanted, measure in (
+        ("toughness", args.toughness, lambda: invariants.toughness(g, cap)),
+        ("odd_toughness", args.odd_toughness, lambda: invariants.odd_toughness(g, f, cap)),
+    ):
+        if wanted:
+            value = measure()
+            verdicts[key] = str(value)
+            verdicts[f"{key}_witness"] = None if value.witness is None else list(value.witness)
     doc = reports.build_report(
         "invariants", {"toughness_max_n": cap}, None, (g, f),
         verdicts, [], started,
@@ -118,31 +115,13 @@ def _cmd_invariants(args) -> int:
 def _cmd_verify_theorem(args) -> int:
     started = time.monotonic()
     g, f = _read_instance(args.instance)
-    name = args.name
-    if name == "main":
-        report = theorems.check_main_theorem(g, f, args.a, args.b, confirm=args.confirm)
-    elif name == "kappa_corollary":
-        report = theorems.check_corollary_kappa(g, f, args.a, args.b, confirm=args.confirm)
-    elif name == "min_degree":
-        report = theorems.check_theorem_min_degree(g, f, args.a, args.b, confirm=args.confirm)
-    elif name == "regular_connectivity":
-        report = theorems.check_theorem_regular_connectivity(g, args.r, confirm=args.confirm)
-    elif name == "ab_factor":
-        report = theorems.check_theorem_ab_factor(g, args.a, args.b, confirm=args.confirm)
-    elif name == "claw_free":
-        report = theorems.check_theorem_claw_free(
-            g, f, args.a, args.b, args.star_order, confirm=args.confirm
-        )
-    elif name == "stability_conjecture":
-        report = theorems.check_stability_conjecture(g, f, args.a, args.b, confirm=args.confirm)
-    else:
-        raise ValueError(f"unknown theorem id {name!r}")
+    report = theorems.THEOREMS[args.name].run(g, f, args)
     certs = []
     if report.factor is not None:
         certs.append(reports.factor_certificate(report.factor))
     doc = reports.build_report(
         "verify-theorem",
-        {"name": name, "a": args.a, "b": args.b, "r": args.r,
+        {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
          "star_order": args.star_order, "confirm": args.confirm},
         None, (g, f), report.to_dict(), certs, started,
     )
@@ -246,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("verify-theorem", help="run a hypothesis checker")
-    p.add_argument("name", choices=theorems.THEOREM_IDS)
+    p.add_argument("name", choices=theorems.THEOREMS)
     p.add_argument("instance")
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--b", type=int, default=2)
@@ -255,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confirm", action="store_true",
                    help="run the solver when all hypotheses hold")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_theorem)
+    p.set_defaults(func=_cmd_verify_theorem, toughness_max_n=tough_cap)
 
     p = sub.add_parser("gen", help="emit an instance file")
     p.add_argument("family", choices=("g0", "g1", "random"))
@@ -275,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="empirical validation campaign; "
                                     "nonzero exit on any discrepancy")
-    p.add_argument("theorem", choices=theorems.THEOREM_IDS)
+    p.add_argument("theorem", choices=theorems.THEOREMS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-n", type=int, default=8)

@@ -1,10 +1,10 @@
 """Immutable simple-graph values, subset primitives, and structured builders.
 
 Vertices are dense integer indices ``0..n-1``; every subset is a sorted,
-duplicate-free tuple over these indices.  Graphs are immutable after
-construction, and derived graphs (vertex removals) come with an explicit
-index mapping back to the original vertices so certificates stay
-unambiguous.  Neighbor sets are kept sorted for deterministic iteration.
+duplicate-free tuple over these indices, or a bitmask inside the exact
+routines.  Graphs are immutable after construction; subgraphs such as G-S
+are never built, the routines work on vertex masks instead.  Neighbor sets
+are kept sorted for deterministic iteration.
 """
 
 from __future__ import annotations
@@ -137,21 +137,6 @@ def f_sum(f: DegreeSpec, vertices: Iterable[int]) -> int:
     return sum(f.values[v] for v in vertices)
 
 
-def remove_vertices(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the complement of ``s``.
-
-    Returns the subgraph together with the mapping from new indices back to
-    original ones (``mapping[new] == old``).
-    """
-    s_set = set(as_vertex_set(s, g.n))
-    keep = [v for v in range(g.n) if v not in s_set]
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    adj = tuple(
-        tuple(old_to_new[u] for u in g.adj[old] if u not in s_set) for old in keep
-    )
-    return Graph(len(keep), adj), tuple(keep)
-
-
 def components_masks(g: Graph, mask: int) -> list[int]:
     """Connected components of the subgraph induced on ``mask``, as bitmasks.
 
@@ -193,32 +178,10 @@ def is_connected(g: Graph) -> bool:
     return len(components_masks(g, g.full_mask)) == 1
 
 
-def edge_count_between(g: Graph, a: Iterable[int], b: Iterable[int]) -> int:
-    """Number of edges with one endpoint in ``a`` and the other in ``b``.
-
-    The sets must be disjoint.
-    """
-    a_mask = _mask_of(as_vertex_set(a, g.n))
-    b_mask = _mask_of(as_vertex_set(b, g.n))
-    if a_mask & b_mask:
-        raise ValueError("edge_count_between requires disjoint vertex sets")
-    masks = g.adj_masks
-    return sum((masks[v] & b_mask).bit_count() for v in _bits_of(a_mask))
-
-
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         return 0
     return min(len(nbrs) for nbrs in g.adj)
-
-
-def neighborhood_set(g: Graph, a: Iterable[int]) -> tuple[int, ...]:
-    """N_G(A): all neighbors of vertices in A (members of A included only if
-    adjacent to another member)."""
-    mask = 0
-    for v in as_vertex_set(a, g.n):
-        mask |= g.adj_masks[v]
-    return _bits_of(mask)
 
 
 def is_star_free(g: Graph, n: int) -> bool:

@@ -21,6 +21,15 @@ import random
 from .graph import DegreeSpec, Graph, build_graph, is_connected
 
 
+# every line type with its exact field layout
+_LINE_FORMS = {
+    "p": "p ffactor <n> <m>",
+    "e": "e <u> <v>",
+    "f": "f <v> <value>",
+    "default-f": "default-f <value>",
+}
+
+
 def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
     """Parse an instance document; errors name the offending line."""
     n = None
@@ -34,9 +43,12 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
             continue
         parts = line.split()
         try:
+            form = _LINE_FORMS.get(parts[0])
+            if form is None:
+                raise ValueError(f"unknown line type {parts[0]!r}")
+            if len(parts) != len(form.split()) or (parts[0] == "p" and parts[1] != "ffactor"):
+                raise ValueError(f"expected '{form}'")
             if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "ffactor":
-                    raise ValueError("expected 'p ffactor <n> <m>'")
                 if n is not None:
                     raise ValueError("duplicate problem line")
                 n, declared_m = int(parts[2]), int(parts[3])
@@ -60,9 +72,7 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
                 if default_f is not None:
                     raise ValueError("duplicate default-f line")
                 default_f = int(parts[1])
-            else:
-                raise ValueError(f"unknown line type {parts[0]!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing problem line")

@@ -20,7 +20,6 @@ from .graph import (
     _mask_of,
     as_vertex_set,
     components_masks,
-    f_sum,
     is_connected,
 )
 
@@ -157,11 +156,34 @@ def odd_component_count(g: Graph, s, f: DegreeSpec) -> int:
     """Number of components C of G-S with f(C) odd; f is read at original
     vertex indices."""
     s_mask = _mask_of(as_vertex_set(s, g.n))
-    count = 0
-    for comp in components_masks(g, g.full_mask & ~s_mask):
-        if f_sum(f, _bits_of(comp)) % 2 == 1:
-            count += 1
-    return count
+    return _odd_count(components_masks(g, g.full_mask & ~s_mask), f)
+
+
+def _odd_count(comps: list[int], f: DegreeSpec) -> int:
+    """How many of the component masks have an odd f-sum."""
+    fvals = f.values
+    h = 0
+    for comp in comps:
+        tot = 0
+        while comp:
+            low = comp & -comp
+            tot += fvals[low.bit_length() - 1]
+            comp ^= low
+        h += tot & 1
+    return h
+
+
+def _cutset_ratios(g: Graph, s_masks, weight):
+    """The one cutset enumerator: yield (S, |S| / w) for each mask S in
+    ``s_masks`` whose removal leaves at least two components, with
+    w = weight(components of G-S) > 0."""
+    full = g.full_mask
+    for s_mask in s_masks:
+        comps = components_masks(g, full & ~s_mask)
+        if len(comps) >= 2:
+            w = weight(comps)
+            if w:
+                yield s_mask, Fraction(s_mask.bit_count(), w)
 
 
 def _check_toughness_input(g: Graph, max_n: int) -> None:
@@ -174,56 +196,41 @@ def _check_toughness_input(g: Graph, max_n: int) -> None:
         )
 
 
+def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
+    """Minimum ratio over all cutsets, scanned in mask order; the first
+    minimizer is the witness."""
+    _check_toughness_input(g, max_n)
+    best: Fraction | None = None
+    witness: tuple[int, ...] | None = None
+    for s_mask, ratio in _cutset_ratios(g, range(1, g.full_mask), weight):
+        if best is None or ratio < best:
+            best, witness = ratio, _bits_of(s_mask)
+    return ToughnessValue(best, witness)
+
+
 def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
     """Exact minimum of |S| / h'(G-S) over cutsets S with h'(G-S) >= 1.
 
     h'(G-S) counts components of G-S whose f-sum is odd.  Infinity when no
     qualifying cutset exists (complete graphs, or no odd component ever).
     """
-    _check_toughness_input(g, max_n)
-    masks = g.adj_masks
-    full = g.full_mask
-    fvals = f.values
-    best: Fraction | None = None
-    witness: tuple[int, ...] | None = None
-    for s_mask in range(1, full):
-        comps = components_masks(g, full & ~s_mask)
-        if len(comps) < 2:
-            continue
-        h = 0
-        for comp in comps:
-            tot = 0
-            c = comp
-            while c:
-                low = c & -c
-                tot += fvals[low.bit_length() - 1]
-                c ^= low
-            if tot & 1:
-                h += 1
-        if h == 0:
-            continue
-        ratio = Fraction(s_mask.bit_count(), h)
-        if best is None or ratio < best:
-            best, witness = ratio, _bits_of(s_mask)
-    del masks
-    return ToughnessValue(best, witness)
+    return _min_ratio(g, lambda comps: _odd_count(comps, f), max_n)
 
 
 def toughness(g: Graph, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
     """Exact classical toughness min |S| / c(G-S) over cutsets S; infinity for
     complete graphs."""
-    _check_toughness_input(g, max_n)
-    full = g.full_mask
-    best: Fraction | None = None
-    witness: tuple[int, ...] | None = None
-    for s_mask in range(1, full):
-        comps = components_masks(g, full & ~s_mask)
-        if len(comps) < 2:
-            continue
-        ratio = Fraction(s_mask.bit_count(), len(comps))
-        if best is None or ratio < best:
-            best, witness = ratio, _bits_of(s_mask)
-    return ToughnessValue(best, witness)
+    return _min_ratio(g, len, max_n)
+
+
+def _odd_tough_violation(
+    g: Graph, f: DegreeSpec, t: Fraction, s_masks
+) -> tuple[int, ...] | None:
+    """The first cutset among ``s_masks`` with |S|/h'(G-S) < t, or None."""
+    for s_mask, ratio in _cutset_ratios(g, s_masks, lambda comps: _odd_count(comps, f)):
+        if ratio < t:
+            return _bits_of(s_mask)
+    return None
 
 
 def find_small_odd_tough_violation(
@@ -234,20 +241,10 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    full = g.full_mask
-    fvals = f.values
-    for size in range(1, min(max_size, g.n - 1) + 1):
-        for combo in combinations(range(g.n), size):
-            s_mask = _mask_of(combo)
-            comps = components_masks(g, full & ~s_mask)
-            if len(comps) < 2:
-                continue
-            h = sum(
-                1 for comp in comps if f_sum(f, _bits_of(comp)) % 2 == 1
-            )
-            if h >= 1 and Fraction(size, h) < t:
-                return combo
-    return None
+    sizes = range(1, min(max_size, g.n - 1) + 1)
+    return _odd_tough_violation(g, f, t, (
+        _mask_of(combo) for size in sizes for combo in combinations(range(g.n), size)
+    ))
 
 
 def is_t_odd_tough(
@@ -256,8 +253,9 @@ def is_t_odd_tough(
     """True iff odd_toughness(G, f) >= t (infinity beats everything; t = 0 is
     always satisfied).
 
-    A small-cutset violation scan runs first so large graphs with an obvious
-    bad cutset are rejected without full enumeration.
+    One scan that stops at the first violating cutset: every cutset when
+    n <= max_n; above the cap only cutsets of size <= 3, so a graph with an
+    obvious bad cutset is still rejected, and otherwise the cap refuses.
     """
     if not is_connected(g) or g.n == 0:
         raise ValueError("odd-toughness is defined for connected graphs only")
@@ -266,6 +264,8 @@ def is_t_odd_tough(
         raise ValueError("t must be nonnegative")
     if t == 0:
         return True
-    if find_small_odd_tough_violation(g, f, t) is not None:
-        return False
-    return odd_toughness(g, f, max_n=max_n).at_least(t)
+    if g.n > max_n:
+        if find_small_odd_tough_violation(g, f, t) is not None:
+            return False
+        _check_toughness_input(g, max_n)
+    return _odd_tough_violation(g, f, t, range(1, g.full_mask)) is None

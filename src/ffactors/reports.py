@@ -67,37 +67,60 @@ def strip_timing(doc: dict) -> dict:
     return out
 
 
+_PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
 def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report.
 
     Returns a list of failure descriptions; empty means everything checks.
+    A malformed report (not an object, or a certificate with a missing or
+    mistyped field) raises ValueError instead.
     """
+    certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
+    if not isinstance(certificates, list):
+        raise ValueError("report is not an object with a list of certificates")
     failures: list[str] = []
     instance_text = doc.get("instance")
     g = f = None
     if instance_text:
+        if not isinstance(instance_text, str):
+            raise ValueError("embedded instance is not a string")
         g, f = parse_instance(instance_text)
         if doc.get("instance_digest") != instance_digest(g, f):
             failures.append("instance digest does not match embedded instance")
-    for i, cert in enumerate(doc.get("certificates", [])):
+    for i, cert in enumerate(certificates):
+        if not isinstance(cert, dict):
+            raise ValueError(f"certificate {i}: not an object")
         kind = cert.get("type")
         if g is None:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
         if kind == "factor":
-            factor = FactorSubgraph(tuple(tuple(e) for e in cert["edges"]))
+            edges = cert.get("edges")
+            if not (isinstance(edges, list)
+                    and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+                raise ValueError(f"certificate {i}: 'edges' must be a list of vertex pairs")
+            factor = FactorSubgraph(tuple(tuple(e) for e in edges))
             if not verify_f_factor(g, f, factor):
                 failures.append(f"certificate {i}: edge set is not an f-factor")
         elif kind == "violating_pair":
-            pair = SubsetPair.of(g, cert["s"], cert["t"])
-            rep = deficiency(g, pair, f)
-            for key in ("f_s", "f_t", "degree_term", "h", "delta"):
-                if rep.to_dict()[key] != cert[key]:
+            if not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
+                    and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):
+                raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
+                                 f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
+            rep = deficiency(g, SubsetPair.of(g, cert["s"], cert["t"]), f).to_dict()
+            for key in _PAIR_TERMS:
+                if rep[key] != cert[key]:
                     failures.append(
                         f"certificate {i}: recomputed {key}="
-                        f"{rep.to_dict()[key]} != recorded {cert[key]}"
+                        f"{rep[key]} != recorded {cert[key]}"
                     )
-            if rep.delta >= 0:
+            if rep["delta"] >= 0:
                 failures.append(
                     f"certificate {i}: recorded pair has nonnegative deficiency"
                 )

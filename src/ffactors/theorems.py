@@ -6,28 +6,26 @@ arithmetic and returns a HypothesisReport; a sufficient condition predicts
 an f-factor only when all hypotheses hold, and says nothing otherwise.
 With ``confirm=True`` a met prediction is checked against the constructive
 solver, and any disagreement is flagged as a refutation (which the test
-suite treats as fatal).
-
-Theorem identifiers:
-
-  ``main``              stability bound + odd-toughness >= 1/a
-  ``kappa_corollary``   stability bound strengthened by min(. , a*kappa)
-  ``min_degree``        minimum-degree condition delta >= b|X|/(a+b)
-  ``regular_connectivity``  r-factor via connectivity and stability
-  ``ab_factor``         [a,b]-factor via stability and minimum degree
-  ``claw_free``         K_{1,n}-free condition
-  ``stability_conjecture``  the stability bound alone (refuted by g0)
+suite treats as fatal).  ``THEOREMS`` maps each theorem id to its checker.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable
 
 from .graph import DegreeSpec, Graph, is_connected, is_star_free, min_degree
-from .invariants import is_t_odd_tough, stability_number, vertex_connectivity
-from .constructions import stability_bound
+from .invariants import (
+    TOUGHNESS_MAX_N,
+    is_t_odd_tough,
+    stability_number,
+    vertex_connectivity,
+)
+from .constructions import build_g0, stability_bound
+from .instances import random_connected_graph, random_degree_spec, serialize_instance
 from .solver import (
     FactorSubgraph,
     brute_force_ab_factor,
@@ -35,26 +33,11 @@ from .solver import (
     verify_f_factor,
 )
 
-THEOREM_IDS = (
-    "main",
-    "kappa_corollary",
-    "min_degree",
-    "regular_connectivity",
-    "ab_factor",
-    "claw_free",
-    "stability_conjecture",
-)
-
-
 @dataclass
 class Hypothesis:
     name: str
     observed: str
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "observed": self.observed,
-                "satisfied": self.satisfied}
 
 
 @dataclass
@@ -79,7 +62,7 @@ class HypothesisReport:
     def to_dict(self) -> dict:
         return {
             "theorem": self.theorem,
-            "hypotheses": [h.to_dict() for h in self.hypotheses],
+            "hypotheses": [asdict(h) for h in self.hypotheses],
             "hypotheses_met": self.hypotheses_met,
             "prediction": self.prediction,
             "confirmation": self.confirmation,
@@ -92,52 +75,68 @@ def main_bound(a: int, b: int, delta: int) -> Fraction:
     return stability_bound(a, b, delta)
 
 
-def _check_f_range(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
-    ok = all(a <= fv <= b for fv in f.values)
-    report.add("f_range", f"a={a} <= f <= b={b}", ok)
-
-
-def _check_parity(report: HypothesisReport, f: DegreeSpec) -> None:
+def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
+    """Add the rows a <= f <= b and f(X) even."""
+    report.add("f_range", f"a={a} <= f <= b={b}", all(a <= fv <= b for fv in f.values))
     total = f.total()
     report.add("f_total_even", f"f(X) = {total}", total % 2 == 0)
 
 
-def _confirm(report: HypothesisReport, g: Graph, f: DegreeSpec) -> None:
-    factor = find_f_factor(g, f)
-    if factor is not None and verify_f_factor(g, f, factor):
-        report.confirmation = "confirmed"
-        report.factor = factor
-    else:
-        report.confirmation = "refuted"
-
-
-def check_main_theorem(
-    g: Graph, f: DegreeSpec, a: int, b: int,
-    confirm: bool = False, toughness_max_n: int = 20,
+def _confirm(
+    report: HypothesisReport, g: Graph, f: DegreeSpec, confirm: bool
 ) -> HypothesisReport:
-    """Connected, delta >= b >= 2, a <= f <= b with a >= 1, f(X) even,
-    alpha <= 4a(delta-b)/(b+1)^2, odd-toughness >= 1/a."""
-    report = HypothesisReport("main", "f-factor exists")
+    """With ``confirm``, check a met prediction against the solver."""
+    if confirm and report.hypotheses_met:
+        factor = find_f_factor(g, f)
+        if factor is not None and verify_f_factor(g, f, factor):
+            report.confirmation = "confirmed"
+            report.factor = factor
+        else:
+            report.confirmation = "refuted"
+    return report
+
+
+def _check_graph_and_f(
+    report: HypothesisReport, g: Graph, f: DegreeSpec, a: int, b: int
+) -> int | None:
+    """Add the hypotheses shared by the stability-bound conditions:
+    connected, b >= 2, a >= 1, delta >= b, a <= f <= b and f(X) even.
+
+    Returns delta when the graph-side ones (all but the f rows) hold, else
+    None.
+    """
     connected = is_connected(g) and g.n > 0
     report.add("connected", f"n={g.n}", connected)
     report.add("b_at_least_2", f"b={b}", b >= 2)
     report.add("a_at_least_1", f"a={a}", a >= 1)
     delta = min_degree(g)
     report.add("min_degree", f"delta={delta} >= b={b}", delta >= b)
-    _check_f_range(report, f, a, b)
-    _check_parity(report, f)
-    if connected and b >= 2 and a >= 1 and delta >= b:
+    _check_f(report, f, a, b)
+    return delta if connected and b >= 2 and a >= 1 and delta >= b else None
+
+
+def _not_evaluated(report: HypothesisReport, *names: str) -> None:
+    for name in names:
+        report.add(name, "not evaluated (prior hypothesis failed)", False)
+
+
+def check_main_theorem(
+    g: Graph, f: DegreeSpec, a: int, b: int,
+    confirm: bool = False, toughness_max_n: int = TOUGHNESS_MAX_N,
+) -> HypothesisReport:
+    """Connected, delta >= b >= 2, a <= f <= b with a >= 1, f(X) even,
+    alpha <= 4a(delta-b)/(b+1)^2, odd-toughness >= 1/a."""
+    report = HypothesisReport("main", "f-factor exists")
+    delta = _check_graph_and_f(report, g, f, a, b)
+    if delta is None:
+        _not_evaluated(report, "stability", "odd_toughness")
+    else:
         alpha, _ = stability_number(g)
         bound = main_bound(a, b, delta)
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
         tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
         report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
-    else:
-        report.add("stability", "not evaluated (prior hypothesis failed)", False)
-        report.add("odd_toughness", "not evaluated (prior hypothesis failed)", False)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, f)
-    return report
+    return _confirm(report, g, f, confirm)
 
 
 def check_corollary_kappa(
@@ -145,15 +144,10 @@ def check_corollary_kappa(
 ) -> HypothesisReport:
     """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa)."""
     report = HypothesisReport("kappa_corollary", "f-factor exists")
-    connected = is_connected(g) and g.n > 0
-    report.add("connected", f"n={g.n}", connected)
-    report.add("b_at_least_2", f"b={b}", b >= 2)
-    report.add("a_at_least_1", f"a={a}", a >= 1)
-    delta = min_degree(g)
-    report.add("min_degree", f"delta={delta} >= b={b}", delta >= b)
-    _check_f_range(report, f, a, b)
-    _check_parity(report, f)
-    if connected and b >= 2 and a >= 1 and delta >= b:
+    delta = _check_graph_and_f(report, g, f, a, b)
+    if delta is None:
+        _not_evaluated(report, "stability")
+    else:
         alpha, _ = stability_number(g)
         kappa = vertex_connectivity(g)
         bound = min(main_bound(a, b, delta), Fraction(a * kappa))
@@ -162,11 +156,7 @@ def check_corollary_kappa(
             f"alpha={alpha} <= min(bound, a*kappa)={bound}",
             alpha <= bound,
         )
-    else:
-        report.add("stability", "not evaluated (prior hypothesis failed)", False)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, f)
-    return report
+    return _confirm(report, g, f, confirm)
 
 
 def check_theorem_min_degree(
@@ -186,11 +176,8 @@ def check_theorem_min_degree(
     )
     order_bound = Fraction((a + b) * (a + b - 3), a)
     report.add("order", f"|X|={n} > {order_bound}", n > order_bound)
-    _check_f_range(report, f, a, b)
-    _check_parity(report, f)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, f)
-    return report
+    _check_f(report, f, a, b)
+    return _confirm(report, g, f, confirm)
 
 
 def check_theorem_regular_connectivity(
@@ -208,9 +195,7 @@ def check_theorem_regular_connectivity(
     alpha, _ = stability_number(g)
     alpha_bound = Fraction(4 * r * kappa, (r + 1) ** 2)
     report.add("stability", f"alpha={alpha} <= {alpha_bound}", alpha <= alpha_bound)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, DegreeSpec((r,) * g.n))
-    return report
+    return _confirm(report, g, DegreeSpec((r,) * g.n), confirm)
 
 
 def check_theorem_ab_factor(
@@ -250,16 +235,13 @@ def check_theorem_claw_free(
     report = HypothesisReport("claw_free", "f-factor exists")
     report.add("connected", f"n={g.n}", is_connected(g) and g.n > 0)
     report.add("star_free", f"no induced K_(1,{n})", is_star_free(g, n))
-    _check_f_range(report, f, a, b)
-    _check_parity(report, f)
+    _check_f(report, f, a, b)
     delta = min_degree(g)
     report.add("min_degree", f"delta={delta} >= b+n-1={b + n - 1}", delta >= b + n - 1)
     bound = Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2)
     alpha, _ = stability_number(g)
     report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, f)
-    return report
+    return _confirm(report, g, f, confirm)
 
 
 def check_stability_conjecture(
@@ -271,22 +253,57 @@ def check_stability_conjecture(
     no f-factor, so "refuted" is an expected confirmation value here.
     """
     report = HypothesisReport("stability_conjecture", "f-factor exists")
-    report.add("connected", f"n={g.n}", is_connected(g) and g.n > 0)
-    report.add("b_at_least_2", f"b={b}", b >= 2)
-    report.add("a_at_least_1", f"a={a}", a >= 1)
-    delta = min_degree(g)
-    report.add("min_degree", f"delta={delta} >= b={b}", delta >= b)
-    _check_f_range(report, f, a, b)
-    _check_parity(report, f)
+    delta = _check_graph_and_f(report, g, f, a, b)
+    # unlike the two theorems above, alpha also waits for the f rows
     if report.hypotheses_met:
         alpha, _ = stability_number(g)
         bound = main_bound(a, b, delta)
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
     else:
-        report.add("stability", "not evaluated (prior hypothesis failed)", False)
-    if confirm and report.hypotheses_met:
-        _confirm(report, g, f)
-    return report
+        _not_evaluated(report, "stability")
+    return _confirm(report, g, f, confirm)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """How the CLI and the campaign run one checker.
+
+    ``run(g, f, params)`` calls the checker; ``params`` carries a, b, r,
+    star_order, confirm and toughness_max_n (the CLI's argparse namespace
+    is one such object).  ``trial`` is what a campaign trial draws after
+    (a, b): "f" a random f in [a, b], "r" an odd r with f = r, or "ab"
+    nothing, with b raised to a + 1.  With ``skip_invalid`` a campaign
+    skips a trial whose parameters the checker rejects.
+    """
+
+    run: Callable[[Graph, DegreeSpec | None, object], HypothesisReport]
+    trial: str = "f"
+    skip_invalid: bool = False
+
+
+THEOREMS: dict[str, Theorem] = {
+    # stability bound + odd-toughness >= 1/a
+    "main": Theorem(lambda g, f, p: check_main_theorem(
+        g, f, p.a, p.b, confirm=p.confirm, toughness_max_n=p.toughness_max_n)),
+    # stability bound strengthened by min(. , a*kappa)
+    "kappa_corollary": Theorem(lambda g, f, p: check_corollary_kappa(
+        g, f, p.a, p.b, confirm=p.confirm)),
+    # minimum-degree condition delta >= b|X|/(a+b)
+    "min_degree": Theorem(lambda g, f, p: check_theorem_min_degree(
+        g, f, p.a, p.b, confirm=p.confirm)),
+    # r-factor via connectivity and stability
+    "regular_connectivity": Theorem(lambda g, f, p: check_theorem_regular_connectivity(
+        g, p.r, confirm=p.confirm), trial="r", skip_invalid=True),
+    # [a,b]-factor via stability and minimum degree
+    "ab_factor": Theorem(lambda g, f, p: check_theorem_ab_factor(
+        g, p.a, p.b, confirm=p.confirm), trial="ab"),
+    # K_{1,n}-free condition
+    "claw_free": Theorem(lambda g, f, p: check_theorem_claw_free(
+        g, f, p.a, p.b, p.star_order, confirm=p.confirm), skip_invalid=True),
+    # the stability bound alone (refuted by g0)
+    "stability_conjecture": Theorem(lambda g, f, p: check_stability_conjecture(
+        g, f, p.a, p.b, confirm=p.confirm)),
+}
 
 
 # Empirical validation campaign
@@ -299,15 +316,6 @@ class TrialRecord:
     instance: str
     hypotheses_met: bool
     confirmation: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "instance": self.instance,
-            "hypotheses_met": self.hypotheses_met,
-            "confirmation": self.confirmation,
-        }
 
 
 @dataclass
@@ -329,8 +337,22 @@ class CampaignReport:
             "hypotheses_met": self.hypotheses_met,
             "confirmed": self.confirmed,
             "discrepancy_count": len(self.discrepancies),
-            "discrepancies": [d.to_dict() for d in self.discrepancies],
+            "discrepancies": [asdict(d) for d in self.discrepancies],
         }
+
+    def tally(self, index: int, seed: int, check: HypothesisReport,
+              g: Graph, spec: DegreeSpec) -> None:
+        """Count one checked instance; a met prediction that the solver
+        refutes is kept as a discrepancy, with the instance."""
+        if not check.hypotheses_met:
+            return
+        self.hypotheses_met += 1
+        if check.confirmation == "confirmed":
+            self.confirmed += 1
+        elif check.confirmation == "refuted":
+            self.discrepancies.append(TrialRecord(
+                index, seed, serialize_instance(g, spec), True, "refuted",
+            ))
 
 
 def _trial_seed(seed: int, index: int) -> int:
@@ -355,9 +377,8 @@ def empirical_validate(
     whose hypotheses all hold but whose predicted factor does not exist;
     each one is recorded with a reproducible instance serialization.
     """
-    from .instances import random_connected_graph, random_degree_spec, serialize_instance
-
-    if theorem not in THEOREM_IDS:
+    entry = THEOREMS.get(theorem)
+    if entry is None:
         raise ValueError(f"unknown theorem id {theorem!r}")
     report = CampaignReport(
         theorem, trials, seed,
@@ -371,46 +392,26 @@ def empirical_validate(
         prob = rng.choice(edge_probs)
         g = random_connected_graph(n, prob, rng.randrange(2**31))
         a, b = rng.choice(ab_choices)
-        if theorem == "regular_connectivity":
-            r = rng.choice(r_choices)
-            try:
-                check = check_theorem_regular_connectivity(g, r, confirm=True)
-            except ValueError:
-                continue
-            f = DegreeSpec((r,) * g.n)
-        elif theorem == "ab_factor":
-            if b <= a:
-                b = a + 1
-            check = check_theorem_ab_factor(g, a, b, confirm=True)
-            f = None
+        params = SimpleNamespace(a=a, b=b, r=None, star_order=star_order, confirm=True,
+                                 toughness_max_n=TOUGHNESS_MAX_N)
+        f = None
+        if entry.trial == "r":
+            params.r = rng.choice(r_choices)
+            f = DegreeSpec((params.r,) * g.n)
+        elif entry.trial == "ab":
+            params.b = max(b, a + 1)
         else:
             try:
                 f = random_degree_spec(g, a, b, rng.randrange(2**31))
             except ValueError:
                 continue  # unrepairable parity (a == b with odd total)
-            if theorem == "main":
-                check = check_main_theorem(g, f, a, b, confirm=True)
-            elif theorem == "kappa_corollary":
-                check = check_corollary_kappa(g, f, a, b, confirm=True)
-            elif theorem == "min_degree":
-                check = check_theorem_min_degree(g, f, a, b, confirm=True)
-            elif theorem == "claw_free":
-                try:
-                    check = check_theorem_claw_free(g, f, a, b, star_order, confirm=True)
-                except ValueError:
-                    continue
-            else:
-                check = check_stability_conjecture(g, f, a, b, confirm=True)
-        if check.hypotheses_met:
-            report.hypotheses_met += 1
-            if check.confirmation == "confirmed":
-                report.confirmed += 1
-            elif check.confirmation == "refuted":
-                spec = f if f is not None else DegreeSpec((a,) * g.n)
-                report.discrepancies.append(TrialRecord(
-                    index, tseed, serialize_instance(g, spec),
-                    True, "refuted",
-                ))
+        try:
+            check = entry.run(g, f, params)
+        except ValueError:
+            if entry.skip_invalid:
+                continue
+            raise
+        report.tally(index, tseed, check, g, f if f is not None else DegreeSpec((a,) * g.n))
     return report
 
 
@@ -423,9 +424,6 @@ def g0_sweep(
     hypothesis met is expected to be a refutation; the returned report
     counts them as discrepancies of the conjecture, each with a certificate.
     """
-    from .constructions import build_g0
-    from .instances import serialize_instance
-
     report = CampaignReport("stability_conjecture", 0, 0,
                             {"family": "g0", "a": a, "b": b})
     index = 0
@@ -442,15 +440,6 @@ def g0_sweep(
                 check = check_stability_conjecture(
                     built.graph, built.spec, a, b, confirm=True
                 )
-                if check.hypotheses_met:
-                    report.hypotheses_met += 1
-                    if check.confirmation == "confirmed":
-                        report.confirmed += 1
-                    else:
-                        report.discrepancies.append(TrialRecord(
-                            index, 0,
-                            serialize_instance(built.graph, built.spec),
-                            True, "refuted",
-                        ))
+                report.tally(index, 0, check, built.graph, built.spec)
                 index += 1
     return report

@@ -116,9 +116,7 @@ def _evaluate(g: Graph, s_mask: int, t_mask: int, fvals) -> tuple[int, int, int,
 
 def odd_components_st(g: Graph, pair: SubsetPair, f: DegreeSpec) -> int:
     """h(S, T): odd components of G - (S u T) under the f(C) + e(C, T) parity."""
-    s_mask = _mask_of(pair.s)
-    t_mask = _mask_of(pair.t)
-    return _evaluate(g, s_mask, t_mask, f.values)[3]
+    return deficiency(g, pair, f).h
 
 
 def deficiency(g: Graph, pair: SubsetPair, f: DegreeSpec) -> DeficiencyReport:
@@ -143,32 +141,13 @@ def analyze_pair(
     report = deficiency(g, pair, f)
     s_mask = _mask_of(pair.s)
     t_mask = _mask_of(pair.t)
-    masks = g.adj_masks
-    h2 = 0
-    for comp in components_masks(g, g.full_mask & ~s_mask & ~t_mask):
-        touches_t = False
-        c = comp
-        while c:
-            low = c & -c
-            if masks[low.bit_length() - 1] & t_mask:
-                touches_t = True
-                break
-            c ^= low
-        if not touches_t:
-            h2 += 1
-    report.h2 = h2
+    # a component touches T exactly when it meets N(T)
+    t_nbrs = _mask_of(u for v in pair.t for u in g.adj[v])
+    rest = g.full_mask & ~s_mask & ~t_mask
+    report.h2 = sum(1 for comp in components_masks(g, rest) if not comp & t_nbrs)
     delta_g = min((len(nbrs) for nbrs in g.adj), default=0)
     report.prop_flag = len(pair.s) > delta_g - b
     return report
-
-
-def _best_key(delta: int, s_mask: int, t_mask: int) -> tuple:
-    return (
-        delta,
-        s_mask.bit_count() + t_mask.bit_count(),
-        _bits_of(s_mask),
-        _bits_of(t_mask),
-    )
 
 
 def find_violating_pair(
@@ -199,33 +178,42 @@ def find_violating_pair(
     if mode == "auto":
         mode = "exact" if g.n <= exact_max_n else "heuristic"
     if mode == "exact":
-        return _find_violating_exact(g, f)
-    return _find_violating_heuristic(g, f, seed, heuristic_samples)
+        return _best_violation(g, f, _all_pairs(g.full_mask))
+    # dict.fromkeys drops repeated candidates, keeping first-seen order
+    candidates = dict.fromkeys(_heuristic_candidates(g, seed, heuristic_samples))
+    return _best_violation(g, f, candidates)
 
 
-def _find_violating_exact(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
+def _best_violation(g: Graph, f: DegreeSpec, candidates) -> DeficiencyReport | None:
+    """The candidate (S, T) mask pair with delta < 0 that is least under
+    (delta, |S|+|T|, S, T), or None when no candidate violates."""
     fvals = f.values
-    full = g.full_mask
     best_key = None
     best = None
+    for s_mask, t_mask in candidates:
+        res = _evaluate(g, s_mask, t_mask, fvals)
+        if res[4] < 0:
+            key = (res[4], s_mask.bit_count() + t_mask.bit_count(),
+                   _bits_of(s_mask), _bits_of(t_mask))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (s_mask, t_mask, res)
+    if best is None:
+        return None
+    s_mask, t_mask, res = best
+    return DeficiencyReport(SubsetPair(_bits_of(s_mask), _bits_of(t_mask)), *res)
+
+
+def _all_pairs(full: int):
+    """All 3^n disjoint (S, T) mask pairs."""
     for s_mask in range(full + 1):
         rest = full & ~s_mask
         t_mask = rest
         while True:
-            res = _evaluate(g, s_mask, t_mask, fvals)
-            if res[4] < 0:
-                key = _best_key(res[4], s_mask, t_mask)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (s_mask, t_mask, res)
+            yield s_mask, t_mask
             if t_mask == 0:
                 break
             t_mask = (t_mask - 1) & rest
-    if best is None:
-        return None
-    s_mask, t_mask, (f_s, f_t, degree_term, h, delta) = best
-    pair = SubsetPair(_bits_of(s_mask), _bits_of(t_mask))
-    return DeficiencyReport(pair, f_s, f_t, degree_term, h, delta)
 
 
 def _heuristic_candidates(g: Graph, seed: int, samples: int):
@@ -241,7 +229,6 @@ def _heuristic_candidates(g: Graph, seed: int, samples: int):
         bit = 1 << v
         yield bit, g.adj_masks[v] & ~bit
     rng = random.Random(seed)
-    full = g.full_mask
     for _ in range(samples):
         s_mask = t_mask = 0
         for v in range(n):
@@ -250,29 +237,4 @@ def _heuristic_candidates(g: Graph, seed: int, samples: int):
                 s_mask |= 1 << v
             elif r < 0.4:
                 t_mask |= 1 << v
-        if s_mask | t_mask <= full:
-            yield s_mask, t_mask
-
-
-def _find_violating_heuristic(
-    g: Graph, f: DegreeSpec, seed: int, samples: int
-) -> DeficiencyReport | None:
-    fvals = f.values
-    best_key = None
-    best = None
-    seen = set()
-    for s_mask, t_mask in _heuristic_candidates(g, seed, samples):
-        if (s_mask, t_mask) in seen:
-            continue
-        seen.add((s_mask, t_mask))
-        res = _evaluate(g, s_mask, t_mask, fvals)
-        if res[4] < 0:
-            key = _best_key(res[4], s_mask, t_mask)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (s_mask, t_mask, res)
-    if best is None:
-        return None
-    s_mask, t_mask, (f_s, f_t, degree_term, h, delta) = best
-    pair = SubsetPair(_bits_of(s_mask), _bits_of(t_mask))
-    return DeficiencyReport(pair, f_s, f_t, degree_term, h, delta)
+        yield s_mask, t_mask

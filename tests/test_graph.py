@@ -5,21 +5,16 @@ from hypothesis import strategies as st
 from ffactors.graph import (
     DegreeSpec,
     build_graph,
-    complete_bipartite,
     complete_graph,
     components,
-    cycle,
     disjoint_union,
-    edge_count_between,
     empty_graph,
     f_sum,
     is_connected,
     is_star_free,
     join,
     min_degree,
-    neighborhood_set,
     petersen_graph,
-    remove_vertices,
     star,
 )
 
@@ -63,27 +58,6 @@ class TestBuildGraph:
                 assert v in g.adj[u]
 
 
-class TestRemoveVertices:
-    def test_complete_minus_vertex(self):
-        sub, mapping = remove_vertices(complete_graph(4), [0])
-        assert sub.n == 3 and sub.m == 3
-        assert mapping == (1, 2, 3)
-
-    def test_cycle_bipartition(self):
-        sub, _ = remove_vertices(cycle(4), [0, 2])
-        assert sub.n == 2 and sub.m == 0
-
-    def test_full_removal(self):
-        sub, mapping = remove_vertices(complete_graph(2), [0, 1])
-        assert sub.n == 0 and mapping == ()
-
-    @given(graphs())
-    def test_empty_removal_is_identity(self, g):
-        sub, mapping = remove_vertices(g, [])
-        assert sub == g
-        assert mapping == tuple(range(g.n))
-
-
 class TestComponents:
     def test_complete(self):
         assert components(complete_graph(5)) == [(0, 1, 2, 3, 4)]
@@ -100,28 +74,6 @@ class TestComponents:
         comps = components(g)
         seen = [v for c in comps for v in c]
         assert sorted(seen) == list(range(g.n))
-
-
-class TestEdgeCountBetween:
-    def test_complete_cut(self):
-        assert edge_count_between(complete_graph(4), [0, 1], [2, 3]) == 4
-
-    def test_antipodal(self):
-        assert edge_count_between(cycle(4), [0], [2]) == 0
-
-    def test_complete_bipartite(self):
-        g = complete_bipartite(3, 3)
-        assert edge_count_between(g, [0, 1, 2], [3, 4, 5]) == 9
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            edge_count_between(complete_graph(3), [0, 1], [1, 2])
-
-    @given(graphs(max_n=6))
-    def test_symmetric(self, g):
-        a = [v for v in range(g.n) if v % 2 == 0]
-        b = [v for v in range(g.n) if v % 2 == 1]
-        assert edge_count_between(g, a, b) == edge_count_between(g, b, a)
 
 
 class TestFSum:
@@ -154,9 +106,6 @@ class TestDegreeHelpers:
 
     def test_single_vertex_connected(self):
         assert is_connected(empty_graph(1))
-
-    def test_neighborhood(self):
-        assert neighborhood_set(cycle(4), [0]) == (1, 3)
 
 
 class TestStarFree:

@@ -56,6 +56,17 @@ class TestParseInstance:
         with pytest.raises(ValueError, match="declares m"):
             parse_instance("p ffactor 3 5\ne 0 1\ndefault-f 1\n")
 
+    @pytest.mark.parametrize("line", [
+        "e 0 1 7", "e 0", "f 0 1 9", "f 0", "default-f 1 2", "default-f",
+        "p ffactor 2 1 0",
+    ])
+    def test_wrong_field_count_names_line(self, line):
+        text = f"p ffactor 2 1\ne 0 1\nf 0 1\nf 1 1\n{line}\n"
+        if line.startswith("p"):
+            text = f"{line}\ne 0 1\nf 0 1\nf 1 1\n"
+        with pytest.raises(ValueError, match=r"^line \d: expected '"):
+            parse_instance(text)
+
 
 class TestRoundTrip:
     def test_corpus(self):

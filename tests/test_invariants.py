@@ -148,6 +148,18 @@ class TestIsTOddTough:
         a = built.params["a"]
         assert not is_t_odd_tough(built.graph, built.spec, Fraction(1, a))
 
+    def test_agrees_with_odd_toughness(self):
+        for g in seeded_corpus(20, 4, 9, seed=29):
+            f = DegreeSpec(tuple((v % 3) + 1 for v in range(g.n)))
+            value = odd_toughness(g, f)
+            for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 2):
+                assert is_t_odd_tough(g, f, t) == value.at_least(t)
+
+    def test_above_cap_without_small_violation_refuses(self):
+        g = complete_graph(10)
+        with pytest.raises(ValueError, match="cap 8"):
+            is_t_odd_tough(g, constant_spec(g, 1), 1, max_n=8)
+
 
 class TestToughness:
     def test_cycle(self):
