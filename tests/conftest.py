@@ -8,12 +8,24 @@ fast paths are checked against.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from ffactors.graph import Graph, build_graph, components_masks, is_connected
 from ffactors.instances import random_connected_graph
+
+
+def pytest_configure(config):
+    """Let the tests' ``python -m ffactors.cli`` subprocesses import this
+    checkout's package, as pyproject's pytest ``pythonpath`` does for the
+    test process itself."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path
+    )
 
 
 def brute_stability(g: Graph) -> int:
