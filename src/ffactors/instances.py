@@ -21,12 +21,12 @@ import random
 from .graph import DegreeSpec, Graph, build_graph, is_connected
 
 
-# every line type with its exact field layout
+# every line type with its exact fields
 _LINE_FORMS = {
-    "p": "p ffactor <n> <m>",
-    "e": "e <u> <v>",
-    "f": "f <v> <value>",
-    "default-f": "default-f <value>",
+    "p": ("p", "ffactor", "<n>", "<m>"),
+    "e": ("e", "<u>", "<v>"),
+    "f": ("f", "<v>", "<value>"),
+    "default-f": ("default-f", "<value>"),
 }
 
 
@@ -46,8 +46,8 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
             form = _LINE_FORMS.get(parts[0])
             if form is None:
                 raise ValueError(f"unknown line type {parts[0]!r}")
-            if len(parts) != len(form.split()) or (parts[0] == "p" and parts[1] != "ffactor"):
-                raise ValueError(f"expected '{form}'")
+            if len(parts) != len(form) or (parts[0] == "p" and parts[1] != "ffactor"):
+                raise ValueError(f"expected '{' '.join(form)}'")
             if parts[0] == "p":
                 if n is not None:
                     raise ValueError("duplicate problem line")
