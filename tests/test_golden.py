@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from ffactors.reports import dumps_report, strip_timing
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-CAP_VARIABLES = ("FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N", "FFACTORS_ORACLE_MAX_M")
+CAP_VARIABLES = ("FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N")
 
 INSTANCES = {
     "desk": ["g0", "--a", "2", "--b", "3", "--k", "1", "--delta", "12", "--p", "4"],
@@ -114,8 +115,6 @@ def test_golden_report(case, instance_paths, tmp_path):
 
 
 def regenerate() -> None:
-    import tempfile
-
     for name in CAP_VARIABLES:
         os.environ.pop(name, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
