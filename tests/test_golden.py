@@ -35,6 +35,7 @@ INSTANCES = {
     "r12": ["random", "--n", "12", "--p-edge", "0.7", "--a", "1", "--b", "3", "--seed", "5"],
     "d14": ["random", "--n", "14", "--p-edge", "0.9", "--a", "2", "--b", "3", "--seed", "1"],
     "r60": ["random", "--n", "60", "--p-edge", "0.08", "--a", "1", "--b", "3", "--seed", "11"],
+    "r40": ["random", "--n", "40", "--p-edge", "0.3", "--a", "1", "--b", "3", "--seed", "1"],
 }
 
 THEOREM_NAMES = ("main", "kappa_corollary", "min_degree", "regular_connectivity",
@@ -56,6 +57,9 @@ def _cases() -> dict[str, list[str]]:
                            "--odd-toughness"],
         "invariants-g1": ["invariants", "{g1}", "--alpha", "--kappa", "--toughness",
                           "--odd-toughness"],
+        "invariants-r40": ["invariants", "{r40}", "--alpha", "--kappa"],
+        "verify-regular_connectivity-r40": ["verify-theorem", "regular_connectivity", "{r40}",
+                                            "--r", "3", "--confirm"],
     }
     for name in THEOREM_NAMES:
         cases[f"verify-{name}-desk"] = ["verify-theorem", name, "{desk}", "--a", "2",
