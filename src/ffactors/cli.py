@@ -6,10 +6,10 @@ no discrepancy; recheck: all certificates verify), 1 negative outcome
 (solve: no factor; fuzz: discrepancy; recheck: mismatch), 2 usage or
 runtime error.
 
-Size caps for the exponential routines default from environment variables
-FFACTORS_AUDIT_MAX_N, FFACTORS_TOUGHNESS_MAX_N, and FFACTORS_ORACLE_MAX_M,
-and are overridden by the corresponding flags.  The toughness cap also
-reaches ``verify-theorem main``, which has no flag for it.
+Size caps for the exponential routines default from the environment
+variables FFACTORS_AUDIT_MAX_N and FFACTORS_TOUGHNESS_MAX_N, and are
+overridden by the corresponding flags.  The toughness cap also reaches
+``verify-theorem main``, which has no flag for it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graph import (
     DegreeSpec,
@@ -91,8 +91,18 @@ def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph or
     reduces it to a single vertex; n-1 for complete graphs.
 
-    Computed as the minimum over non-adjacent pairs of the unit-capacity
-    vertex-split maximum flow (Menger).
+    Esfahanian & Hakimi (Networks 1984): let v be the smallest-index vertex
+    of minimum degree delta.  kappa is the minimum of delta and of the
+    unit-capacity vertex-split maximum flows (Menger) from v to each vertex
+    outside N[v] and between each non-adjacent pair in N(v): at most
+    (n-1-delta) + delta(delta-1)/2 flows, stopping once the minimum is 1.
+
+    Every such flow is at least kappa, and delta >= kappa because removing
+    N(v) isolates v.  Let S be a minimum separator.  If v is not in S, some
+    non-neighbour of v lies in another component of G-S, so its flow from v
+    is at most |S|.  If v is in S, then S is minimal, so v has neighbours in
+    two different components of G-S; they are non-adjacent, and their flow
+    is at most |S|.
     """
     n = g.n
     if n <= 1:
@@ -101,53 +111,71 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.m == n * (n - 1) // 2:
         return n - 1
-    best = n - 1
-    for s in range(n):
-        for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            best = min(best, _vertex_disjoint_paths(g, s, t, cap=best))
+    v = min(range(n), key=g.degree)
+    nbrs = g.adj[v]
+    pairs = chain(((v, u) for u in range(n) if u != v and not g.has_edge(v, u)),
+                  ((x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)))
+    network = _split_network(g)
+    best = len(nbrs)
+    for s, t in pairs:
+        if best == 1:
+            break
+        best = min(best, _vertex_disjoint_paths(network, s, t, best))
     return best
 
 
-def _vertex_disjoint_paths(g: Graph, s: int, t: int, cap: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths, stopping early at
-    ``cap``.  Unit-capacity flow on the split digraph: v_in -> v_out."""
-    n = g.n
-    # node 2v = v_in, 2v+1 = v_out; residual capacities in dicts
-    residual: list[dict[int, int]] = [dict() for _ in range(2 * n)]
+_SplitNetwork = tuple[list[int], list[list[int]], list[int]]
 
-    def add(u: int, v: int, c: int) -> None:
-        residual[u][v] = residual[u].get(v, 0) + c
-        residual[v].setdefault(u, 0)
 
-    big = n + 1
-    for v in range(n):
-        add(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-        for u in g.adj[v]:
-            add(2 * v + 1, 2 * u, big)
+def _split_network(g: Graph) -> _SplitNetwork:
+    """The split digraph as flat arrays ``(head, out, base)``: node 2w is
+    w_in and 2w+1 is w_out, arc i runs to ``head[i]`` with base capacity
+    ``base[i]``, its reverse is arc i ^ 1, and ``out[x]`` lists the arcs
+    leaving node x.  Every arc w_in -> w_out and u_out -> w_in has capacity
+    1; the vertex arcs already bound the edge arcs."""
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * g.n)]
+
+    def add(x: int, y: int) -> None:
+        out[x].append(len(head))
+        head.append(y)
+        out[y].append(len(head))
+        head.append(x)
+
+    for w in range(g.n):
+        add(2 * w, 2 * w + 1)
+        for u in g.adj[w]:
+            add(2 * w + 1, 2 * u)
+    return head, out, [1, 0] * (len(head) // 2)
+
+
+def _vertex_disjoint_paths(network: _SplitNetwork, s: int, t: int, cap: int) -> int:
+    """Max number of internally vertex-disjoint paths between non-adjacent
+    s and t, stopping early at ``cap``: BFS augmentation from s_out to t_in
+    on a fresh copy of the split network's capacities."""
+    head, out, base = network
+    residual = base[:]
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap:
-        # BFS augmenting path
-        parent = {source: -1}
+        via = [-1] * len(out)  # arc by which BFS reached each node
+        via[source] = len(head)
         queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for u in queue:
-                for v, c in residual[u].items():
-                    if c > 0 and v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            queue = nxt
-        if sink not in parent:
+        for x in queue:
+            for a in out[x]:
+                if residual[a] and via[head[a]] < 0:
+                    via[head[a]] = a
+                    queue.append(head[a])
+            if via[sink] >= 0:
+                break
+        else:
             break
-        v = sink
-        while v != source:
-            u = parent[v]
-            residual[u][v] -= 1
-            residual[v][u] += 1
-            v = u
+        x = sink
+        while x != source:
+            a = via[x]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+            x = head[a ^ 1]
         flow += 1
     return flow
 

@@ -30,22 +30,19 @@ class FactorSubgraph:
 
     edges: tuple[tuple[int, int], ...]
 
-    def degree_of(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 @dataclass
 class GadgetGraph:
     """Auxiliary graph of the factor-to-matching reduction.
 
-    ``roles[i]`` is ("external", v, u) for the copy of edge vu at v, or
-    ("internal", v, j) for the j-th slack vertex of v.  ``bridges`` maps each
-    original edge (u, v) with u < v to its bridge edge's aux endpoints.
+    Vertex v's block takes consecutive ids, v in increasing order: first its
+    external copies of edges vu, u in increasing order, then its d(v) - f(v)
+    internal slack vertices.  ``bridges`` maps each original edge (u, v)
+    with u < v to its bridge edge's aux endpoints.
     """
 
     size: int
     adj: list[list[int]]
-    roles: list[tuple]
     bridges: dict[tuple[int, int], tuple[int, int]]
 
 
@@ -56,22 +53,16 @@ def tutte_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
             raise ValueError(
                 f"f({v}) = {f.values[v]} exceeds degree {g.degree(v)}"
             )
-    roles: list[tuple] = []
     ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
     for v in range(g.n):
-        d = g.degree(v)
         externals = []
         for u in g.adj[v]:
-            ext_id[(v, u)] = len(roles)
-            externals.append(len(roles))
-            roles.append(("external", v, u))
+            ext_id[(v, u)] = len(adj)
+            externals.append(len(adj))
             adj.append([])
-        internals = []
-        for j in range(d - f.values[v]):
-            internals.append(len(roles))
-            roles.append(("internal", v, j))
-            adj.append([])
+        internals = list(range(len(adj), len(adj) + g.degree(v) - f.values[v]))
+        adj.extend([] for _ in internals)
         for e in externals:
             for i in internals:
                 adj[e].append(i)
@@ -82,7 +73,7 @@ def tutte_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
         adj[i].append(j)
         adj[j].append(i)
         bridges[(u, v)] = (i, j)
-    return GadgetGraph(len(roles), adj, roles, bridges)
+    return GadgetGraph(len(adj), adj, bridges)
 
 
 def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:

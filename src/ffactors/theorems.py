@@ -204,8 +204,8 @@ def check_theorem_ab_factor(
     """Stability vs minimum degree condition for an [a,b]-factor; the bound
     depends on the parity of a.  Confirmation is by the brute-force oracle
     and only at tiny scale."""
-    if b <= a:
-        raise ValueError("need b >= a + 1")
+    if not 1 <= a < b:
+        raise ValueError("need 1 <= a < b")
     report = HypothesisReport("ab_factor", f"[{a},{b}]-factor exists")
     delta = min_degree(g)
     if a % 2 == 1:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ffactors import cli
-from ffactors.graph import build_graph, complete_graph, constant_spec, cycle, star
+from ffactors.graph import build_graph, complete_graph, constant_spec, cycle, path, star
 from ffactors.instances import serialize_instance
 
 
@@ -46,6 +46,24 @@ class TestToughnessCap:
             code, err = run(command)
             assert_one_line_error(code, err)
             assert "cap 8" in err
+
+
+@pytest.mark.parametrize("a", ["0", "-1"])
+def test_ab_factor_rejects_a_below_1(tmp_path, a):
+    g = cycle(6)
+    inst = tmp_path / "c6.inst"
+    inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+    code, err = run(["verify-theorem", "ab_factor", str(inst), "--a", a, "--b", "2"])
+    assert_one_line_error(code, err)
+    assert "need 1 <= a < b" in err
+
+
+def test_kappa_of_a_3000_vertex_path(tmp_path):
+    g = path(3000)
+    inst, out = tmp_path / "p3000.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+    assert run(["invariants", str(inst), "--kappa", "--out", str(out)])[0] == 0
+    assert json.loads(out.read_text())["verdicts"]["kappa"] == 1
 
 
 @functools.cache

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_stability, brute_vertex_connectivity, seeded_corpus
+from ffactors import invariants
 from ffactors.graph import (
     DegreeSpec,
     build_graph,
@@ -10,9 +11,11 @@ from ffactors.graph import (
     constant_spec,
     cycle,
     disjoint_union,
+    min_degree,
     petersen_graph,
     star,
 )
+from ffactors.instances import random_connected_graph
 from ffactors.invariants import (
     is_t_odd_tough,
     odd_component_count,
@@ -68,6 +71,34 @@ class TestVertexConnectivity:
     def test_matches_separator_search(self):
         for g in seeded_corpus(30, 3, 9, seed=13):
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+    def test_matches_separator_search_on_atlas(self, small_atlas):
+        for g in small_atlas:
+            assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+    def test_min_degree_vertex_in_every_minimum_separator(self):
+        # vertex 0 (degree 4) joined to two vertices of each of two K6: only
+        # {0} separates, and every flow from vertex 0 alone is 2, so only a
+        # pair of its neighbours reaches kappa = 1
+        k6 = complete_graph(6)
+        twins = disjoint_union([k6, k6])
+        g = build_graph(13, [(u + 1, v + 1) for u, v in twins.edges()]
+                        + [(0, 1), (0, 2), (0, 7), (0, 8)])
+        assert vertex_connectivity(g) == brute_vertex_connectivity(g) == 1
+
+    def test_flow_count_within_bound(self, monkeypatch):
+        calls = []
+        flow = invariants._vertex_disjoint_paths
+
+        def counted(*args):
+            calls.append(args)
+            return flow(*args)
+
+        monkeypatch.setattr(invariants, "_vertex_disjoint_paths", counted)
+        g = random_connected_graph(40, 0.3, 17)
+        d = min_degree(g)
+        assert vertex_connectivity(g) >= 1
+        assert 0 < len(calls) <= (g.n - 1 - d) + d * (d - 1) // 2
 
 
 class TestOddComponentCount:
