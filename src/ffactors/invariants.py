@@ -18,12 +18,14 @@ from .graph import (
     Graph,
     _bits_of,
     _mask_of,
+    _max_independent,
     as_vertex_set,
     components_masks,
     is_connected,
 )
 
 TOUGHNESS_MAX_N = 20
+SMALL_CUTSET_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -48,43 +50,10 @@ class ToughnessValue:
 
 
 def stability_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set size plus one witness set.
-
-    Branch and bound: branch on a maximum-degree vertex of the remaining
-    subgraph (ties to the smallest index), either including it and deleting
-    its closed neighborhood or excluding it.
-    """
-    masks = g.adj_masks
-    best_size = 0
-    best_set = 0
-
-    def branch(avail: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_set
-        if size + avail.bit_count() <= best_size:
-            return
-        if avail == 0:
-            best_size, best_set = size, chosen
-            return
-        # maximum-degree vertex within the remaining subgraph, smallest index first
-        pick, pick_deg = -1, -1
-        a = avail
-        while a:
-            low = a & -a
-            v = low.bit_length() - 1
-            d = (masks[v] & avail).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-            a ^= low
-        if pick_deg == 0:
-            # remaining vertices are pairwise non-adjacent: take them all
-            best_size, best_set = size + avail.bit_count(), chosen | avail
-            return
-        bit = 1 << pick
-        branch(avail & ~bit & ~masks[pick], chosen | bit, size + 1)
-        branch(avail ^ bit, chosen, size)
-
-    branch(g.full_mask, 0, 0)
-    return best_size, _bits_of(best_set)
+    """Exact maximum independent set size plus one witness set, from the
+    branch and bound in ``graph._max_independent``."""
+    size, chosen = _max_independent(g, g.full_mask)
+    return size, _bits_of(chosen)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -262,14 +231,14 @@ def _odd_tough_violation(
 
 
 def find_small_odd_tough_violation(
-    g: Graph, f: DegreeSpec, t: Fraction, max_size: int = 3
+    g: Graph, f: DegreeSpec, t: Fraction
 ) -> tuple[int, ...] | None:
-    """Scan cutsets of size <= max_size for one with |S|/h'(G-S) < t.
+    """Scan cutsets of size <= SMALL_CUTSET_MAX for one with |S|/h'(G-S) < t.
 
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    sizes = range(1, min(max_size, g.n - 1) + 1)
+    sizes = range(1, min(SMALL_CUTSET_MAX, g.n - 1) + 1)
     return _odd_tough_violation(g, f, t, (
         _mask_of(combo) for size in sizes for combo in combinations(range(g.n), size)
     ))
@@ -282,8 +251,9 @@ def is_t_odd_tough(
     always satisfied).
 
     One scan that stops at the first violating cutset: every cutset when
-    n <= max_n; above the cap only cutsets of size <= 3, so a graph with an
-    obvious bad cutset is still rejected, and otherwise the cap refuses.
+    n <= max_n; above the cap only cutsets of size <= SMALL_CUTSET_MAX, so a
+    graph with an obvious bad cutset is still rejected, and otherwise the cap
+    refuses.
     """
     if not is_connected(g) or g.n == 0:
         raise ValueError("odd-toughness is defined for connected graphs only")

@@ -27,6 +27,7 @@ from .invariants import (
 from .constructions import build_g0, stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
 from .solver import (
+    ORACLE_MAX_M,
     FactorSubgraph,
     brute_force_ab_factor,
     find_f_factor,
@@ -199,11 +200,11 @@ def check_theorem_regular_connectivity(
 
 
 def check_theorem_ab_factor(
-    g: Graph, a: int, b: int, confirm: bool = False, oracle_max_m: int = 24
+    g: Graph, a: int, b: int, confirm: bool = False
 ) -> HypothesisReport:
     """Stability vs minimum degree condition for an [a,b]-factor; the bound
     depends on the parity of a.  Confirmation is by the brute-force oracle
-    and only at tiny scale."""
+    and only at m <= ORACLE_MAX_M."""
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
     report = HypothesisReport("ab_factor", f"[{a},{b}]-factor exists")
@@ -216,8 +217,8 @@ def check_theorem_ab_factor(
         which = "even-a bound"
     alpha, _ = stability_number(g)
     report.add("stability", f"alpha={alpha} <= {bound} ({which})", alpha <= bound)
-    if confirm and report.hypotheses_met and g.m <= oracle_max_m:
-        factor = brute_force_ab_factor(g, a, b, max_m=oracle_max_m)
+    if confirm and report.hypotheses_met and g.m <= ORACLE_MAX_M:
+        factor = brute_force_ab_factor(g, a, b)
         report.confirmation = "confirmed" if factor is not None else "refuted"
         report.factor = factor
     return report

@@ -30,6 +30,7 @@ from .graph import (
 )
 
 AUDIT_EXACT_MAX_N = 15
+HEURISTIC_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,6 @@ def find_violating_pair(
     exact_max_n: int = AUDIT_EXACT_MAX_N,
     mode: str = "auto",
     seed: int = 0,
-    heuristic_samples: int = 2000,
 ) -> DeficiencyReport | None:
     """Search for a disjoint pair with delta(S, T) < 0.
 
@@ -164,8 +164,8 @@ def find_violating_pair(
     and returns the pair minimizing delta, ties broken by (|S|+|T|, S, T);
     ``None`` is then a certificate that no violating pair exists.  Above the
     size cap a heuristic mode scans structured candidates (empty and
-    singleton sets, small cutsets, seeded random pairs): it may miss
-    violations but never fabricates them.
+    singleton sets, small cutsets, ``HEURISTIC_SAMPLES`` seeded random
+    pairs): it may miss violations but never fabricates them.
 
     ``mode`` is "auto", "exact", or "heuristic".
     """
@@ -180,7 +180,7 @@ def find_violating_pair(
     if mode == "exact":
         return _best_violation(g, f, _all_pairs(g.full_mask))
     # dict.fromkeys drops repeated candidates, keeping first-seen order
-    candidates = dict.fromkeys(_heuristic_candidates(g, seed, heuristic_samples))
+    candidates = dict.fromkeys(_heuristic_candidates(g, seed))
     return _best_violation(g, f, candidates)
 
 
@@ -216,7 +216,7 @@ def _all_pairs(full: int):
             t_mask = (t_mask - 1) & rest
 
 
-def _heuristic_candidates(g: Graph, seed: int, samples: int):
+def _heuristic_candidates(g: Graph, seed: int):
     n = g.n
     yield 0, 0
     for v in range(n):
@@ -229,7 +229,7 @@ def _heuristic_candidates(g: Graph, seed: int, samples: int):
         bit = 1 << v
         yield bit, g.adj_masks[v] & ~bit
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(HEURISTIC_SAMPLES):
         s_mask = t_mask = 0
         for v in range(n):
             r = rng.random()

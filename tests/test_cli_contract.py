@@ -7,7 +7,10 @@ import contextlib
 import copy
 import functools
 import io
+import inspect
 import json
+import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from ffactors import cli
 from ffactors.graph import build_graph, complete_graph, constant_spec, cycle, path, star
 from ffactors.instances import serialize_instance
+from ffactors.invariants import stability_number
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -64,6 +68,45 @@ def test_kappa_of_a_3000_vertex_path(tmp_path):
     inst.write_text(serialize_instance(g, constant_spec(g, 1)))
     assert run(["invariants", str(inst), "--kappa", "--out", str(out)])[0] == 0
     assert json.loads(out.read_text())["verdicts"]["kappa"] == 1
+
+
+def _alpha_verdicts(tmp_path, g) -> dict:
+    inst, out = tmp_path / "g.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+    assert run(["invariants", str(inst), "--alpha", "--out", str(out)])[0] == 0
+    verdicts = json.loads(out.read_text())["verdicts"]
+    witness = verdicts["alpha_witness"]
+    assert len(witness) == verdicts["alpha"]
+    assert not any(g.has_edge(u, v) for u in witness for v in witness)
+    return verdicts
+
+
+def test_alpha_of_a_3000_vertex_path(tmp_path):
+    assert _alpha_verdicts(tmp_path, path(3000))["alpha"] == 1500
+
+
+def test_alpha_of_a_3000_vertex_tree(tmp_path):
+    rng = random.Random(7)
+    parents = [rng.randrange(v) for v in range(1, 3000)]
+    g = build_graph(3000, [(p, v) for v, p in enumerate(parents, 1)])
+    # best independent set of each subtree with its root taken or left out;
+    # every parent has a smaller index than its children
+    taken, left = [1] * 3000, [0] * 3000
+    for v in range(2999, 0, -1):
+        p = parents[v - 1]
+        taken[p] += left[v]
+        left[p] += max(taken[v], left[v])
+    assert _alpha_verdicts(tmp_path, g)["alpha"] == max(taken[0], left[0])
+
+
+def test_alpha_search_does_not_recurse():
+    g = complete_graph(60)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        assert stability_number(g)[0] == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @functools.cache

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import atlas_graphs
 from ffactors.graph import (
     DegreeSpec,
     build_graph,
@@ -122,6 +125,15 @@ class TestStarFree:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             is_star_free(complete_graph(3), 1)
+
+    def test_matches_neighbourhood_enumeration(self):
+        for g in atlas_graphs(7):
+            for k in (2, 3, 4):
+                star_found = any(
+                    not any(g.has_edge(u, w) for u, w in combinations(leaves, 2))
+                    for v in range(g.n) for leaves in combinations(g.adj[v], k)
+                )
+                assert is_star_free(g, k) == (not star_found)
 
 
 class TestBuilders:

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -53,6 +55,19 @@ class TestStabilityNumber:
     def test_matches_enumeration(self):
         for g in seeded_corpus(40, 3, 10, seed=11):
             assert stability_number(g)[0] == brute_stability(g)
+
+    def test_matches_enumeration_on_sparse_graphs(self, small_atlas):
+        # vertices of degree <= 1 are common here, so the forced move runs
+        rng = random.Random(12)
+        sparse = []
+        for _ in range(40):
+            n, p = rng.randint(1, 14), rng.choice([0.05, 0.1, 0.15, 0.2])
+            sparse.append(build_graph(n, [e for e in combinations(range(n), 2)
+                                          if rng.random() < p]))
+        for g in small_atlas + sparse:
+            size, witness = stability_number(g)
+            assert size == len(witness) == brute_stability(g)
+            assert not any(g.has_edge(u, v) for u, v in combinations(witness, 2))
 
 
 class TestVertexConnectivity:
