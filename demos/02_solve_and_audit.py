@@ -33,7 +33,7 @@ print(f"Petersen, f = 2: factor edges {factor.edges}")
 g = cycle(4)
 f = DegreeSpec((2, 2, 2, 4))
 assert find_f_factor(g, f) is None
-rep = find_violating_pair(g, f, mode="exact")
+rep = find_violating_pair(g, f)
 print(f"\nC_4 with f = (2,2,2,4): no factor")
 print(f"  certificate S={rep.pair.s} T={rep.pair.t} delta={rep.delta}")
 

@@ -41,10 +41,8 @@ from .invariants import (
 from .tutte import (
     DeficiencyReport,
     SubsetPair,
-    analyze_pair,
     deficiency,
     find_violating_pair,
-    odd_components_st,
 )
 from .solver import (
     FactorSubgraph,
@@ -75,8 +73,6 @@ from .theorems import (
     check_theorem_min_degree,
     check_theorem_regular_connectivity,
     empirical_validate,
-    g0_sweep,
-    main_bound,
 )
 from .instances import (
     instance_digest,

@@ -25,7 +25,12 @@ from . import constructions, instances, invariants, reports, solver, theorems, t
 
 def _env_cap(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return default if value is None else int(value)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _read_instance(path: str):
@@ -60,7 +65,7 @@ def _cmd_audit(args) -> int:
     g, f = _read_instance(args.instance)
     mode = "exact" if g.n <= args.exact_max_n else "heuristic"
     found = tutte.find_violating_pair(
-        g, f, exact_max_n=args.exact_max_n, mode=mode, seed=args.seed
+        g, f, exact_max_n=args.exact_max_n, seed=args.seed
     )
     verdicts = {
         "mode": mode,
@@ -87,8 +92,6 @@ def _cmd_invariants(args) -> int:
     started = time.monotonic()
     g, f = _read_instance(args.instance)
     cap = args.toughness_max_n
-    if args.force:
-        cap = max(cap, g.n)
     verdicts: dict = {"n": g.n, "m": g.m}
     if args.alpha:
         alpha, witness = invariants.stability_number(g)
@@ -219,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--odd-toughness", action="store_true")
     p.add_argument("--toughness-max-n", type=int, default=tough_cap,
                    help=f"subset enumeration cap (default {tough_cap})")
-    p.add_argument("--force", action="store_true",
-                   help="lift the enumeration cap to the instance size")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_invariants)
 
@@ -270,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

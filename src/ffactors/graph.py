@@ -96,30 +96,22 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 @dataclass(frozen=True)
 class DegreeSpec:
-    """Per-vertex target degrees, optionally with declared bounds [a, b]."""
+    """Per-vertex target degrees."""
 
     values: tuple[int, ...]
-    a: int | None = None
-    b: int | None = None
 
     def __post_init__(self) -> None:
         for v, fv in enumerate(self.values):
             if fv < 0:
                 raise ValueError(f"negative target degree {fv} at vertex {v}")
-            if self.a is not None and self.b is not None and not self.a <= fv <= self.b:
-                raise ValueError(
-                    f"target degree {fv} at vertex {v} outside declared bounds "
-                    f"[{self.a}, {self.b}]"
-                )
 
     def total(self) -> int:
         return sum(self.values)
 
 
-def degree_spec(values: Sequence[int], graph: Graph | None = None,
-                a: int | None = None, b: int | None = None) -> DegreeSpec:
+def degree_spec(values: Sequence[int], graph: Graph | None = None) -> DegreeSpec:
     """Build a DegreeSpec, checking its length against an ambient graph."""
-    spec = DegreeSpec(tuple(values), a, b)
+    spec = DegreeSpec(tuple(values))
     if graph is not None and len(spec.values) != graph.n:
         raise ValueError(
             f"degree spec length {len(spec.values)} != vertex count {graph.n}"
@@ -127,9 +119,8 @@ def degree_spec(values: Sequence[int], graph: Graph | None = None,
     return spec
 
 
-def constant_spec(graph: Graph, value: int,
-                  a: int | None = None, b: int | None = None) -> DegreeSpec:
-    return DegreeSpec((value,) * graph.n, a, b)
+def constant_spec(graph: Graph, value: int) -> DegreeSpec:
+    return DegreeSpec((value,) * graph.n)
 
 
 def f_sum(f: DegreeSpec, vertices: Iterable[int]) -> int:
@@ -189,14 +180,15 @@ def is_star_free(g: Graph, n: int) -> bool:
     pairwise non-adjacent neighbors."""
     if n < 2:
         raise ValueError("star order must be at least 2")
-    return all(g.degree(v) < n or _max_independent(g, g.adj_masks[v], n - 1)[0] < n
+    return all(g.degree(v) < n or _max_independent(g, g.adj_masks[v], n)[0] < n
                for v in range(g.n))
 
 
-def _max_independent(g: Graph, avail: int, floor: int = 0) -> tuple[int, int]:
+def _max_independent(g: Graph, avail: int, target: int | None = None) -> tuple[int, int]:
     """A largest independent subset of the vertex mask ``avail`` as
-    ``(size, mask)`` when it has more than ``floor`` vertices, else
-    ``(floor, 0)``.
+    ``(size, mask)``.  With a ``target``, only subsets of ``target`` vertices
+    are sought: the first one found is returned, or ``(target - 1, 0)`` when
+    there is none.
 
     Branch and bound on an explicit stack, pruning when the chosen vertices
     plus every remaining one cannot beat the best found.  Each step scans the
@@ -209,7 +201,7 @@ def _max_independent(g: Graph, avail: int, floor: int = 0) -> tuple[int, int]:
     is followed first.
     """
     masks = g.adj_masks
-    best, best_set = floor, 0
+    best, best_set = (0 if target is None else target - 1), 0
     stack = [(avail, 0, 0)]
     while stack:
         avail, chosen, size = stack.pop()
@@ -235,6 +227,8 @@ def _max_independent(g: Graph, avail: int, floor: int = 0) -> tuple[int, int]:
             avail &= ~bit & ~masks[pick]
             chosen |= bit
             size += 1
+            if size == target:
+                return size, chosen
     return best, best_set
 
 

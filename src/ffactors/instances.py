@@ -20,6 +20,8 @@ import random
 
 from .graph import DegreeSpec, Graph, build_graph, is_connected
 
+CONNECTED_TRIES = 200
+
 
 # every line type with its exact fields
 _LINE_FORMS = {
@@ -122,14 +124,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
-def random_connected_graph(n: int, p: float, seed: int, max_tries: int = 200) -> Graph:
-    """Resample G(n, p) until connected; errors after max_tries attempts."""
-    for attempt in range(max_tries):
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
+    """Resample G(n, p) until connected; errors after ``CONNECTED_TRIES``
+    attempts."""
+    for attempt in range(CONNECTED_TRIES):
         g = random_graph(n, p, seed + attempt * 7919)
         if is_connected(g) and g.n > 0:
             return g
     raise ValueError(
-        f"no connected sample in {max_tries} tries for n={n}, p={p}"
+        f"no connected sample in {CONNECTED_TRIES} tries for n={n}, p={p}"
     )
 
 
@@ -155,4 +158,4 @@ def random_degree_spec(g: Graph, a: int, b: int, seed: int) -> DegreeSpec:
                 break
         else:
             raise ValueError("cannot repair parity: all targets pinned at a == b")
-    return DegreeSpec(tuple(values), a, b)
+    return DegreeSpec(tuple(values))

@@ -24,7 +24,7 @@ from .invariants import (
     stability_number,
     vertex_connectivity,
 )
-from .constructions import build_g0, stability_bound
+from .constructions import stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
 from .solver import (
     ORACLE_MAX_M,
@@ -69,11 +69,6 @@ class HypothesisReport:
             "confirmation": self.confirmation,
             "factor": None if self.factor is None else [list(e) for e in self.factor.edges],
         }
-
-
-def main_bound(a: int, b: int, delta: int) -> Fraction:
-    """Exact rational 4a(delta - b)/(b+1)^2."""
-    return stability_bound(a, b, delta)
 
 
 def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
@@ -133,7 +128,7 @@ def check_main_theorem(
         _not_evaluated(report, "stability", "odd_toughness")
     else:
         alpha, _ = stability_number(g)
-        bound = main_bound(a, b, delta)
+        bound = stability_bound(a, b, delta)
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
         tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
         report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
@@ -151,7 +146,7 @@ def check_corollary_kappa(
     else:
         alpha, _ = stability_number(g)
         kappa = vertex_connectivity(g)
-        bound = min(main_bound(a, b, delta), Fraction(a * kappa))
+        bound = min(stability_bound(a, b, delta), Fraction(a * kappa))
         report.add(
             "stability",
             f"alpha={alpha} <= min(bound, a*kappa)={bound}",
@@ -258,7 +253,7 @@ def check_stability_conjecture(
     # unlike the two theorems above, alpha also waits for the f rows
     if report.hypotheses_met:
         alpha, _ = stability_number(g)
-        bound = main_bound(a, b, delta)
+        bound = stability_bound(a, b, delta)
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
     else:
         _not_evaluated(report, "stability")
@@ -413,34 +408,4 @@ def empirical_validate(
                 continue
             raise
         report.tally(index, tseed, check, g, f if f is not None else DegreeSpec((a,) * g.n))
-    return report
-
-
-def g0_sweep(
-    a: int, b: int, k_values, delta_values, p_values
-) -> CampaignReport:
-    """Run the stability-conjecture checker over a grid of g0 parameters.
-
-    Every admissible instance with even f(X), p > a*k, and the stability
-    hypothesis met is expected to be a refutation; the returned report
-    counts them as discrepancies of the conjecture, each with a certificate.
-    """
-    report = CampaignReport("stability_conjecture", 0, 0,
-                            {"family": "g0", "a": a, "b": b})
-    index = 0
-    for k in k_values:
-        for delta in delta_values:
-            for p in p_values:
-                try:
-                    built = build_g0(a, b, k, delta, p)
-                except ValueError:
-                    continue
-                if not built.f_total_even:
-                    continue
-                report.trials += 1
-                check = check_stability_conjecture(
-                    built.graph, built.spec, a, b, confirm=True
-                )
-                report.tally(index, 0, check, built.graph, built.spec)
-                index += 1
     return report

@@ -51,12 +51,7 @@ class SubsetPair:
 
 @dataclass
 class DeficiencyReport:
-    """Full term-by-term breakdown of delta(S, T).
-
-    ``h2`` and ``prop_flag`` are populated only by :func:`analyze_pair`:
-    h2 counts components of G-(SuT) with no edge to T, and prop_flag records
-    whether |S| > min_degree - b.
-    """
+    """Full term-by-term breakdown of delta(S, T)."""
 
     pair: SubsetPair
     f_s: int
@@ -64,11 +59,9 @@ class DeficiencyReport:
     degree_term: int
     h: int
     delta: int
-    h2: int | None = None
-    prop_flag: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "s": list(self.pair.s),
             "t": list(self.pair.t),
             "f_s": self.f_s,
@@ -77,11 +70,6 @@ class DeficiencyReport:
             "h": self.h,
             "delta": self.delta,
         }
-        if self.h2 is not None:
-            out["h2"] = self.h2
-        if self.prop_flag is not None:
-            out["prop_flag"] = self.prop_flag
-        return out
 
 
 def _evaluate(g: Graph, s_mask: int, t_mask: int, fvals) -> tuple[int, int, int, int, int]:
@@ -115,11 +103,6 @@ def _evaluate(g: Graph, s_mask: int, t_mask: int, fvals) -> tuple[int, int, int,
     return f_s, f_t, degree_term, h, f_s - f_t + degree_term - h
 
 
-def odd_components_st(g: Graph, pair: SubsetPair, f: DegreeSpec) -> int:
-    """h(S, T): odd components of G - (S u T) under the f(C) + e(C, T) parity."""
-    return deficiency(g, pair, f).h
-
-
 def deficiency(g: Graph, pair: SubsetPair, f: DegreeSpec) -> DeficiencyReport:
     """Evaluate every term of delta(S, T) exactly."""
     s_mask = _mask_of(pair.s)
@@ -128,56 +111,22 @@ def deficiency(g: Graph, pair: SubsetPair, f: DegreeSpec) -> DeficiencyReport:
     return DeficiencyReport(pair, f_s, f_t, degree_term, h, delta)
 
 
-def analyze_pair(
-    g: Graph, pair: SubsetPair, f: DegreeSpec, a: int, b: int
-) -> DeficiencyReport:
-    """Deficiency report plus the proof diagnostics h2 and prop_flag.
-
-    With T empty every component is vacuously "not adjacent to T", so h2
-    counts them all.  prop_flag is a diagnostic only, not an invariant.
-    """
-    for v, fv in enumerate(f.values):
-        if not a <= fv <= b:
-            raise ValueError(f"f({v}) = {fv} outside declared bounds [{a}, {b}]")
-    report = deficiency(g, pair, f)
-    s_mask = _mask_of(pair.s)
-    t_mask = _mask_of(pair.t)
-    # a component touches T exactly when it meets N(T)
-    t_nbrs = _mask_of(u for v in pair.t for u in g.adj[v])
-    rest = g.full_mask & ~s_mask & ~t_mask
-    report.h2 = sum(1 for comp in components_masks(g, rest) if not comp & t_nbrs)
-    delta_g = min((len(nbrs) for nbrs in g.adj), default=0)
-    report.prop_flag = len(pair.s) > delta_g - b
-    return report
-
-
 def find_violating_pair(
     g: Graph,
     f: DegreeSpec,
     exact_max_n: int = AUDIT_EXACT_MAX_N,
-    mode: str = "auto",
     seed: int = 0,
 ) -> DeficiencyReport | None:
     """Search for a disjoint pair with delta(S, T) < 0.
 
-    Exact mode enumerates all 3^n assignments (vertex in S, in T, or neither)
-    and returns the pair minimizing delta, ties broken by (|S|+|T|, S, T);
-    ``None`` is then a certificate that no violating pair exists.  Above the
-    size cap a heuristic mode scans structured candidates (empty and
-    singleton sets, small cutsets, ``HEURISTIC_SAMPLES`` seeded random
-    pairs): it may miss violations but never fabricates them.
-
-    ``mode`` is "auto", "exact", or "heuristic".
+    With ``g.n <= exact_max_n`` the search enumerates all 3^n assignments
+    (vertex in S, in T, or neither) and returns the pair minimizing delta,
+    ties broken by (|S|+|T|, S, T); ``None`` is then a certificate that no
+    violating pair exists.  Above the cap it scans structured candidates
+    (empty and singleton sets, small cutsets, ``HEURISTIC_SAMPLES`` seeded
+    random pairs): it may miss violations but never fabricates them.
     """
-    if mode not in ("auto", "exact", "heuristic"):
-        raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "exact" and g.n > exact_max_n:
-        raise ValueError(
-            f"exact pair enumeration refused for n={g.n} > cap {exact_max_n}"
-        )
-    if mode == "auto":
-        mode = "exact" if g.n <= exact_max_n else "heuristic"
-    if mode == "exact":
+    if g.n <= exact_max_n:
         return _best_violation(g, f, _all_pairs(g.full_mask))
     # dict.fromkeys drops repeated candidates, keeping first-seen order
     candidates = dict.fromkeys(_heuristic_candidates(g, seed))

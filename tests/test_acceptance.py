@@ -73,7 +73,7 @@ def _sampled_even_specs(n: int, count: int, seed: int, lo: int = 0, hi: int = 3)
 def _triangle_check(g, f) -> bool:
     fast = find_f_factor(g, f)
     slow = brute_force_f_factor(g, f, max_m=28)  # n <= 8 means m <= 28
-    pair = find_violating_pair(g, f, mode="exact")
+    pair = find_violating_pair(g, f)
     if not ((fast is None) == (slow is None) == (pair is not None)):
         return False
     if fast is not None and not verify_f_factor(g, f, fast):
@@ -241,7 +241,7 @@ def test_criterion_6_g1_tightness_instance():
     assert find_f_factor(g, f) is None
     assert g.m == 24
     assert brute_force_f_factor(g, f) is None
-    audit = find_violating_pair(g, f, mode="exact")
+    audit = find_violating_pair(g, f)
     assert audit.pair == SubsetPair(tuple(range(4)), tuple(range(4, 8)))
     assert audit.delta == -4
     print("ACCEPTANCE 6 PASS: join-family tightness instance "
@@ -258,7 +258,7 @@ def test_criterion_7_g0_refutation_instance():
     assert stability_number(g)[0] == p
     # no factor, certified by the clique cutset with empty T
     assert find_f_factor(g, f) is None
-    audit = find_violating_pair(g, f, mode="heuristic", seed=1)
+    audit = find_violating_pair(g, f, seed=1)
     assert audit is not None
     assert audit.pair.s == tuple(range(k)) and audit.pair.t == ()
     assert audit.delta == a * k - p < 0

@@ -52,6 +52,16 @@ class TestToughnessCap:
             assert "cap 8" in err
 
 
+@pytest.mark.parametrize("name", ["FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N"])
+def test_non_integer_cap_variable(tmp_path, monkeypatch, name):
+    inst = tmp_path / "c4.inst"
+    inst.write_text(serialize_instance(cycle(4), constant_spec(cycle(4), 2)))
+    monkeypatch.setenv(name, "abc")
+    code, err = run(["solve", str(inst)])
+    assert_one_line_error(code, err)
+    assert name in err
+
+
 @pytest.mark.parametrize("a", ["0", "-1"])
 def test_ab_factor_rejects_a_below_1(tmp_path, a):
     g = cycle(6)

@@ -1,0 +1,16 @@
+"""Every script in demos/ runs to completion."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(script):
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

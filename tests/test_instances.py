@@ -75,10 +75,12 @@ class TestRoundTrip:
             n = rng.randint(1, 10)
             g = random_graph(n, rng.random(), rng.randrange(2**31))
             f = DegreeSpec(tuple(rng.randint(0, 4) for _ in range(n)))
-            text = serialize_instance(g, f)
-            g2, f2 = parse_instance(text)
-            assert g2 == g and f2.values == f.values
-            assert serialize_instance(g2, f2) == text
+            a = rng.randint(0, 3)
+            for spec in (f, random_degree_spec(g, a, a + 1, rng.randrange(2**31))):
+                text = serialize_instance(g, spec)
+                g2, f2 = parse_instance(text)
+                assert g2 == g and f2 == spec
+                assert serialize_instance(g2, f2) == text
 
     def test_digest_stable(self):
         g = cycle(4)
@@ -236,7 +238,14 @@ class TestCLI:
         inst = tmp_path / "big.inst"
         inst.write_text(serialize_instance(g, constant_spec(g, 1)))
         assert run_cli(["invariants", str(inst), "--toughness"]).returncode == 2
-        # --force lifts the cap (kept small enough to finish: skip actual run)
+        inst.write_text(serialize_instance(cycle(8), constant_spec(cycle(8), 2)))
+        argv = ["invariants", str(inst), "--toughness", "--toughness-max-n"]
+        assert run_cli([*argv, "6"]).returncode == 2
+        proc = run_cli([*argv, "8"])
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["parameters"]["toughness_max_n"] == 8
+        assert doc["verdicts"]["toughness"] == "1"
 
     def test_verify_theorem_subcommand(self, tmp_path):
         g = complete_graph(5)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffactors.constructions import g0_desk_instance
+from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
     complete_graph,
     constant_spec,
@@ -21,8 +21,6 @@ from ffactors.theorems import (
     check_theorem_min_degree,
     check_theorem_regular_connectivity,
     empirical_validate,
-    g0_sweep,
-    main_bound,
 )
 
 
@@ -36,8 +34,8 @@ def octahedron():
 
 class TestMainBound:
     def test_values(self):
-        assert main_bound(1, 3, 12) == Fraction(9, 4)
-        assert main_bound(2, 2, 2) == 0
+        assert stability_bound(1, 3, 12) == Fraction(9, 4)
+        assert stability_bound(2, 2, 2) == 0
 
 
 class TestMainTheorem:
@@ -167,10 +165,11 @@ class TestClawFree:
 
 
 class TestStabilityConjecture:
-    def test_refuted_on_g0(self):
-        built = g0_desk_instance()
-        a, b = built.params["a"], built.params["b"]
-        report = check_stability_conjecture(built.graph, built.spec, a, b, confirm=True)
+    @pytest.mark.parametrize("delta, p", [(12, 4), (14, 4)])
+    def test_refuted_on_g0(self, delta, p):
+        built = build_g0(2, 3, 1, delta, p)
+        assert built.f_total_even
+        report = check_stability_conjecture(built.graph, built.spec, 2, 3, confirm=True)
         assert report.hypotheses_met
         assert report.confirmation == "refuted"
 
@@ -206,11 +205,3 @@ class TestEmpiricalValidate:
         a = empirical_validate("main", 20, 7)
         b = empirical_validate("main", 20, 7)
         assert a.to_dict() == b.to_dict()
-
-    def test_g0_sweep_refutes_every_admissible_instance(self):
-        report = g0_sweep(2, 3, k_values=[1], delta_values=[12, 14],
-                          p_values=[3, 4, 5])
-        assert report.trials > 0
-        assert len(report.discrepancies) == report.hypotheses_met > 0
-        for record in report.discrepancies:
-            assert record.confirmation == "refuted"

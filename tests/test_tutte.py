@@ -14,10 +14,8 @@ from ffactors.instances import random_graph
 from ffactors.invariants import is_t_odd_tough
 from ffactors.tutte import (
     SubsetPair,
-    analyze_pair,
     deficiency,
     find_violating_pair,
-    odd_components_st,
 )
 from ffactors.constructions import build_g1, g0_desk_instance
 
@@ -43,17 +41,17 @@ class TestSubsetPair:
 class TestOddComponentsST:
     def test_k2_even(self):
         g = complete_graph(2)
-        assert odd_components_st(g, SubsetPair.of(g, [], []), constant_spec(g, 1)) == 0
+        assert deficiency(g, SubsetPair.of(g, [], []), constant_spec(g, 1)).h == 0
 
     def test_k4_single_even_component(self):
         g = complete_graph(4)
         # K3 component: f(C) + e(C,T) = 3 + 3 = 6, even
-        assert odd_components_st(g, SubsetPair.of(g, [], [3]), constant_spec(g, 1)) == 0
+        assert deficiency(g, SubsetPair.of(g, [], [3]), constant_spec(g, 1)).h == 0
 
     def test_g1_everything_removed(self):
         built = build_g1(1, 3, 2, 5, 2)
         pair = built.witness_pair
-        assert odd_components_st(built.graph, pair, built.spec) == 0
+        assert deficiency(built.graph, pair, built.spec).h == 0
 
 
 class TestDeficiency:
@@ -92,30 +90,6 @@ class TestDeficiency:
             assert rep.delta % 2 == f.total() % 2
 
 
-class TestAnalyzePair:
-    def test_empty_pair_conventions(self):
-        g = cycle(4)
-        rep = analyze_pair(g, SubsetPair.of(g, [], []), constant_spec(g, 2), 2, 2)
-        assert rep.h2 == 1  # T empty: the whole cycle is vacuously not adjacent
-        assert rep.prop_flag is False  # |S| = 0 vs delta - b = 0
-
-    def test_g1_witness_diagnostics(self):
-        built = build_g1(1, 3, 2, 5, 2)
-        rep = analyze_pair(built.graph, built.witness_pair, built.spec, 1, 3)
-        assert rep.h2 == 0
-        assert rep.prop_flag is True  # |S| = 4 > delta - b = 2
-
-    def test_component_adjacent_to_t(self):
-        g = complete_graph(4)
-        rep = analyze_pair(g, SubsetPair.of(g, [], [3]), constant_spec(g, 1), 1, 1)
-        assert rep.h2 == 0
-
-    def test_bounds_enforced(self):
-        g = cycle(4)
-        with pytest.raises(ValueError, match="bounds"):
-            analyze_pair(g, SubsetPair.of(g, [], []), constant_spec(g, 2), 3, 3)
-
-
 class TestFindViolatingPair:
     def test_cycle_two_factor_clean(self):
         g = cycle(4)
@@ -129,21 +103,19 @@ class TestFindViolatingPair:
 
     def test_g0_heuristic_finds_cut(self):
         built = g0_desk_instance()
-        rep = find_violating_pair(built.graph, built.spec, mode="heuristic", seed=1)
+        rep = find_violating_pair(built.graph, built.spec, seed=1)
         a, k, p = (built.params[x] for x in ("a", "k", "p"))
         assert rep is not None
         assert rep.pair.s == tuple(range(k)) and rep.pair.t == ()
         assert rep.delta == a * k - p
 
     def test_exact_cap(self):
-        g = complete_graph(16)
-        with pytest.raises(ValueError, match="cap"):
-            find_violating_pair(g, constant_spec(g, 1), mode="exact")
-
-    def test_unknown_mode(self):
-        g = cycle(4)
-        with pytest.raises(ValueError, match="mode"):
-            find_violating_pair(g, constant_spec(g, 2), mode="magic")
+        # enumeration up to the cap, heuristic above it, which misses the
+        # g1 witness that enumeration finds
+        built = build_g1(1, 3, 2, 5, 2)
+        g, f = built.graph, built.spec
+        assert find_violating_pair(g, f, exact_max_n=g.n).pair == built.witness_pair
+        assert find_violating_pair(g, f, exact_max_n=g.n - 1) is None
 
 
 class TestEmptyTLemma:
