@@ -8,8 +8,9 @@ runtime error.
 
 Size caps for the exponential routines default from the environment
 variables FFACTORS_AUDIT_MAX_N and FFACTORS_TOUGHNESS_MAX_N, and are
-overridden by the corresponding flags.  The toughness cap also reaches
-``verify-theorem main``, which has no flag for it.
+overridden by the corresponding flags.  The toughness cap N bounds work,
+not n: a cutset scan covers only sizes kappa <= |S| <= ratio * alpha and is
+refused past 2^N subsets.  It also reaches ``verify-theorem main``.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toughness", action="store_true")
     p.add_argument("--odd-toughness", action="store_true")
     p.add_argument("--toughness-max-n", type=int, default=tough_cap,
-                   help=f"subset enumeration cap (default {tough_cap})")
+                   help=f"cutset scan cap: at most 2^N subsets (default {tough_cap})")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_invariants)
 

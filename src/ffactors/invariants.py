@@ -3,8 +3,8 @@ toughness, odd-component counts, and odd-toughness.
 
 All toughness-type quantities are exact rationals (``fractions.Fraction``),
 never floats: hypothesis thresholds like 1/a must be compared exactly.  The
-toughness computations enumerate vertex subsets and are exponential; they
-refuse inputs above a size cap unless the caller raises it explicitly.
+toughness computations enumerate vertex subsets in a window of sizes and are
+exponential; they refuse a window of more than 2^max_n subsets.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import ceil, comb, floor
 
 from .graph import (
     DegreeSpec,
@@ -170,39 +171,51 @@ def _odd_count(comps: list[int], f: DegreeSpec) -> int:
     return h
 
 
-def _cutset_ratios(g: Graph, s_masks, weight):
-    """The one cutset enumerator: yield (S, |S| / w) for each mask S in
-    ``s_masks`` whose removal leaves at least two components, with
-    w = weight(components of G-S) > 0."""
-    full = g.full_mask
-    for s_mask in s_masks:
-        comps = components_masks(g, full & ~s_mask)
-        if len(comps) >= 2:
-            w = weight(comps)
-            if w:
-                yield s_mask, Fraction(s_mask.bit_count(), w)
+def _cutset_scan(g: Graph, weight, max_n: int, top):
+    """The one cutset enumerator: yield (S, |S| / w) for each cutset S of G,
+    i.e. each S whose removal leaves at least two components, with
+    w = weight(components of G-S) > 0, by size upward from kappa.
 
-
-def _check_toughness_input(g: Graph, max_n: int) -> None:
+    Every cutset has |S| >= kappa and w <= c(G-S) <= alpha, so a ratio r
+    needs |S| <= r * alpha.  ``top(alpha)``, read again before each size, is
+    the largest size the caller still needs.  The cap bounds work, not n: the
+    scan is refused past 2^max_n subsets, the cost of a full scan at n = max_n.
+    """
     if not is_connected(g) or g.n == 0:
         raise ValueError("toughness is defined for connected graphs only")
-    if g.n > max_n:
-        raise ValueError(
-            f"exact toughness enumeration refused for n={g.n} > cap {max_n}; "
-            "raise max_n to override"
-        )
+    kappa, (alpha, _) = vertex_connectivity(g), stability_number(g)
+    bits, full, budget = [1 << v for v in range(g.n)], g.full_mask, 1 << max_n
+    for size in range(kappa, g.n - 1):
+        last = min(top(alpha), g.n - 2)
+        if size > last:
+            return
+        budget -= comb(g.n, size)
+        if budget < 0:
+            raise ValueError(
+                f"exact toughness scan refused for n={g.n}: the window "
+                f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
+                f"(cap {max_n}); raise max_n to override"
+            )
+        for combo in combinations(bits, size):
+            s_mask = sum(combo)
+            comps = components_masks(g, full & ~s_mask)
+            if len(comps) >= 2:
+                w = weight(comps)
+                if w:
+                    yield s_mask, Fraction(size, w)
 
 
 def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
-    """Minimum ratio over all cutsets, scanned in mask order; the first
-    minimizer is the witness."""
-    _check_toughness_input(g, max_n)
+    """Minimum ratio over all cutsets; the least mask among the minimizers
+    is the witness.  A cutset ties the best ratio r only if |S| <= r * alpha."""
     best: Fraction | None = None
-    witness: tuple[int, ...] | None = None
-    for s_mask, ratio in _cutset_ratios(g, range(1, g.full_mask), weight):
-        if best is None or ratio < best:
-            best, witness = ratio, _bits_of(s_mask)
-    return ToughnessValue(best, witness)
+    witness = 0
+    for s_mask, ratio in _cutset_scan(
+        g, weight, max_n, lambda alpha: g.n if best is None else floor(best * alpha)
+    ):
+        if best is None or ratio < best or (ratio == best and s_mask < witness):
+            best, witness = ratio, s_mask
+    return ToughnessValue(best, None if best is None else _bits_of(witness))
 
 
 def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
@@ -220,16 +233,6 @@ def toughness(g: Graph, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
     return _min_ratio(g, len, max_n)
 
 
-def _odd_tough_violation(
-    g: Graph, f: DegreeSpec, t: Fraction, s_masks
-) -> tuple[int, ...] | None:
-    """The first cutset among ``s_masks`` with |S|/h'(G-S) < t, or None."""
-    for s_mask, ratio in _cutset_ratios(g, s_masks, lambda comps: _odd_count(comps, f)):
-        if ratio < t:
-            return _bits_of(s_mask)
-    return None
-
-
 def find_small_odd_tough_violation(
     g: Graph, f: DegreeSpec, t: Fraction
 ) -> tuple[int, ...] | None:
@@ -238,10 +241,9 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    sizes = range(1, min(SMALL_CUTSET_MAX, g.n - 1) + 1)
-    return _odd_tough_violation(g, f, t, (
-        _mask_of(combo) for size in sizes for combo in combinations(range(g.n), size)
-    ))
+    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f), g.n,
+                        lambda alpha: SMALL_CUTSET_MAX)
+    return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
 
 def is_t_odd_tough(
@@ -250,20 +252,13 @@ def is_t_odd_tough(
     """True iff odd_toughness(G, f) >= t (infinity beats everything; t = 0 is
     always satisfied).
 
-    One scan that stops at the first violating cutset: every cutset when
-    n <= max_n; above the cap only cutsets of size <= SMALL_CUTSET_MAX, so a
-    graph with an obvious bad cutset is still rejected, and otherwise the cap
-    refuses.
+    A violation needs kappa <= |S| < t * alpha, so the scan covers only that
+    window and stops at the first violating cutset; when t * alpha <= kappa
+    (t = 0, for one) no cutset is scanned at all.
     """
-    if not is_connected(g) or g.n == 0:
-        raise ValueError("odd-toughness is defined for connected graphs only")
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return True
-    if g.n > max_n:
-        if find_small_odd_tough_violation(g, f, t) is not None:
-            return False
-        _check_toughness_input(g, max_n)
-    return _odd_tough_violation(g, f, t, range(1, g.full_mask)) is None
+    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f), max_n,
+                        lambda alpha: ceil(t * alpha) - 1)
+    return all(ratio >= t for _, ratio in scan)

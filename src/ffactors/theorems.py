@@ -351,6 +351,13 @@ class CampaignReport:
             ))
 
 
+# what a campaign trial draws from
+EDGE_PROBS = (0.6, 0.75, 0.9)
+AB_CHOICES = ((1, 2), (1, 3), (2, 2), (2, 3))
+R_CHOICES = (1, 3)
+STAR_ORDER = 3
+
+
 def _trial_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
@@ -360,10 +367,6 @@ def empirical_validate(
     trials: int,
     seed: int,
     n_range: tuple[int, int] = (8, 12),
-    edge_probs: tuple[float, ...] = (0.6, 0.75, 0.9),
-    ab_choices: tuple[tuple[int, int], ...] = ((1, 2), (1, 3), (2, 2), (2, 3)),
-    r_choices: tuple[int, ...] = (1, 3),
-    star_order: int = 3,
 ) -> CampaignReport:
     """Sample random connected instances, run the named checker, and confirm
     every met prediction against the solver.
@@ -376,23 +379,27 @@ def empirical_validate(
     entry = THEOREMS.get(theorem)
     if entry is None:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    if trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {trials}")
+    if not 1 <= n_range[0] <= n_range[1]:
+        raise ValueError(f"need 1 <= --min-n <= --max-n, got {n_range[0]} and {n_range[1]}")
     report = CampaignReport(
         theorem, trials, seed,
-        {"n_range": n_range, "edge_probs": edge_probs, "ab_choices": ab_choices,
-         "r_choices": r_choices, "star_order": star_order},
+        {"n_range": n_range, "edge_probs": EDGE_PROBS, "ab_choices": AB_CHOICES,
+         "r_choices": R_CHOICES, "star_order": STAR_ORDER},
     )
     for index in range(trials):
         tseed = _trial_seed(seed, index)
         rng = random.Random(tseed)
         n = rng.randint(*n_range)
-        prob = rng.choice(edge_probs)
+        prob = rng.choice(EDGE_PROBS)
         g = random_connected_graph(n, prob, rng.randrange(2**31))
-        a, b = rng.choice(ab_choices)
-        params = SimpleNamespace(a=a, b=b, r=None, star_order=star_order, confirm=True,
+        a, b = rng.choice(AB_CHOICES)
+        params = SimpleNamespace(a=a, b=b, r=None, star_order=STAR_ORDER, confirm=True,
                                  toughness_max_n=TOUGHNESS_MAX_N)
         f = None
         if entry.trial == "r":
-            params.r = rng.choice(r_choices)
+            params.r = rng.choice(R_CHOICES)
             f = DegreeSpec((params.r,) * g.n)
         elif entry.trial == "ab":
             params.b = max(b, a + 1)

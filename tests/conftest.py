@@ -2,19 +2,21 @@
 
 The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration, vertex separators by subset
-search, matchings by edge-subset recursion.  They are the ground truth the
+search, (odd-)toughness by a full scan of all subsets, matchings by
+edge-subset recursion.  They are the ground truth the
 fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from ffactors.graph import Graph, build_graph, components_masks, is_connected
+from ffactors.graph import DegreeSpec, Graph, build_graph, components_masks, is_connected
 from ffactors.instances import random_connected_graph
 
 
@@ -61,6 +63,25 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if rest and len(components_masks(g, rest)) >= 2:
                 return size
     return g.n - 1
+
+
+def brute_min_ratio(g: Graph, f: DegreeSpec | None = None):
+    """Toughness (f None) or odd-toughness by a scan of all 2^n subsets in
+    mask order: the minimum of |S| / w over the S whose removal leaves at
+    least two components and w > 0, where w counts the components (f None)
+    or those with odd f-sum.  Returns (ratio, first minimizer), or
+    (None, None) when no S qualifies."""
+    best = witness = None
+    for s in range(1, 1 << g.n):
+        comps = components_masks(g, g.full_mask & ~s)
+        if f is None:
+            w = len(comps)
+        else:
+            w = sum(sum(f.values[v] for v in range(g.n) if c >> v & 1) % 2 for c in comps)
+        if len(comps) >= 2 and w and (best is None or Fraction(s.bit_count(), w) < best):
+            best = Fraction(s.bit_count(), w)
+            witness = tuple(v for v in range(g.n) if s >> v & 1)
+    return best, witness
 
 
 def brute_maximum_matching_size(g: Graph) -> int:

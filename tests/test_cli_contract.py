@@ -39,8 +39,9 @@ def assert_one_line_error(code: int, err: str) -> None:
 
 class TestToughnessCap:
     def test_cap_reaches_verify_theorem_main(self, tmp_path, monkeypatch):
-        g = complete_graph(10)
-        inst = tmp_path / "k10.inst"
+        # kappa = 2 and alpha = 6: the window holds more than 2^8 subsets
+        g = cycle(12)
+        inst = tmp_path / "c12.inst"
         inst.write_text(serialize_instance(g, constant_spec(g, 1)))
         argv = ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]
         monkeypatch.delenv("FFACTORS_TOUGHNESS_MAX_N", raising=False)
@@ -50,6 +51,25 @@ class TestToughnessCap:
             code, err = run(command)
             assert_one_line_error(code, err)
             assert "cap 8" in err
+
+
+    def test_verify_theorem_main_decides_n60(self, tmp_path):
+        inst, out = tmp_path / "r60.inst", tmp_path / "report.json"
+        assert run(["gen", "random", "--n", "60", "--p-edge", "0.7", "--a", "1",
+                    "--b", "2", "--seed", "1", "--out", str(inst)])[0] == 0
+        argv = ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]
+        assert run([*argv, "--out", str(out)])[0] == 0
+        verdicts = json.loads(out.read_text())["verdicts"]
+        assert verdicts["hypotheses"][-1] == {
+            "name": "odd_toughness", "observed": "odd-toughness >= 1/1", "satisfied": True}
+        assert verdicts["prediction"] == "f-factor exists"
+
+
+@pytest.mark.parametrize("flags", [["--trials", "-3"], ["--min-n", "5", "--max-n", "3"]])
+def test_fuzz_rejects_empty_ranges(flags):
+    code, err = run(["fuzz", "main", *flags])
+    assert_one_line_error(code, err)
+    assert flags[0] in err
 
 
 @pytest.mark.parametrize("name", ["FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N"])

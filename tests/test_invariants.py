@@ -4,7 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import brute_stability, brute_vertex_connectivity, seeded_corpus
+from conftest import (
+    atlas_graphs,
+    brute_min_ratio,
+    brute_stability,
+    brute_vertex_connectivity,
+    seeded_corpus,
+)
 from ffactors import invariants
 from ffactors.graph import (
     DegreeSpec,
@@ -161,9 +167,14 @@ class TestOddToughness:
                 assert Fraction(len(value.witness), h) == value.ratio
 
     def test_size_cap(self):
+        # the cap bounds the window, not n: the desk instance (n = 53) needs
+        # only cutsets of size 1, while cycle(12) needs sizes 2 to 6
         built = g0_desk_instance()
-        with pytest.raises(ValueError, match="cap"):
-            odd_toughness(built.graph, built.spec)
+        value = odd_toughness(built.graph, built.spec)
+        assert (value.ratio, value.witness) == (Fraction(1, 4), (0,))
+        g = cycle(12)
+        with pytest.raises(ValueError, match=r"2 <= \|S\| <= 6 .* \(cap 8\)"):
+            odd_toughness(g, constant_spec(g, 1), max_n=8)
 
     def test_disconnected_rejected(self):
         g = disjoint_union([complete_graph(3)] * 2)
@@ -202,9 +213,39 @@ class TestIsTOddTough:
                 assert is_t_odd_tough(g, f, t) == value.at_least(t)
 
     def test_above_cap_without_small_violation_refuses(self):
-        g = complete_graph(10)
+        # kappa = 2 and alpha = 6, so t = 1 needs sizes 2 to 5: 1,573 subsets
+        g = cycle(12)
         with pytest.raises(ValueError, match="cap 8"):
             is_t_odd_tough(g, constant_spec(g, 1), 1, max_n=8)
+        assert is_t_odd_tough(g, constant_spec(g, 1), 1, max_n=11)
+        k10 = complete_graph(10)
+        assert is_t_odd_tough(k10, constant_spec(k10, 1), 1, max_n=1)
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """Connected atlas graphs with n <= 7 and seeded graphs with n = 8-12,
+    each with a constant and a mixed f."""
+    graphs = atlas_graphs(7, connected_only=True) + seeded_corpus(30, 8, 12, seed=31)
+    return [(g, f) for g in graphs
+            for f in (constant_spec(g, 1), DegreeSpec(tuple((v % 3) + 1 for v in range(g.n))))]
+
+
+class TestWindowedScanAgainstFullScan:
+    """The windowed scans against a full mask-order scan of all subsets."""
+
+    def test_toughness(self, oracle_corpus):
+        for g, _ in oracle_corpus[::2]:
+            value = toughness(g)
+            assert (value.ratio, value.witness) == brute_min_ratio(g)
+
+    def test_odd_toughness_and_decisions(self, oracle_corpus):
+        for g, f in oracle_corpus:
+            ratio, witness = brute_min_ratio(g, f)
+            value = odd_toughness(g, f)
+            assert (value.ratio, value.witness) == (ratio, witness)
+            for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 2):
+                assert is_t_odd_tough(g, f, t) == (ratio is None or ratio >= t)
 
 
 class TestToughness:

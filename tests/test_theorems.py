@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import seeded_corpus
 
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
@@ -12,6 +14,7 @@ from ffactors.graph import (
     path,
     star,
 )
+from ffactors.instances import random_degree_spec
 from ffactors.theorems import (
     check_corollary_kappa,
     check_main_theorem,
@@ -80,6 +83,21 @@ class TestCorollaryKappa:
         a, b = built.params["a"], built.params["b"]
         report = check_corollary_kappa(built.graph, built.spec, a, b)
         assert not hypothesis_named(report, "stability").satisfied
+
+    def test_hypotheses_imply_main_odd_toughness(self):
+        # alpha <= a*kappa is t*alpha <= kappa at t = 1/a, and every cutset
+        # S has |S| >= kappa and h'(G-S) <= alpha, so main's odd-toughness
+        # row must hold wherever the corollary's hypotheses all do
+        rng = random.Random(43)
+        met = 0
+        for g in seeded_corpus(60, 10, 40, seed=41):
+            a, b = rng.choice(((1, 2), (1, 3), (2, 3)))
+            f = random_degree_spec(g, a, b, rng.randrange(2**31))
+            if check_corollary_kappa(g, f, a, b).hypotheses_met:
+                met += 1
+                report = check_main_theorem(g, f, a, b)
+                assert hypothesis_named(report, "odd_toughness").satisfied
+        assert met >= 10
 
 
 class TestMinDegreeTheorem:
