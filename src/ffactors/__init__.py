@@ -46,12 +46,11 @@ from .tutte import (
 )
 from .solver import (
     FactorSubgraph,
-    brute_force_ab_factor,
-    brute_force_f_factor,
     find_f_factor,
-    maximum_matching,
+    find_factor,
     tutte_gadget,
     verify_f_factor,
+    verify_factor,
 )
 from .constructions import (
     ConstructionReport,

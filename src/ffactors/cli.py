@@ -121,7 +121,9 @@ def _cmd_verify_theorem(args) -> int:
     g, f = _read_instance(args.instance)
     report = theorems.THEOREMS[args.name].run(g, f, args)
     certs = []
-    if report.factor is not None:
+    if report.factor is not None and args.name == "ab_factor":
+        certs.append(reports.ab_factor_certificate(report.factor, args.a, args.b))
+    elif report.factor is not None:
         certs.append(reports.factor_certificate(report.factor))
     doc = reports.build_report(
         "verify-theorem",

@@ -65,6 +65,12 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def max_independent(self) -> tuple[int, int]:
+        """A maximum independent set as ``(size, mask)``, searched once per
+        graph by ``_max_independent``."""
+        return _max_independent(self, self.full_mask)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     _bits_of,
     _mask_of,
-    _max_independent,
     as_vertex_set,
     components_masks,
     is_connected,
@@ -52,8 +51,8 @@ class ToughnessValue:
 
 def stability_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set size plus one witness set, from the
-    branch and bound in ``graph._max_independent``."""
-    size, chosen = _max_independent(g, g.full_mask)
+    branch and bound in ``graph._max_independent``, run once per graph."""
+    size, chosen = g.max_independent
     return size, _bits_of(chosen)
 
 

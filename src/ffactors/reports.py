@@ -14,12 +14,16 @@ import time
 
 from .graph import DegreeSpec, Graph
 from .instances import instance_digest, parse_instance, serialize_instance
-from .solver import FactorSubgraph, verify_f_factor
+from .solver import FactorSubgraph, verify_factor
 from .tutte import SubsetPair, deficiency
 
 
 def factor_certificate(factor: FactorSubgraph) -> dict:
     return {"type": "factor", "edges": [list(e) for e in factor.edges]}
+
+
+def ab_factor_certificate(factor: FactorSubgraph, a: int, b: int) -> dict:
+    return {"type": "ab_factor", "a": a, "b": b, "edges": [list(e) for e in factor.edges]}
 
 
 def violating_pair_certificate(report) -> dict:
@@ -74,6 +78,14 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, int) for v in value)
 
 
+def _factor_of(cert: dict, i: int) -> FactorSubgraph:
+    edges = cert.get("edges")
+    if not (isinstance(edges, list)
+            and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+        raise ValueError(f"certificate {i}: 'edges' must be a list of vertex pairs")
+    return FactorSubgraph(tuple(tuple(e) for e in edges))
+
+
 def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report.
 
@@ -85,6 +97,9 @@ def recheck_report(doc: dict) -> list[str]:
     if not isinstance(certificates, list):
         raise ValueError("report is not an object with a list of certificates")
     failures: list[str] = []
+    params = doc.get("parameters")
+    if not isinstance(params, dict):
+        params = {}
     instance_text = doc.get("instance")
     g = f = None
     if instance_text:
@@ -101,13 +116,26 @@ def recheck_report(doc: dict) -> list[str]:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
         if kind == "factor":
-            edges = cert.get("edges")
-            if not (isinstance(edges, list)
-                    and all(_is_int_list(e) and len(e) == 2 for e in edges)):
-                raise ValueError(f"certificate {i}: 'edges' must be a list of vertex pairs")
-            factor = FactorSubgraph(tuple(tuple(e) for e in edges))
-            if not verify_f_factor(g, f, factor):
+            target = f.values
+            if (doc.get("command"), params.get("name")) == ("verify-theorem",
+                                                            "regular_connectivity"):
+                # that checker's factor is an r-factor, whatever the instance's f
+                r = params.get("r")
+                if not isinstance(r, int):
+                    raise ValueError(f"certificate {i}: the report's 'r' must be an integer")
+                target = (r,) * g.n
+            if not verify_factor(g, target, target, _factor_of(cert, i)):
                 failures.append(f"certificate {i}: edge set is not an f-factor")
+        elif kind == "ab_factor":
+            factor = _factor_of(cert, i)
+            a, b = cert.get("a"), cert.get("b")
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise ValueError(f"certificate {i}: needs integers 'a' and 'b'")
+            if (params.get("a"), params.get("b")) != (a, b):
+                failures.append(f"certificate {i}: bounds a={a}, b={b} are not "
+                                "the report's parameters")
+            if not verify_factor(g, (a,) * g.n, (b,) * g.n, factor):
+                failures.append(f"certificate {i}: edge set is not an [{a},{b}]-factor")
         elif kind == "violating_pair":
             if not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
                     and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):

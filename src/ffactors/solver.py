@@ -1,27 +1,33 @@
-"""Constructive f-factor computation.
+"""Constructive factor computation with degree bounds lo(v) <= deg(v) <= hi(v).
 
-The solver reduces f-factor existence to perfect matching in an auxiliary
-gadget graph: a vertex v of degree d with target f(v) becomes d external
-vertices (one per incident edge) plus d - f(v) internal vertices, joined in
-a complete bipartite block; each original edge uv contributes one bridge
-edge between its two external copies.  Perfect matchings of the gadget are
-in bijection with f-factors, and an original edge lies in the factor iff
-its bridge edge is matched.
+The solver reduces factor existence to perfect matching in an auxiliary
+gadget graph (Lovász, "Subgraphs with prescribed valencies", 1970).  A
+vertex v of degree d gets d external vertices (one per incident edge),
+d - hi(v) mandatory and hi(v) - lo(v) optional slack vertices, each slack
+vertex joined to all of v's externals.  Each original edge uv contributes
+one bridge edge between its two external copies.  All optional slack
+vertices form one clique, and when the sum of lo is odd one extra vertex is
+joined to every optional one.  A perfect matching gives a factor H (the
+matched bridges), and every factor extends to one:
 
+- the mandatory slack must be matched, so deg_H(v) <= hi(v);
+- v's externals off H need slack, so deg_H(v) >= lo(v);
+- the unused optional slack vertices number 2|H| - sum(lo), so the clique
+  (plus the extra vertex when that count is odd) pairs them up.
+
+An f-factor is the case lo = hi = f, whose gadget has no optional slack.
 Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
 initialization; everything is deterministic given the graph's vertex order.
-Brute-force enumeration oracles for f-factors and [a,b]-factors provide
-independent desk-scale ground truth.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
 from .graph import DegreeSpec, Graph
-
-ORACLE_MAX_M = 24
 
 
 @dataclass(frozen=True)
@@ -36,9 +42,10 @@ class GadgetGraph:
     """Auxiliary graph of the factor-to-matching reduction.
 
     Vertex v's block takes consecutive ids, v in increasing order: first its
-    external copies of edges vu, u in increasing order, then its d(v) - f(v)
-    internal slack vertices.  ``bridges`` maps each original edge (u, v)
-    with u < v to its bridge edge's aux endpoints.
+    external copies of edges vu, u in increasing order, then its mandatory
+    and then its optional slack vertices; the extra parity vertex, if any,
+    comes last.  ``bridges`` maps each original edge (u, v) with u < v to
+    its bridge edge's aux endpoints.
     """
 
     size: int
@@ -46,27 +53,41 @@ class GadgetGraph:
     bridges: dict[tuple[int, int], tuple[int, int]]
 
 
-def tutte_gadget(g: Graph, f: DegreeSpec) -> GadgetGraph:
-    """Build the factor-to-matching gadget; requires 0 <= f(v) <= d(v)."""
-    for v in range(g.n):
-        if f.values[v] > g.degree(v):
-            raise ValueError(
-                f"f({v}) = {f.values[v]} exceeds degree {g.degree(v)}"
-            )
+def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
+    """Build the gadget for lo(v) <= deg(v) <= hi(v), as in the module
+    docstring; requires 0 <= lo(v) <= min(hi(v), d(v)), and a bound hi(v)
+    above d(v) counts as d(v).  With lo == hi == f it has 2m + sum(d - f)
+    vertices."""
     ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
+    optional: list[int] = []
     for v in range(g.n):
+        d = g.degree(v)
+        if lo[v] > d:
+            raise ValueError(f"f({v}) = {lo[v]} exceeds degree {d}")
+        if lo[v] > hi[v]:
+            raise ValueError(f"lower bound {lo[v]} exceeds upper bound {hi[v]} at vertex {v}")
         externals = []
         for u in g.adj[v]:
             ext_id[(v, u)] = len(adj)
             externals.append(len(adj))
             adj.append([])
-        internals = list(range(len(adj), len(adj) + g.degree(v) - f.values[v]))
-        adj.extend([] for _ in internals)
+        # a list, not a range: the block's d * (d - lo) entries then share
+        # one int object per slack vertex instead of allocating their own
+        slack = list(range(len(adj), len(adj) + d - lo[v]))
+        adj.extend([] for _ in slack)
         for e in externals:
-            for i in internals:
+            for i in slack:
                 adj[e].append(i)
                 adj[i].append(e)
+        optional.extend(slack[d - min(hi[v], d):])
+    for i, j in combinations(optional, 2):
+        adj[i].append(j)
+        adj[j].append(i)
+    if sum(lo) % 2:
+        for i in optional:
+            adj[i].append(len(adj))
+        adj.append(optional)
     bridges = {}
     for u, v in g.edges():
         i, j = ext_id[(u, v)], ext_id[(v, u)]
@@ -108,7 +129,7 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                 return b
             b = parent[mate[b]]
 
-    def mark_path(v: int, b: int, child: int, queue: deque) -> None:
+    def mark_path(v: int, b: int, child: int) -> None:
         while base[v] != b:
             in_blossom[base[v]] = True
             in_blossom[base[mate[v]]] = True
@@ -133,8 +154,8 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                     curbase = lca(v, to)
                     for i in range(n):
                         in_blossom[i] = False
-                    mark_path(v, curbase, to, queue)
-                    mark_path(to, curbase, v, queue)
+                    mark_path(v, curbase, to)
+                    mark_path(to, curbase, v)
                     for i in range(n):
                         if in_blossom[base[i]]:
                             base[i] = curbase
@@ -164,27 +185,18 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
     return mate
 
 
-def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
-    """Maximum-cardinality matching, as a sorted tuple of (u, v) edges."""
-    mate = _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj])
-    return tuple(
-        (v, mate[v]) for v in range(h.n) if mate[v] > v
-    )
-
-
-def find_f_factor(g: Graph, f: DegreeSpec) -> FactorSubgraph | None:
-    """An f-factor if one exists, None otherwise; the existence answer is
-    exact."""
-    if len(f.values) != g.n:
+def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgraph | None:
+    """A spanning subgraph with lo(v) <= deg(v) <= hi(v) for every v if one
+    exists, None otherwise; the existence answer is exact."""
+    if not len(lo) == len(hi) == g.n:
         raise ValueError("degree spec length mismatch")
-    if f.total() % 2 == 1:
+    top = [min(h, g.degree(v)) for v, h in enumerate(hi)]
+    # with no optional slack an odd sum(lo) leaves the parity vertex bare
+    if any(low > t for low, t in zip(lo, top)) or (list(lo) == top and sum(lo) % 2):
         return None
-    for v in range(g.n):
-        if f.values[v] > g.degree(v):
-            return None
     if g.n == 0:
         return FactorSubgraph(())
-    gadget = tutte_gadget(g, f)
+    gadget = tutte_gadget(g, lo, hi)
     mate = _blossom_matching(gadget.size, gadget.adj)
     if any(m == -1 for m in mate):
         return None
@@ -194,9 +206,17 @@ def find_f_factor(g: Graph, f: DegreeSpec) -> FactorSubgraph | None:
     return FactorSubgraph(edges)
 
 
-def verify_f_factor(g: Graph, f: DegreeSpec, h: FactorSubgraph) -> bool:
+def find_f_factor(g: Graph, f: DegreeSpec) -> FactorSubgraph | None:
+    """An f-factor if one exists, None otherwise; the existence answer is
+    exact."""
+    return find_factor(g, f.values, f.values)
+
+
+def verify_factor(
+    g: Graph, lo: Sequence[int], hi: Sequence[int], h: FactorSubgraph
+) -> bool:
     """True iff h's edges all lie in G, none repeat, and every vertex degree
-    matches f exactly."""
+    lies in [lo(v), hi(v)]."""
     degrees = [0] * g.n
     seen = set()
     for u, v in h.edges:
@@ -208,62 +228,12 @@ def verify_f_factor(g: Graph, f: DegreeSpec, h: FactorSubgraph) -> bool:
             return False
         degrees[u] += 1
         degrees[v] += 1
-    return degrees == list(f.values)
+    return len(lo) == len(hi) == g.n and all(
+        low <= d <= high for low, d, high in zip(lo, degrees, hi)
+    )
 
 
-def _edge_search(
-    g: Graph, lo: list[int], hi: list[int], max_m: int
-) -> FactorSubgraph | None:
-    """Exhaustive edge-subset search for a spanning subgraph with degrees in
-    [lo(v), hi(v)], pruned by degree feasibility; include-first order makes
-    the witness deterministic."""
-    if g.m > max_m:
-        raise ValueError(
-            f"brute-force enumeration refused for m={g.m} > cap {max_m}"
-        )
-    edges = list(g.edges())
-    used = [0] * g.n
-    remaining = [g.degree(v) for v in range(g.n)]
-
-    def search(i: int) -> list[tuple[int, int]] | None:
-        if i == len(edges):
-            return [] if all(lo[v] <= used[v] for v in range(g.n)) else None
-        u, v = edges[i]
-        remaining[u] -= 1
-        remaining[v] -= 1
-        try:
-            if used[u] < hi[u] and used[v] < hi[v]:
-                used[u] += 1
-                used[v] += 1
-                if (used[u] + remaining[u] >= lo[u]
-                        and used[v] + remaining[v] >= lo[v]):
-                    sub = search(i + 1)
-                    if sub is not None:
-                        return [edges[i]] + sub
-                used[u] -= 1
-                used[v] -= 1
-            if used[u] + remaining[u] >= lo[u] and used[v] + remaining[v] >= lo[v]:
-                return search(i + 1)
-            return None
-        finally:
-            remaining[u] += 1
-            remaining[v] += 1
-
-    result = search(0)
-    return None if result is None else FactorSubgraph(tuple(sorted(result)))
-
-
-def brute_force_f_factor(
-    g: Graph, f: DegreeSpec, max_m: int = ORACLE_MAX_M
-) -> FactorSubgraph | None:
-    """Independent existence oracle: exhaustive search over edge subsets."""
-    return _edge_search(g, list(f.values), list(f.values), max_m)
-
-
-def brute_force_ab_factor(
-    g: Graph, a: int, b: int, max_m: int = ORACLE_MAX_M
-) -> FactorSubgraph | None:
-    """Exhaustive search for a spanning subgraph with all degrees in [a, b]."""
-    if a > b:
-        raise ValueError("need a <= b")
-    return _edge_search(g, [a] * g.n, [b] * g.n, max_m)
+def verify_f_factor(g: Graph, f: DegreeSpec, h: FactorSubgraph) -> bool:
+    """True iff h's edges all lie in G, none repeat, and every vertex degree
+    matches f exactly."""
+    return verify_factor(g, f.values, f.values, h)

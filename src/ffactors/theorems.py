@@ -26,13 +26,7 @@ from .invariants import (
 )
 from .constructions import stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
-from .solver import (
-    ORACLE_MAX_M,
-    FactorSubgraph,
-    brute_force_ab_factor,
-    find_f_factor,
-    verify_f_factor,
-)
+from .solver import FactorSubgraph, find_factor, verify_factor
 
 @dataclass
 class Hypothesis:
@@ -79,12 +73,14 @@ def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
 
 
 def _confirm(
-    report: HypothesisReport, g: Graph, f: DegreeSpec, confirm: bool
+    report: HypothesisReport, g: Graph, lo: tuple[int, ...], hi: tuple[int, ...],
+    confirm: bool,
 ) -> HypothesisReport:
-    """With ``confirm``, check a met prediction against the solver."""
+    """With ``confirm``, check a met prediction against the solver: a
+    factor with lo(v) <= deg(v) <= hi(v) must exist."""
     if confirm and report.hypotheses_met:
-        factor = find_f_factor(g, f)
-        if factor is not None and verify_f_factor(g, f, factor):
+        factor = find_factor(g, lo, hi)
+        if factor is not None and verify_factor(g, lo, hi, factor):
             report.confirmation = "confirmed"
             report.factor = factor
         else:
@@ -132,7 +128,7 @@ def check_main_theorem(
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
         tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
         report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
-    return _confirm(report, g, f, confirm)
+    return _confirm(report, g, f.values, f.values, confirm)
 
 
 def check_corollary_kappa(
@@ -152,7 +148,7 @@ def check_corollary_kappa(
             f"alpha={alpha} <= min(bound, a*kappa)={bound}",
             alpha <= bound,
         )
-    return _confirm(report, g, f, confirm)
+    return _confirm(report, g, f.values, f.values, confirm)
 
 
 def check_theorem_min_degree(
@@ -173,7 +169,7 @@ def check_theorem_min_degree(
     order_bound = Fraction((a + b) * (a + b - 3), a)
     report.add("order", f"|X|={n} > {order_bound}", n > order_bound)
     _check_f(report, f, a, b)
-    return _confirm(report, g, f, confirm)
+    return _confirm(report, g, f.values, f.values, confirm)
 
 
 def check_theorem_regular_connectivity(
@@ -191,15 +187,15 @@ def check_theorem_regular_connectivity(
     alpha, _ = stability_number(g)
     alpha_bound = Fraction(4 * r * kappa, (r + 1) ** 2)
     report.add("stability", f"alpha={alpha} <= {alpha_bound}", alpha <= alpha_bound)
-    return _confirm(report, g, DegreeSpec((r,) * g.n), confirm)
+    return _confirm(report, g, (r,) * g.n, (r,) * g.n, confirm)
 
 
 def check_theorem_ab_factor(
     g: Graph, a: int, b: int, confirm: bool = False
 ) -> HypothesisReport:
     """Stability vs minimum degree condition for an [a,b]-factor; the bound
-    depends on the parity of a.  Confirmation is by the brute-force oracle
-    and only at m <= ORACLE_MAX_M."""
+    depends on the parity of a.  Confirmation asks the solver for a factor
+    with a <= deg(v) <= b, at any size."""
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
     report = HypothesisReport("ab_factor", f"[{a},{b}]-factor exists")
@@ -212,11 +208,7 @@ def check_theorem_ab_factor(
         which = "even-a bound"
     alpha, _ = stability_number(g)
     report.add("stability", f"alpha={alpha} <= {bound} ({which})", alpha <= bound)
-    if confirm and report.hypotheses_met and g.m <= ORACLE_MAX_M:
-        factor = brute_force_ab_factor(g, a, b)
-        report.confirmation = "confirmed" if factor is not None else "refuted"
-        report.factor = factor
-    return report
+    return _confirm(report, g, (a,) * g.n, (b,) * g.n, confirm)
 
 
 def check_theorem_claw_free(
@@ -237,7 +229,7 @@ def check_theorem_claw_free(
     bound = Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2)
     alpha, _ = stability_number(g)
     report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
-    return _confirm(report, g, f, confirm)
+    return _confirm(report, g, f.values, f.values, confirm)
 
 
 def check_stability_conjecture(
@@ -257,7 +249,7 @@ def check_stability_conjecture(
         report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
     else:
         _not_evaluated(report, "stability")
-    return _confirm(report, g, f, confirm)
+    return _confirm(report, g, f.values, f.values, confirm)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration, vertex separators by subset
-search, (odd-)toughness by a full scan of all subsets, matchings by
-edge-subset recursion.  They are the ground truth the
-fast paths are checked against.
+search, (odd-)toughness by a full scan of all subsets, matchings and
+degree-bounded factors by edge-subset recursion.  They are the ground truth
+the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import pytest
 
 from ffactors.graph import DegreeSpec, Graph, build_graph, components_masks, is_connected
 from ffactors.instances import random_connected_graph
+from ffactors.solver import FactorSubgraph, _blossom_matching
+
+ORACLE_MAX_M = 24
 
 
 def pytest_configure(config):
@@ -98,6 +101,73 @@ def brute_maximum_matching_size(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
+    """Maximum-cardinality matching from the solver's blossom matcher, as a
+    sorted tuple of (u, v) edges."""
+    mate = _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj])
+    return tuple(
+        (v, mate[v]) for v in range(h.n) if mate[v] > v
+    )
+
+
+def _edge_search(
+    g: Graph, lo: list[int], hi: list[int], max_m: int
+) -> FactorSubgraph | None:
+    """Exhaustive edge-subset search for a spanning subgraph with degrees in
+    [lo(v), hi(v)], pruned by degree feasibility; include-first order makes
+    the witness deterministic."""
+    if g.m > max_m:
+        raise ValueError(
+            f"brute-force enumeration refused for m={g.m} > cap {max_m}"
+        )
+    edges = list(g.edges())
+    used = [0] * g.n
+    remaining = [g.degree(v) for v in range(g.n)]
+
+    def search(i: int) -> list[tuple[int, int]] | None:
+        if i == len(edges):
+            return [] if all(lo[v] <= used[v] for v in range(g.n)) else None
+        u, v = edges[i]
+        remaining[u] -= 1
+        remaining[v] -= 1
+        try:
+            if used[u] < hi[u] and used[v] < hi[v]:
+                used[u] += 1
+                used[v] += 1
+                if (used[u] + remaining[u] >= lo[u]
+                        and used[v] + remaining[v] >= lo[v]):
+                    sub = search(i + 1)
+                    if sub is not None:
+                        return [edges[i]] + sub
+                used[u] -= 1
+                used[v] -= 1
+            if used[u] + remaining[u] >= lo[u] and used[v] + remaining[v] >= lo[v]:
+                return search(i + 1)
+            return None
+        finally:
+            remaining[u] += 1
+            remaining[v] += 1
+
+    result = search(0)
+    return None if result is None else FactorSubgraph(tuple(sorted(result)))
+
+
+def brute_force_f_factor(
+    g: Graph, f: DegreeSpec, max_m: int = ORACLE_MAX_M
+) -> FactorSubgraph | None:
+    """Independent existence oracle: exhaustive search over edge subsets."""
+    return _edge_search(g, list(f.values), list(f.values), max_m)
+
+
+def brute_force_ab_factor(
+    g: Graph, a: int, b: int, max_m: int = ORACLE_MAX_M
+) -> FactorSubgraph | None:
+    """Exhaustive search for a spanning subgraph with all degrees in [a, b]."""
+    if a > b:
+        raise ValueError("need a <= b")
+    return _edge_search(g, [a] * g.n, [b] * g.n, max_m)
 
 
 def atlas_graphs(max_n: int, connected_only: bool = False) -> list[Graph]:

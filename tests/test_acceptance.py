@@ -20,9 +20,11 @@ import pytest
 
 from conftest import (
     atlas_graphs,
+    brute_force_f_factor,
     brute_maximum_matching_size,
     brute_stability,
     brute_vertex_connectivity,
+    maximum_matching,
     seeded_corpus,
 )
 from ffactors.constructions import build_g1, g0_desk_instance
@@ -43,12 +45,7 @@ from ffactors.invariants import (
     vertex_connectivity,
 )
 from ffactors.reports import recheck_report, strip_timing
-from ffactors.solver import (
-    brute_force_f_factor,
-    find_f_factor,
-    maximum_matching,
-    verify_f_factor,
-)
+from ffactors.solver import find_f_factor, verify_f_factor
 from ffactors.tutte import SubsetPair, deficiency, find_violating_pair
 
 

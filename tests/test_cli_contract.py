@@ -141,18 +141,23 @@ def test_alpha_search_does_not_recurse():
 
 @functools.cache
 def _base_reports() -> dict[str, dict]:
-    """A solve report with a factor certificate and an audit report with a
-    violating pair."""
+    """A solve report with a factor certificate, an audit report with a
+    violating pair, and a confirmed [1,2]-factor report."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         c4 = tmp / "c4.inst"
         c4.write_text(serialize_instance(cycle(4), constant_spec(cycle(4), 2)))
         claw = tmp / "claw.inst"
         claw.write_text(serialize_instance(star(3), constant_spec(star(3), 1)))
+        r8 = tmp / "r8.inst"
+        assert run(["gen", "random", "--n", "8", "--p-edge", "0.6", "--a", "1", "--b", "3",
+                    "--seed", "2", "--out", str(r8)])[0] == 0
         assert run(["solve", str(c4), "--out", str(tmp / "solve.json")])[0] == 0
         assert run(["audit", str(claw), "--out", str(tmp / "audit.json")])[0] == 0
+        assert run(["verify-theorem", "ab_factor", str(r8), "--a", "1", "--b", "2",
+                    "--confirm", "--out", str(tmp / "ab.json")])[0] == 0
         return {name: json.loads((tmp / f"{name}.json").read_text())
-                for name in ("solve", "audit")}
+                for name in ("solve", "audit", "ab")}
 
 
 @pytest.fixture
@@ -197,6 +202,63 @@ class TestRecheckMalformed:
         assert self.recheck(tmp_path, reports["solve"])[0] == 1
         reports["audit"]["certificates"][0]["delta"] += 1
         assert self.recheck(tmp_path, reports["audit"])[0] == 1
+
+    @pytest.mark.parametrize("key", ["a", "b", "edges"])
+    def test_ab_factor_without_field(self, tmp_path, reports, key):
+        del reports["ab"]["certificates"][0][key]
+        code, err = self.recheck(tmp_path, reports["ab"])
+        assert_one_line_error(code, err)
+        assert repr(key) in err
+
+    def test_ab_factor_mistyped_bound(self, tmp_path, reports):
+        reports["ab"]["certificates"][0]["b"] = "2"
+        assert_one_line_error(*self.recheck(tmp_path, reports["ab"]))
+
+
+class TestRecheckABFactor:
+    """A confirmed [a,b]-factor is checked against [a, b], not against the
+    instance's f."""
+
+    def recheck(self, tmp_path, doc) -> int:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])[0]
+
+    def test_confirmed_factor_rechecks(self, tmp_path, reports):
+        doc = reports["ab"]
+        cert = doc["certificates"][0]
+        assert cert == {"type": "ab_factor", "a": 1, "b": 2,
+                        "edges": doc["verdicts"]["factor"]}
+        assert doc["verdicts"]["confirmation"] == "confirmed"
+        assert self.recheck(tmp_path, doc) == 0
+
+    def test_dropped_edge_fails(self, tmp_path, reports):
+        edges = reports["ab"]["certificates"][0]["edges"]
+        for i in range(len(edges)):
+            doc = copy.deepcopy(reports["ab"])
+            del doc["certificates"][0]["edges"][i]
+            assert self.recheck(tmp_path, doc) == 1
+
+    def test_changed_bound_fails(self, tmp_path, reports):
+        reports["ab"]["certificates"][0]["b"] = 3
+        assert self.recheck(tmp_path, reports["ab"]) == 1
+
+
+def test_regular_connectivity_factor_rechecks_against_r(tmp_path):
+    """The checker's factor is an r-factor; the instance's f is 2."""
+    g = complete_graph(6)
+    inst = tmp_path / "k6.inst"
+    inst.write_text(serialize_instance(g, constant_spec(g, 2)))
+    out = tmp_path / "doc.json"
+    assert run(["verify-theorem", "regular_connectivity", str(inst), "--r", "1",
+                "--confirm", "--out", str(out)])[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdicts"]["confirmation"] == "confirmed"
+    assert run(["recheck", str(out)])[0] == 0
+    for r, code in ((3, 1), ("1", 2)):
+        doc["parameters"]["r"] = r
+        out.write_text(json.dumps(doc))
+        assert run(["recheck", str(out)])[0] == code
 
 
 # Property: mutated input of any shape ends in 0, 1 or 2.
@@ -251,7 +313,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_reports(draw):
-    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(["solve", "audit"]))])
+    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(["solve", "audit", "ab"]))])
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         value = draw(JSON_VALUES)

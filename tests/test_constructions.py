@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import brute_force_f_factor
 from ffactors.constructions import (
     build_g0,
     build_g1,
@@ -12,7 +13,7 @@ from ffactors.constructions import (
 )
 from ffactors.graph import min_degree
 from ffactors.invariants import stability_number
-from ffactors.solver import brute_force_f_factor, find_f_factor
+from ffactors.solver import find_f_factor
 from ffactors.tutte import deficiency
 
 

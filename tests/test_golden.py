@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from ffactors import cli
-from ffactors.reports import dumps_report, strip_timing
+from ffactors.reports import dumps_report, recheck_report, strip_timing
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -116,6 +116,17 @@ def test_golden_report(case, instance_paths, tmp_path):
     got = run_case(CASES[case], instance_paths, tmp_path / "report.json")
     expected = (GOLDEN_DIR / f"{case}.json").read_text()
     assert dumps_report(got) == expected
+
+
+def test_golden_certificates_recheck():
+    """Every stored report that carries a certificate passes ``recheck``."""
+    checked = []
+    for case in sorted(CASES):
+        report = json.loads((GOLDEN_DIR / f"{case}.json").read_text())["report"]
+        if report and report["certificates"]:
+            assert recheck_report(report) == [], case
+            checked.append(case)
+    assert {f"verify-ab_factor-{name}" for name in ("desk", "r12", "g1", "d14")} <= set(checked)
 
 
 def regenerate() -> None:

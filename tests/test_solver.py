@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import brute_maximum_matching_size, seeded_corpus
+from conftest import (
+    _edge_search,
+    brute_force_ab_factor,
+    brute_force_f_factor,
+    brute_maximum_matching_size,
+    maximum_matching,
+    seeded_corpus,
+)
 from ffactors.graph import (
     DegreeSpec,
     complete_graph,
@@ -14,12 +21,11 @@ from ffactors.graph import (
 from ffactors.instances import random_graph
 from ffactors.solver import (
     FactorSubgraph,
-    brute_force_ab_factor,
-    brute_force_f_factor,
     find_f_factor,
-    maximum_matching,
+    find_factor,
     tutte_gadget,
     verify_f_factor,
+    verify_factor,
 )
 from ffactors.tutte import find_violating_pair
 
@@ -27,27 +33,56 @@ from ffactors.tutte import find_violating_pair
 class TestGadget:
     def test_k2(self):
         g = complete_graph(2)
-        gadget = tutte_gadget(g, constant_spec(g, 1))
+        gadget = tutte_gadget(g, (1,) * g.n, (1,) * g.n)
         assert gadget.size == 2
         assert len(gadget.bridges) == 1
         assert gadget.size == 2 * len(gadget.bridges)
 
     def test_c4_two_factor_all_bridges(self):
         g = cycle(4)
-        gadget = tutte_gadget(g, constant_spec(g, 2))
+        gadget = tutte_gadget(g, (2,) * g.n, (2,) * g.n)
         assert gadget.size == 8
         # no internals: the gadget is exactly the 4 bridge edges
         assert sum(len(a) for a in gadget.adj) // 2 == 4
 
     def test_k4_size(self):
         g = complete_graph(4)
-        gadget = tutte_gadget(g, constant_spec(g, 1))
+        gadget = tutte_gadget(g, (1,) * g.n, (1,) * g.n)
         assert gadget.size == 4 * (2 * 3 - 1)
 
     def test_infeasible_target_rejected(self):
         g = cycle(4)
         with pytest.raises(ValueError, match="exceeds degree"):
-            tutte_gadget(g, constant_spec(g, 3))
+            tutte_gadget(g, (3,) * g.n, (3,) * g.n)
+
+    def test_exact_bounds_shape(self):
+        """lo == hi == f: the 2m externals plus d - f mandatory slack vertices
+        per vertex, no optional slack and no parity vertex."""
+        for i, g in enumerate(seeded_corpus(20, 2, 10, seed=53)):
+            rng = random.Random(i)
+            f = [rng.randint(0, g.degree(v)) for v in range(g.n)]
+            if sum(f) % 2:
+                f[0] += -1 if f[0] else 1  # an even sum, still within [0, d(0)]
+            gadget = tutte_gadget(g, f, f)
+            slack = sum(g.degree(v) - f[v] for v in range(g.n))
+            assert gadget.size == 2 * g.m + slack
+            blocks = sum(g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n))
+            assert sum(map(len, gadget.adj)) // 2 == g.m + blocks
+
+    def test_bounded_shape(self):
+        g = complete_graph(4)  # d = 3 and hi = 2: one mandatory slack vertex each
+        gadget = tutte_gadget(g, (0, 1, 1, 1), (2,) * 4)
+        # externals, mandatory, optional (2 + 1 + 1 + 1), parity (sum(lo) = 3)
+        assert gadget.size == 12 + 4 + 5 + 1
+        # bridges, blocks of 3 externals times d - lo slack, clique, parity edges
+        assert sum(map(len, gadget.adj)) // 2 == 6 + (9 + 3 * 6) + 10 + 5
+        # hi above the degree counts as the degree: no mandatory slack
+        assert tutte_gadget(g, (1,) * 4, (9,) * 4).size == 12 + 4 * 2
+
+    def test_lower_above_upper_rejected(self):
+        g = cycle(4)
+        with pytest.raises(ValueError, match="exceeds upper bound"):
+            tutte_gadget(g, (2,) * 4, (1,) * 4)
 
 
 class TestMaximumMatching:
@@ -116,6 +151,45 @@ class TestFindFFactor:
         assert checked > 50
 
 
+class TestFindFactor:
+    def test_agrees_with_edge_search(self):
+        """Random bounds lo <= hi on small graphs, against the exhaustive
+        oracle: hi above d(v), lo above d(v), odd sum(lo) and lo == hi all
+        occur."""
+        rng = random.Random(59)
+        seen = {"hi_above_d": 0, "lo_above_d": 0, "odd_lo": 0, "exact": 0, "found": 0}
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.9]), rng.randrange(10**6))
+            lo = [rng.randint(0, 4) for _ in range(n)]
+            hi = lo[:] if rng.random() < 0.25 else [x + rng.randint(0, 3) for x in lo]
+            fast = find_factor(g, lo, hi)
+            slow = _edge_search(g, lo, hi, max_m=28)
+            assert (fast is None) == (slow is None), (g, lo, hi)
+            if fast is not None:
+                assert verify_factor(g, lo, hi, fast)
+            degrees = [g.degree(v) for v in range(n)]
+            seen["hi_above_d"] += any(h > d for h, d in zip(hi, degrees))
+            seen["lo_above_d"] += any(x > d for x, d in zip(lo, degrees))
+            seen["odd_lo"] += sum(lo) % 2
+            seen["exact"] += lo == hi
+            seen["found"] += fast is not None
+        assert min(seen.values()) >= 50, seen
+
+    def test_exact_bounds_are_find_f_factor(self):
+        for i, g in enumerate(seeded_corpus(20, 2, 10, seed=61)):
+            f = DegreeSpec(tuple(random.Random(i).randint(0, 3) for _ in range(g.n)))
+            assert find_factor(g, f.values, f.values) == find_f_factor(g, f)
+
+    def test_empty_graph(self):
+        assert find_factor(star(0), [0], [1]) == FactorSubgraph(())
+        assert find_factor(star(0), [1], [1]) is None
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            find_factor(cycle(4), [1] * 4, [2] * 3)
+
+
 class TestVerify:
     def test_valid_two_factor(self):
         g = cycle(4)
@@ -175,3 +249,13 @@ class TestABFactor:
 
     def test_claw_impossible(self):
         assert brute_force_ab_factor(star(3), 1, 1) is None
+        assert find_factor(star(3), [1] * 4, [1] * 4) is None
+
+    def test_solver_agrees(self):
+        for g in seeded_corpus(30, 2, 8, seed=67):
+            for a, b in ((1, 2), (1, 3), (2, 3)):
+                fast = find_factor(g, [a] * g.n, [b] * g.n)
+                slow = brute_force_ab_factor(g, a, b, max_m=28)
+                assert (fast is None) == (slow is None)
+                if fast is not None:
+                    assert verify_factor(g, [a] * g.n, [b] * g.n, fast)

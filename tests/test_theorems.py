@@ -58,6 +58,27 @@ class TestMainTheorem:
         assert not hypothesis_named(report, "odd_toughness").satisfied
         assert report.prediction == "no prediction"
 
+    def test_alpha_searched_once(self, monkeypatch):
+        """The stability row and the odd-toughness scan share one search."""
+        import ffactors.graph
+        import ffactors.invariants
+
+        calls = []
+        search = ffactors.graph._max_independent
+
+        def counting(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        for module in (ffactors.graph, ffactors.invariants):
+            monkeypatch.setattr(module, "_max_independent", counting, raising=False)
+        built = g0_desk_instance()
+        a, b = built.params["a"], built.params["b"]
+        report = check_main_theorem(built.graph, built.spec, a, b)
+        assert hypothesis_named(report, "stability").satisfied
+        assert not hypothesis_named(report, "odd_toughness").satisfied
+        assert len(calls) == 1
+
     def test_min_degree_hypothesis_fails(self):
         g = complete_graph(2)
         report = check_main_theorem(g, constant_spec(g, 1), 1, 2)
@@ -156,6 +177,17 @@ class TestABFactorTheorem:
     def test_b_not_above_a_rejected(self):
         with pytest.raises(ValueError):
             check_theorem_ab_factor(complete_graph(4), 2, 2)
+
+    def test_confirms_at_any_size(self):
+        built = g0_desk_instance()
+        g = built.graph
+        assert g.m > 24
+        report = check_theorem_ab_factor(g, 2, 3, confirm=True)
+        assert report.hypotheses_met
+        assert report.confirmation == "confirmed"
+        degrees = [sum(v in e for e in report.factor.edges) for v in range(g.n)]
+        assert all(2 <= d <= 3 for d in degrees)
+        assert all(g.has_edge(u, v) for u, v in report.factor.edges)
 
 
 class TestClawFree:
