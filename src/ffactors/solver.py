@@ -99,7 +99,14 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
 
 def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
     """Maximum matching by blossom contraction; returns the mate array
-    (mate[v] == -1 for exposed vertices)."""
+    (mate[v] == -1 for exposed vertices).
+
+    A search from an exposed root works only on its own alternating tree:
+    it resets just the vertices it touched, and a contraction relabels the
+    members of the contracted blossoms, not all n vertices.  A failed search
+    leaves a Hungarian tree, through which no later augmenting path can pass
+    (Edmonds, "Paths, trees, and flowers", 1965), so its vertices are marked
+    dead and later searches skip them; the matching stays maximum."""
     mate = [-1] * n
     # greedy initialization in index order
     for v in range(n):
@@ -113,57 +120,74 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
-    in_blossom = [False] * n
+    dead = [False] * n
+    # stamp[x] == clock marks x for the current lca walk or contraction
+    stamp = [0] * n
+    clock = 0
 
     def lca(a: int, b: int) -> int:
-        used_path = [False] * n
+        nonlocal clock
+        clock += 1
         while True:
             a = base[a]
-            used_path[a] = True
+            stamp[a] = clock
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if used_path[b]:
+            if stamp[b] == clock:
                 return b
             b = parent[mate[b]]
 
-    def mark_path(v: int, b: int, child: int) -> None:
+    def mark_path(v: int, b: int, child: int, marked: list[int]) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            for x in (base[v], base[mate[v]]):
+                if stamp[x] != clock:
+                    stamp[x] = clock
+                    marked.append(x)
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
 
-    def augment_from(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-            in_queue[i] = False
+    def augment_from(root: int, tree: list[int]) -> bool:
+        nonlocal clock
+        # members[b]: the vertices whose base is b, for contracted bases b
+        members: dict[int, list[int]] = {}
         queue: deque[int] = deque([root])
         in_queue[root] = True
+        tree.append(root)
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if base[v] == base[to] or mate[v] == to:
+                if dead[to] or base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # odd cycle: contract the blossom
                     curbase = lca(v, to)
-                    for i in range(n):
-                        in_blossom[i] = False
-                    mark_path(v, curbase, to)
-                    mark_path(to, curbase, v)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
+                    clock += 1
+                    marked: list[int] = []
+                    mark_path(v, curbase, to, marked)
+                    mark_path(to, curbase, v, marked)
+                    blossom = members.setdefault(curbase, [curbase])
+                    fresh = []
+                    for b in marked:
+                        if b == curbase:
+                            continue
+                        group = members.pop(b, None) or [b]
+                        for i in group:
                             base[i] = curbase
                             if not in_queue[i]:
-                                in_queue[i] = True
-                                queue.append(i)
+                                fresh.append(i)
+                        blossom.extend(group)
+                    # increasing index order, as a scan of all vertices would
+                    fresh.sort()
+                    for i in fresh:
+                        in_queue[i] = True
+                        queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if mate[to] == -1:
                         # augmenting path found: flip matched edges along it
                         w = to
@@ -177,11 +201,18 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                     if not in_queue[mate[to]]:
                         in_queue[mate[to]] = True
                         queue.append(mate[to])
+                        tree.append(mate[to])
         return False
 
     for v in range(n):
-        if mate[v] == -1:
-            augment_from(v)
+        if mate[v] == -1 and not dead[v]:
+            tree: list[int] = []
+            found = augment_from(v, tree)
+            for i in tree:
+                parent[i] = -1
+                base[i] = i
+                in_queue[i] = False
+                dead[i] = not found
     return mate
 
 
