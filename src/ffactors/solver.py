@@ -1,21 +1,37 @@
 """Constructive factor computation with degree bounds lo(v) <= deg(v) <= hi(v).
 
 The solver reduces factor existence to perfect matching in an auxiliary
-gadget graph (Lovász, "Subgraphs with prescribed valencies", 1970).  A
-vertex v of degree d gets d external vertices (one per incident edge),
-d - hi(v) mandatory and hi(v) - lo(v) optional slack vertices, each slack
-vertex joined to all of v's externals.  Each original edge uv contributes
-one bridge edge between its two external copies.  All optional slack
-vertices form one clique, and when the sum of lo is odd one extra vertex is
-joined to every optional one.  A perfect matching gives a factor H (the
-matched bridges), and every factor extends to one:
+gadget graph.  A vertex v of degree d gets d external vertices, one per
+incident edge, and one of two blocks joined completely to them:
 
-- the mandatory slack must be matched, so deg_H(v) <= hi(v);
-- v's externals off H need slack, so deg_H(v) >= lo(v);
-- the unused optional slack vertices number 2|H| - sum(lo), so the clique
-  (plus the extra vertex when that count is odd) pairs them up.
+- copy form, when lo(v) == hi(v) == f(v) and f(v) < d - f(v): f(v) copy
+  vertices (Tutte, "A short proof of the factor theorem for finite
+  graphs", 1954).  Each copy takes one external, so exactly f(v) of v's
+  externals are matched inside the block: those are v's edges in H.
+- slack form, otherwise: d - hi(v) mandatory and hi(v) - lo(v) optional
+  slack vertices (Lovász, "Subgraphs with prescribed valencies", 1970).
+  Here an external matched inside the block is an edge *off* H, so the
+  mandatory slack gives deg_H(v) <= hi(v) and the slack count gives
+  deg_H(v) >= lo(v).
 
-An f-factor is the case lo = hi = f, whose gadget has no optional slack.
+So each vertex has at most d * min(f, d - f) block edges when lo == hi.
+An original edge uv joins its two externals x_u and x_v in one of three
+ways, each read back from a perfect matching as stated:
+
+- both ends copy form: a bridge x_u x_v; uv is in H iff it is unmatched
+  (both externals then sit with copies);
+- both ends slack form: a bridge x_u x_v; uv is in H iff it is matched;
+- mixed: one subdivision vertex joined to x_u and x_v; uv is in H iff it
+  is matched to the slack-form end's external, which frees the copy-form
+  end's external for a copy.
+
+All optional slack vertices form one clique, and when the sum of lo is odd
+one extra vertex is joined to every optional one.  Copy-form vertices hold
+no optional slack and have deg_H(v) = lo(v), so the unused optional slack
+vertices number 2|H| - sum(lo), and the clique (plus the extra vertex when
+that count is odd) pairs them up.  Hence a perfect matching gives a factor
+H, and every factor extends to one.
+
 Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
 initialization; everything is deterministic given the graph's vertex order.
 """
@@ -42,25 +58,32 @@ class GadgetGraph:
     """Auxiliary graph of the factor-to-matching reduction.
 
     Vertex v's block takes consecutive ids, v in increasing order: first its
-    external copies of edges vu, u in increasing order, then its mandatory
-    and then its optional slack vertices; the extra parity vertex, if any,
-    comes last.  ``bridges`` maps each original edge (u, v) with u < v to
-    its bridge edge's aux endpoints.
+    external copies of edges vu, u in increasing order, then its copy
+    vertices, or its mandatory and then its optional slack vertices.  The
+    subdivision vertices of mixed edges follow, in edge order, and the extra
+    parity vertex, if any, comes last.  ``bridges`` maps each original edge
+    (u, v) with u < v to (i, j, in_if_matched): the edge is in H iff
+    ``(mate[i] == j) == in_if_matched``.  That is (x_u, x_v, False) for a
+    copy-copy bridge, (x_u, x_v, True) for a slack-slack bridge, and
+    (subdivision vertex, slack-form end's external, True) for a mixed edge.
     """
 
     size: int
     adj: list[list[int]]
-    bridges: dict[tuple[int, int], tuple[int, int]]
+    bridges: dict[tuple[int, int], tuple[int, int, bool]]
 
 
 def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     """Build the gadget for lo(v) <= deg(v) <= hi(v), as in the module
     docstring; requires 0 <= lo(v) <= min(hi(v), d(v)), and a bound hi(v)
-    above d(v) counts as d(v).  With lo == hi == f it has 2m + sum(d - f)
-    vertices."""
+    above d(v) counts as d(v).  Vertex v takes the copy form iff
+    lo(v) == hi(v) and 2 lo(v) < d(v).  With lo == hi == f the gadget has
+    2m + sum over v of (f if copy form else d - f) vertices, plus one
+    subdivision vertex per edge whose ends take different forms."""
     ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
     optional: list[int] = []
+    copy_form = [False] * g.n
     for v in range(g.n):
         d = g.degree(v)
         if lo[v] > d:
@@ -72,15 +95,30 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
             ext_id[(v, u)] = len(adj)
             externals.append(len(adj))
             adj.append([])
-        # a list, not a range: the block's d * (d - lo) entries then share
-        # one int object per slack vertex instead of allocating their own
-        slack = list(range(len(adj), len(adj) + d - lo[v]))
-        adj.extend([] for _ in slack)
+        copy_form[v] = lo[v] == hi[v] and 2 * lo[v] < d
+        # a list, not a range: the block's entries then share one int
+        # object per block vertex instead of allocating their own
+        block = list(range(len(adj), len(adj) + (lo[v] if copy_form[v] else d - lo[v])))
+        adj.extend([] for _ in block)
         for e in externals:
-            for i in slack:
+            for i in block:
                 adj[e].append(i)
                 adj[i].append(e)
-        optional.extend(slack[d - min(hi[v], d):])
+        if not copy_form[v]:
+            optional.extend(block[d - min(hi[v], d):])
+    bridges = {}
+    for u, v in g.edges():
+        i, j = ext_id[(u, v)], ext_id[(v, u)]
+        if copy_form[u] == copy_form[v]:
+            adj[i].append(j)
+            adj[j].append(i)
+            bridges[(u, v)] = (i, j, not copy_form[u])
+        else:
+            sub = len(adj)
+            adj.append([i, j])
+            adj[i].append(sub)
+            adj[j].append(sub)
+            bridges[(u, v)] = (sub, j if copy_form[u] else i, True)
     for i, j in combinations(optional, 2):
         adj[i].append(j)
         adj[j].append(i)
@@ -88,12 +126,6 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         for i in optional:
             adj[i].append(len(adj))
         adj.append(optional)
-    bridges = {}
-    for u, v in g.edges():
-        i, j = ext_id[(u, v)], ext_id[(v, u)]
-        adj[i].append(j)
-        adj[j].append(i)
-        bridges[(u, v)] = (i, j)
     return GadgetGraph(len(adj), adj, bridges)
 
 
@@ -232,7 +264,8 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     if any(m == -1 for m in mate):
         return None
     edges = tuple(
-        edge for edge, (i, j) in sorted(gadget.bridges.items()) if mate[i] == j
+        edge for edge, (i, j, in_if_matched) in sorted(gadget.bridges.items())
+        if (mate[i] == j) == in_if_matched
     )
     return FactorSubgraph(edges)
 

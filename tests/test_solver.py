@@ -48,7 +48,8 @@ class TestGadget:
     def test_k4_size(self):
         g = complete_graph(4)
         gadget = tutte_gadget(g, (1,) * g.n, (1,) * g.n)
-        assert gadget.size == 4 * (2 * 3 - 1)
+        # 2f < d everywhere: 3 externals and 1 copy vertex per vertex
+        assert gadget.size == 4 * (3 + 1)
 
     def test_infeasible_target_rejected(self):
         g = cycle(4)
@@ -56,18 +57,22 @@ class TestGadget:
             tutte_gadget(g, (3,) * g.n, (3,) * g.n)
 
     def test_exact_bounds_shape(self):
-        """lo == hi == f: the 2m externals plus d - f mandatory slack vertices
-        per vertex, no optional slack and no parity vertex."""
+        """lo == hi == f: the 2m externals, then f copy vertices where
+        2f < d and d - f mandatory slack vertices elsewhere, one subdivision
+        vertex per edge whose ends take different forms, no optional slack
+        and no parity vertex."""
         for i, g in enumerate(seeded_corpus(20, 2, 10, seed=53)):
             rng = random.Random(i)
             f = [rng.randint(0, g.degree(v)) for v in range(g.n)]
             if sum(f) % 2:
                 f[0] += -1 if f[0] else 1  # an even sum, still within [0, d(0)]
             gadget = tutte_gadget(g, f, f)
-            slack = sum(g.degree(v) - f[v] for v in range(g.n))
-            assert gadget.size == 2 * g.m + slack
-            blocks = sum(g.degree(v) * (g.degree(v) - f[v]) for v in range(g.n))
-            assert sum(map(len, gadget.adj)) // 2 == g.m + blocks
+            copy = [2 * f[v] < g.degree(v) for v in range(g.n)]
+            block = [f[v] if copy[v] else g.degree(v) - f[v] for v in range(g.n)]
+            mixed = sum(copy[u] != copy[v] for u, v in g.edges())
+            assert gadget.size == 2 * g.m + sum(block) + mixed
+            blocks = sum(g.degree(v) * block[v] for v in range(g.n))
+            assert sum(map(len, gadget.adj)) // 2 == g.m + mixed + blocks
 
     def test_bounded_shape(self):
         g = complete_graph(4)  # d = 3 and hi = 2: one mandatory slack vertex each
