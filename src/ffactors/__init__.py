@@ -17,7 +17,6 @@ from .graph import (
     components,
     constant_spec,
     cycle,
-    degree_spec,
     disjoint_union,
     empty_graph,
     f_sum,
@@ -57,8 +56,6 @@ from .constructions import (
     build_g0,
     build_g1,
     g0_desk_instance,
-    g0_paper_preset,
-    necessity_margin,
     stability_bound,
 )
 from .theorems import (

@@ -156,29 +156,6 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     )
 
 
-def g0_paper_preset(a: int, b: int, k: int = 1) -> dict[str, int]:
-    """Parameters in the large-minimum-degree regime delta >= (b+1)^3 + b.
-
-    p is the largest value not exceeding the stability bound that keeps
-    f(X) even and p > a*k; raises if no such p exists.
-    """
-    delta = (b + 1) ** 3 + b
-    if delta % 2 == 1:
-        delta += 1
-    bound = stability_bound(a, b, delta)
-    p = int(bound)
-    comp_size = delta + 1
-
-    def f_even(p_: int) -> bool:
-        return (a * k + b * p_ * comp_size) % 2 == 0
-
-    while p > a * k and not f_even(p):
-        p -= 1
-    if p <= a * k:
-        raise ValueError("no admissible p in the preset regime for these a, b, k")
-    return {"a": a, "b": b, "k": k, "delta": delta, "p": p}
-
-
 def g0_desk_instance() -> ConstructionReport:
     """Smallest-style refutation instance meeting the stability hypothesis:
     (a=2, b=3, k=1, delta=12, p=4), n = 53, f(X) = 158."""
@@ -237,15 +214,3 @@ def build_g1(a: int, b: int, r: int, delta: int, alpha: int) -> ConstructionRepo
             "strict_chain": alpha > delta > b > r,
         },
     )
-
-
-def necessity_margin(a: int, b: int, delta: int) -> tuple[Fraction, Fraction]:
-    """(stability bound, slack) for the r = (b+1)/2 specialization of the
-    join family, documenting how close the bound is to best possible."""
-    if b % 2 == 0:
-        raise ValueError("b must be odd")
-    if b < 3:
-        raise ValueError("need b >= 3")
-    if delta < b:
-        raise ValueError("need delta >= b")
-    return stability_bound(a, b, delta), Fraction(2 * a, b + 1)

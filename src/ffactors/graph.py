@@ -115,16 +115,6 @@ class DegreeSpec:
         return sum(self.values)
 
 
-def degree_spec(values: Sequence[int], graph: Graph | None = None) -> DegreeSpec:
-    """Build a DegreeSpec, checking its length against an ambient graph."""
-    spec = DegreeSpec(tuple(values))
-    if graph is not None and len(spec.values) != graph.n:
-        raise ValueError(
-            f"degree spec length {len(spec.values)} != vertex count {graph.n}"
-        )
-    return spec
-
-
 def constant_spec(graph: Graph, value: int) -> DegreeSpec:
     return DegreeSpec((value,) * graph.n)
 

@@ -34,6 +34,12 @@ H, and every factor extends to one.
 
 Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
 initialization; everything is deterministic given the graph's vertex order.
+Each search grows one alternating tree and costs time in that tree alone.
+A search that fails leaves a Hungarian tree: no augmenting path meets it,
+later augmentations flip only paths outside it, so none ever will
+(Edmonds, "Paths, trees, and flowers", 1965).  Later searches skip its
+vertices and the matching is still maximum.  A failed search means some
+vertex stays exposed, so find_factor answers None either way.
 """
 
 from __future__ import annotations
@@ -135,10 +141,9 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
 
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
-    members of the contracted blossoms, not all n vertices.  A failed search
-    leaves a Hungarian tree, through which no later augmenting path can pass
-    (Edmonds, "Paths, trees, and flowers", 1965), so its vertices are marked
-    dead and later searches skip them; the matching stays maximum."""
+    members of the contracted blossoms, not all n vertices.  The vertices of
+    a failed search's tree are marked dead and later searches skip them, as
+    the module docstring explains."""
     mate = [-1] * n
     # greedy initialization in index order
     for v in range(n):

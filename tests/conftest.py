@@ -2,15 +2,16 @@
 
 The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration, vertex separators by subset
-search, (odd-)toughness by a full scan of all subsets, matchings and
-degree-bounded factors by edge-subset recursion.  They are the ground truth
-the fast paths are checked against.
+search, (odd-)toughness by a full scan of all subsets, matchings by
+vertex-subset recursion and degree-bounded factors by edge-subset
+recursion.  They are the ground truth the fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -88,19 +89,26 @@ def brute_min_ratio(g: Graph, f: DegreeSpec | None = None):
 
 
 def brute_maximum_matching_size(g: Graph) -> int:
-    """Maximum matching cardinality by recursion over the edge list."""
-    edges = g.edges()
+    """Maximum matching cardinality by recursion over vertex subsets: the
+    lowest remaining vertex is left exposed or matched to one of its
+    remaining neighbours, memoized on the remaining set."""
+    masks = g.adj_masks
 
-    def rec(i: int, used: int) -> int:
-        if i == len(edges):
+    @cache
+    def rec(rest: int) -> int:
+        if not rest:
             return 0
-        u, v = edges[i]
-        best = rec(i + 1, used)
-        if not (used >> u & 1) and not (used >> v & 1):
-            best = max(best, 1 + rec(i + 1, used | (1 << u) | (1 << v)))
+        low = rest & -rest
+        rest ^= low
+        best = rec(rest)
+        nbrs = masks[low.bit_length() - 1] & rest
+        while nbrs:
+            u = nbrs & -nbrs
+            best = max(best, 1 + rec(rest ^ u))
+            nbrs ^= u
         return best
 
-    return rec(0, 0)
+    return rec(g.full_mask)
 
 
 def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:

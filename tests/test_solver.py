@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,15 @@ from ffactors.graph import (
     complete_graph,
     constant_spec,
     cycle,
+    disjoint_union,
+    join,
     petersen_graph,
     star,
 )
-from ffactors.instances import random_graph
+from ffactors.instances import random_connected_graph, random_degree_spec, random_graph
 from ffactors.solver import (
     FactorSubgraph,
+    _blossom_matching,
     find_f_factor,
     find_factor,
     tutte_gadget,
@@ -28,6 +32,47 @@ from ffactors.solver import (
     verify_factor,
 )
 from ffactors.tutte import find_violating_pair
+
+
+def _gadget_edge_kinds(g, lo, hi) -> Counter:
+    """How the gadget of find_factor(g, lo, hi) joins each edge: "copy"
+    (two copy-form ends), "slack" (two slack-form ends) or "mixed".  A
+    vertex takes the copy form iff lo == hi and 2 lo < d.  Empty when
+    find_factor answers before building a gadget."""
+    degrees = [g.degree(v) for v in range(g.n)]
+    top = [min(h, d) for h, d in zip(hi, degrees)]
+    if any(x > t for x, t in zip(lo, top)) or (list(lo) == top and sum(lo) % 2):
+        return Counter()
+    copy = [x == h and 2 * x < d for x, h, d in zip(lo, hi, degrees)]
+    return Counter(
+        "copy" if copy[u] and copy[v] else "mixed" if copy[u] or copy[v] else "slack"
+        for u, v in g.edges()
+    )
+
+
+def _matcher_corpus() -> list:
+    """Graphs with n <= 12 whose matchings need blossoms and leave searches
+    failing: odd cliques, wheels, Petersen, random graphs and disjoint
+    unions of mostly odd components."""
+    rng = random.Random(71)
+    corpus = [petersen_graph()]
+    corpus += [complete_graph(2 * k + 1) for k in range(1, 6)]
+    corpus += [join(complete_graph(1), cycle(rim)) for rim in range(3, 12)]
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        corpus.append(random_graph(n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]),
+                                   rng.randrange(10**6)))
+    for _ in range(150):
+        sizes: list[int] = []
+        for _ in range(rng.randint(2, 4)):
+            k = rng.choice([1, 3, 3, 5, 5, 7, 4])
+            if sum(sizes) + k <= 12:
+                sizes.append(k)
+        corpus.append(disjoint_union([
+            random_connected_graph(k, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6))
+            for k in sizes
+        ]))
+    return corpus
 
 
 class TestGadget:
@@ -117,6 +162,22 @@ class TestMaximumMatching:
         g = petersen_graph()
         assert maximum_matching(g) == maximum_matching(g)
 
+    def test_maximum_and_valid_on_blossom_corpus(self):
+        """Every mate array is a symmetric matching on edges of G and of
+        maximum size.  At least a third of the corpus leaves two or more
+        vertices exposed, so searches fail there and their trees are
+        skipped by the searches after them."""
+        corpus = _matcher_corpus()
+        exposed = 0
+        for g in corpus:
+            mate = _blossom_matching(g.n, [list(nbrs) for nbrs in g.adj])
+            for v, u in enumerate(mate):
+                assert u == -1 or (mate[u] == v and g.has_edge(u, v)), (g, mate)
+            size = brute_maximum_matching_size(g)
+            assert len(maximum_matching(g)) == sum(u != -1 for u in mate) // 2 == size, g
+            exposed += g.n - 2 * size >= 2
+        assert len(corpus) >= 300 and 3 * exposed >= len(corpus), (len(corpus), exposed)
+
 
 class TestFindFFactor:
     def test_c4_two_factor_is_cycle(self):
@@ -140,6 +201,7 @@ class TestFindFFactor:
     def test_agrees_with_oracle_and_tutte(self):
         rng = random.Random(47)
         checked = 0
+        kinds: Counter = Counter()
         for _ in range(200):
             n = rng.randint(2, 7)
             g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6))
@@ -153,16 +215,26 @@ class TestFindFFactor:
             assert (fast is not None) == (slow is not None) == (pair is None)
             if fast is not None:
                 assert verify_f_factor(g, f, fast)
+            kinds += _gadget_edge_kinds(g, f.values, f.values)
         assert checked > 50
+        assert min(kinds[k] for k in ("copy", "slack", "mixed")) >= 50, kinds
+
+    def test_scale_guard(self):
+        """The paper's regime, minimum degree far above f, at n = 100."""
+        g = random_connected_graph(100, 0.5, 1)
+        f = random_degree_spec(g, 1, 3, 2)
+        factor = find_f_factor(g, f)
+        assert factor is not None and verify_f_factor(g, f, factor)
 
 
 class TestFindFactor:
     def test_agrees_with_edge_search(self):
         """Random bounds lo <= hi on small graphs, against the exhaustive
         oracle: hi above d(v), lo above d(v), odd sum(lo) and lo == hi all
-        occur."""
+        occur, and so does each way the gadget joins an edge."""
         rng = random.Random(59)
         seen = {"hi_above_d": 0, "lo_above_d": 0, "odd_lo": 0, "exact": 0, "found": 0}
+        kinds: Counter = Counter()
         for _ in range(600):
             n = rng.randint(1, 8)
             g = random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.9]), rng.randrange(10**6))
@@ -179,7 +251,9 @@ class TestFindFactor:
             seen["odd_lo"] += sum(lo) % 2
             seen["exact"] += lo == hi
             seen["found"] += fast is not None
+            kinds += _gadget_edge_kinds(g, lo, hi)
         assert min(seen.values()) >= 50, seen
+        assert min(kinds[k] for k in ("copy", "slack", "mixed")) >= 50, kinds
 
     def test_exact_bounds_are_find_f_factor(self):
         for i, g in enumerate(seeded_corpus(20, 2, 10, seed=61)):
