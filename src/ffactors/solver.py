@@ -208,9 +208,8 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
                     mark_path(to, curbase, v, marked)
                     blossom = members.setdefault(curbase, [curbase])
                     fresh = []
+                    # every marked base lies strictly below curbase in the tree
                     for b in marked:
-                        if b == curbase:
-                            continue
                         group = members.pop(b, None) or [b]
                         for i in group:
                             base[i] = curbase
