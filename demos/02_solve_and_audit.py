@@ -1,8 +1,9 @@
 """Solve for an f-factor, then audit a graph that has none.
 
 The solver reduces to maximum matching in a degree gadget; the audit
-searches for a deficient pair (S, T), which is a standalone certificate
-of nonexistence that anyone can recheck by re-evaluating five terms.
+reads a deficient pair (S, T) off the same gadget's maximum matching, a
+standalone certificate of nonexistence that anyone can recheck by
+re-evaluating five terms.
 """
 
 from ffactors import (
@@ -29,7 +30,8 @@ factor = find_f_factor(g, f)
 print(f"Petersen, f = 2: factor edges {factor.edges}")
 
 # C_4 with one vertex asking for degree 4: impossible, and the audit
-# produces the minimal certificate
+# produces a certificate of minimum deficiency, read off the gadget's
+# maximum matching (its delta is minus the number of exposed vertices)
 g = cycle(4)
 f = DegreeSpec((2, 2, 2, 4))
 assert find_f_factor(g, f) is None

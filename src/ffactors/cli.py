@@ -6,11 +6,13 @@ no discrepancy; recheck: all certificates verify), 1 negative outcome
 (solve: no factor; fuzz: discrepancy; recheck: mismatch), 2 usage or
 runtime error.
 
-Size caps for the exponential routines default from the environment
-variables FFACTORS_AUDIT_MAX_N and FFACTORS_TOUGHNESS_MAX_N, and are
-overridden by the corresponding flags.  The toughness cap N bounds work,
-not n: a cutset scan covers only sizes kappa <= |S| <= ratio * alpha and is
-refused past 2^N subsets.  It also reaches ``verify-theorem main``.
+The toughness cap defaults from the environment variable
+FFACTORS_TOUGHNESS_MAX_N and is overridden by --toughness-max-n.  It bounds
+work, not n: a cutset scan covers only sizes kappa <= |S| <= ratio * alpha
+and is refused past 2^N subsets.  It also reaches ``verify-theorem main``.
+The audit search is polynomial at every n; FFACTORS_AUDIT_MAX_N and
+--exact-max-n only choose the report's mode label, "exact" up to the cap
+and "heuristic" above it, although the pair is a minimum either way.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import sys
 import time
 
 from . import constructions, instances, invariants, reports, solver, theorems, tutte
+
+
+AUDIT_EXACT_MAX_N = 15
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -64,19 +69,13 @@ def _cmd_solve(args) -> int:
 def _cmd_audit(args) -> int:
     started = time.monotonic()
     g, f = _read_instance(args.instance)
-    mode = "exact" if g.n <= args.exact_max_n else "heuristic"
-    found = tutte.find_violating_pair(
-        g, f, exact_max_n=args.exact_max_n, seed=args.seed
-    )
+    found = tutte.find_violating_pair(g, f)
     verdicts = {
-        "mode": mode,
+        "mode": "exact" if g.n <= args.exact_max_n else "heuristic",
         "violating_pair_found": found is not None,
     }
     if found is None:
-        verdicts["conclusion"] = (
-            "no violating pair exists" if mode == "exact"
-            else "none found (heuristic)"
-        )
+        verdicts["conclusion"] = "no violating pair exists"
         certs = []
     else:
         verdicts["conclusion"] = "f-factor does not exist"
@@ -193,7 +192,7 @@ def _cmd_recheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    audit_cap = _env_cap("FFACTORS_AUDIT_MAX_N", tutte.AUDIT_EXACT_MAX_N)
+    audit_cap = _env_cap("FFACTORS_AUDIT_MAX_N", AUDIT_EXACT_MAX_N)
     tough_cap = _env_cap("FFACTORS_TOUGHNESS_MAX_N", invariants.TOUGHNESS_MAX_N)
 
     parser = argparse.ArgumentParser(
@@ -208,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report to a file")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("audit", help="search for a violating pair certificate")
+    p = sub.add_parser("audit", help="find a minimum-deficiency violating pair")
     p.add_argument("instance")
     p.add_argument("--exact-max-n", type=int, default=audit_cap,
-                   help=f"exact 3^n enumeration cap (default {audit_cap}; "
-                        "larger graphs use the heuristic search)")
-    p.add_argument("--seed", type=int, default=0)
+                   help=f"largest n labelled mode exact (default {audit_cap}; "
+                        "larger graphs are labelled heuristic)")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
 

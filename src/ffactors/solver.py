@@ -4,10 +4,11 @@ The solver reduces factor existence to perfect matching in an auxiliary
 gadget graph.  A vertex v of degree d gets d external vertices, one per
 incident edge, and one of two blocks joined completely to them:
 
-- copy form, when lo(v) == hi(v) == f(v) and f(v) < d - f(v): f(v) copy
-  vertices (Tutte, "A short proof of the factor theorem for finite
-  graphs", 1954).  Each copy takes one external, so exactly f(v) of v's
-  externals are matched inside the block: those are v's edges in H.
+- copy form, when lo(v) == hi(v) == f(v) and either f(v) < d - f(v) or
+  f(v) > d: f(v) copy vertices (Tutte, "A short proof of the factor
+  theorem for finite graphs", 1954).  Each copy takes one external, so
+  exactly f(v) of v's externals are matched inside the block: those are
+  v's edges in H.  With f(v) > d at least f(v) - d copies stay exposed.
 - slack form, otherwise: d - hi(v) mandatory and hi(v) - lo(v) optional
   slack vertices (Lovász, "Subgraphs with prescribed valencies", 1970).
   Here an external matched inside the block is an edge *off* H, so the
@@ -40,6 +41,11 @@ later augmentations flip only paths outside it, so none ever will
 (Edmonds, "Paths, trees, and flowers", 1965).  Later searches skip its
 vertices and the matching is still maximum.  A failed search means some
 vertex stays exposed, so find_factor answers None either way.
+
+The failed trees also hold the Gallai-Edmonds decomposition of the final
+maximum matching: a tree vertex that was queued (outer) when its search
+failed is missed by some maximum matching, and every other tree vertex is
+a neighbour of such vertices that no maximum matching misses.
 """
 
 from __future__ import annotations
@@ -72,36 +78,43 @@ class GadgetGraph:
     ``(mate[i] == j) == in_if_matched``.  That is (x_u, x_v, False) for a
     copy-copy bridge, (x_u, x_v, True) for a slack-slack bridge, and
     (subdivision vertex, slack-form end's external, True) for a mixed edge.
+    Vertex v's externals and block are the ids from ``starts[v]`` up to
+    ``starts[v + 1]``, and ``copy_form[v]`` says which form its block takes.
     """
 
     size: int
     adj: list[list[int]]
     bridges: dict[tuple[int, int], tuple[int, int, bool]]
+    starts: list[int]
+    copy_form: list[bool]
 
 
 def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     """Build the gadget for lo(v) <= deg(v) <= hi(v), as in the module
-    docstring; requires 0 <= lo(v) <= min(hi(v), d(v)), and a bound hi(v)
-    above d(v) counts as d(v).  Vertex v takes the copy form iff
-    lo(v) == hi(v) and 2 lo(v) < d(v).  With lo == hi == f the gadget has
-    2m + sum over v of (f if copy form else d - f) vertices, plus one
-    subdivision vertex per edge whose ends take different forms."""
+    docstring; requires 0 <= lo(v) <= hi(v) and, unless lo(v) == hi(v),
+    lo(v) <= d(v); a bound hi(v) above d(v) counts as d(v).  Vertex v takes
+    the copy form iff lo(v) == hi(v) and either 2 lo(v) < d(v) or
+    lo(v) > d(v).  With lo == hi == f the gadget has 2m + sum over v of
+    (f if copy form else d - f) vertices, plus one subdivision vertex per
+    edge whose ends take different forms."""
     ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
     optional: list[int] = []
     copy_form = [False] * g.n
+    starts = []
     for v in range(g.n):
+        starts.append(len(adj))
         d = g.degree(v)
-        if lo[v] > d:
-            raise ValueError(f"f({v}) = {lo[v]} exceeds degree {d}")
         if lo[v] > hi[v]:
             raise ValueError(f"lower bound {lo[v]} exceeds upper bound {hi[v]} at vertex {v}")
+        copy_form[v] = lo[v] == hi[v] and (2 * lo[v] < d or lo[v] > d)
+        if lo[v] > d and not copy_form[v]:
+            raise ValueError(f"lower bound {lo[v]} exceeds degree {d} at vertex {v}")
         externals = []
         for u in g.adj[v]:
             ext_id[(v, u)] = len(adj)
             externals.append(len(adj))
             adj.append([])
-        copy_form[v] = lo[v] == hi[v] and 2 * lo[v] < d
         # a list, not a range: the block's entries then share one int
         # object per block vertex instead of allocating their own
         block = list(range(len(adj), len(adj) + (lo[v] if copy_form[v] else d - lo[v])))
@@ -112,6 +125,7 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
                 adj[i].append(e)
         if not copy_form[v]:
             optional.extend(block[d - min(hi[v], d):])
+    starts.append(len(adj))
     bridges = {}
     for u, v in g.edges():
         i, j = ext_id[(u, v)], ext_id[(v, u)]
@@ -132,12 +146,17 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         for i in optional:
             adj[i].append(len(adj))
         adj.append(optional)
-    return GadgetGraph(len(adj), adj, bridges)
+    return GadgetGraph(len(adj), adj, bridges, starts, copy_form)
 
 
-def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
+def _blossom_matching(
+    n: int, adj: list[list[int]], labels: list[str] | None = None
+) -> list[int]:
     """Maximum matching by blossom contraction; returns the mate array
-    (mate[v] == -1 for exposed vertices).
+    (mate[v] == -1 for exposed vertices).  A ``labels`` list of length n
+    receives the Gallai-Edmonds class of each vertex, as the module
+    docstring explains: "D" if some maximum matching misses it, "A" if it
+    is a neighbour of D outside D, and is left as given for the rest.
 
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
@@ -244,6 +263,9 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
         if mate[v] == -1 and not dead[v]:
             tree: list[int] = []
             found = augment_from(v, tree)
+            if not found and labels is not None:
+                for i in tree:
+                    labels[i] = "D" if in_queue[i] else "A"
             for i in tree:
                 parent[i] = -1
                 base[i] = i

@@ -1,4 +1,4 @@
-"""Tutte deficiency arithmetic and exhaustive search for violating pairs.
+"""Tutte deficiency arithmetic and minimum-deficiency violating pairs.
 
 For disjoint vertex sets S, T the deficiency is
 
@@ -12,13 +12,17 @@ machine-checkable certificate of nonexistence.
 The component parity f(C) + e(C, T) is the classical one; it is the unique
 choice under which delta always has the parity of f(X) (see the parity
 property tests).
+
+The minimum of delta is read off one maximum matching of the solver's gadget
+for f: it is minus the number of exposed gadget vertices, not counting the
+parity vertex (Lovasz, "Subgraphs with prescribed valencies", 1970), and a
+pair attaining it follows from the Gallai-Edmonds classes of the gadget
+vertices (Anstee, "An algorithmic proof of Tutte's f-factor theorem", 1985).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import (
     DegreeSpec,
@@ -28,9 +32,7 @@ from .graph import (
     as_vertex_set,
     components_masks,
 )
-
-AUDIT_EXACT_MAX_N = 15
-HEURISTIC_SAMPLES = 2000
+from .solver import _blossom_matching, tutte_gadget
 
 
 @dataclass(frozen=True)
@@ -111,79 +113,40 @@ def deficiency(g: Graph, pair: SubsetPair, f: DegreeSpec) -> DeficiencyReport:
     return DeficiencyReport(pair, f_s, f_t, degree_term, h, delta)
 
 
-def find_violating_pair(
-    g: Graph,
-    f: DegreeSpec,
-    exact_max_n: int = AUDIT_EXACT_MAX_N,
-    seed: int = 0,
-) -> DeficiencyReport | None:
-    """Search for a disjoint pair with delta(S, T) < 0.
+def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
+    """A disjoint pair minimizing delta(S, T) if that minimum is negative,
+    None if no pair violates, that is, if an f-factor exists.
 
-    With ``g.n <= exact_max_n`` the search enumerates all 3^n assignments
-    (vertex in S, in T, or neither) and returns the pair minimizing delta,
-    ties broken by (|S|+|T|, S, T); ``None`` is then a certificate that no
-    violating pair exists.  Above the cap it scans structured candidates
-    (empty and singleton sets, small cutsets, ``HEURISTIC_SAMPLES`` seeded
-    random pairs): it may miss violations but never fabricates them.
+    One maximum matching of ``tutte_gadget(g, f, f)`` labels the gadget
+    vertices by Gallai-Edmonds class, and v joins S or T by where its
+    block and externals fall: a slack-form v is in S if all its externals
+    are in A, otherwise in T if all its slack vertices are; a copy-form v
+    is in S if all its copies are in A, otherwise in T if all its
+    externals are.  No pair has delta below minus the exposed count, and
+    the pair is checked to reach it; a mismatch raises ValueError.
     """
-    if g.n <= exact_max_n:
-        return _best_violation(g, f, _all_pairs(g.full_mask))
-    # dict.fromkeys drops repeated candidates, keeping first-seen order
-    candidates = dict.fromkeys(_heuristic_candidates(g, seed))
-    return _best_violation(g, f, candidates)
-
-
-def _best_violation(g: Graph, f: DegreeSpec, candidates) -> DeficiencyReport | None:
-    """The candidate (S, T) mask pair with delta < 0 that is least under
-    (delta, |S|+|T|, S, T), or None when no candidate violates."""
     fvals = f.values
-    best_key = None
-    best = None
-    for s_mask, t_mask in candidates:
-        res = _evaluate(g, s_mask, t_mask, fvals)
-        if res[4] < 0:
-            key = (res[4], s_mask.bit_count() + t_mask.bit_count(),
-                   _bits_of(s_mask), _bits_of(t_mask))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (s_mask, t_mask, res)
-    if best is None:
+    gadget = tutte_gadget(g, fvals, fvals)
+    labels = [""] * gadget.size
+    mate = _blossom_matching(gadget.size, gadget.adj, labels)
+    # with an odd f(X) the gadget's last vertex is a bare parity vertex
+    exposed = mate.count(-1) - f.total() % 2
+    if not exposed:
         return None
-    s_mask, t_mask, res = best
+    s_mask = t_mask = 0
+    starts = gadget.starts
+    for v in range(g.n):
+        externals = range(starts[v], starts[v] + g.degree(v))
+        block = range(externals.stop, starts[v + 1])
+        first, second = (block, externals) if gadget.copy_form[v] else (externals, block)
+        if all(labels[i] == "A" for i in first):
+            s_mask |= 1 << v
+        elif all(labels[i] == "A" for i in second):
+            t_mask |= 1 << v
+    res = _evaluate(g, s_mask, t_mask, fvals)
+    if res[4] != -exposed:
+        raise ValueError(
+            f"derived pair has delta {res[4]}, but the gadget leaves {exposed} "
+            "vertices exposed"
+        )
     return DeficiencyReport(SubsetPair(_bits_of(s_mask), _bits_of(t_mask)), *res)
-
-
-def _all_pairs(full: int):
-    """All 3^n disjoint (S, T) mask pairs."""
-    for s_mask in range(full + 1):
-        rest = full & ~s_mask
-        t_mask = rest
-        while True:
-            yield s_mask, t_mask
-            if t_mask == 0:
-                break
-            t_mask = (t_mask - 1) & rest
-
-
-def _heuristic_candidates(g: Graph, seed: int):
-    n = g.n
-    yield 0, 0
-    for v in range(n):
-        yield 1 << v, 0
-        yield 0, 1 << v
-    # pairs of vertices as S, and each vertex with its neighborhood as T
-    for u, v in combinations(range(n), 2):
-        yield (1 << u) | (1 << v), 0
-    for v in range(n):
-        bit = 1 << v
-        yield bit, g.adj_masks[v] & ~bit
-    rng = random.Random(seed)
-    for _ in range(HEURISTIC_SAMPLES):
-        s_mask = t_mask = 0
-        for v in range(n):
-            r = rng.random()
-            if r < 0.2:
-                s_mask |= 1 << v
-            elif r < 0.4:
-                t_mask |= 1 << v
-        yield s_mask, t_mask

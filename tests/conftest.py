@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration, vertex separators by subset
 search, (odd-)toughness by a full scan of all subsets, matchings by
-vertex-subset recursion and degree-bounded factors by edge-subset
-recursion.  They are the ground truth the fast paths are checked against.
+vertex-subset recursion, degree-bounded factors by edge-subset recursion
+and minimum-deficiency pairs by all 3^n disjoint pairs.  They are the
+ground truth the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -17,9 +18,17 @@ from pathlib import Path
 
 import pytest
 
-from ffactors.graph import DegreeSpec, Graph, build_graph, components_masks, is_connected
+from ffactors.graph import (
+    DegreeSpec,
+    Graph,
+    _bits_of,
+    build_graph,
+    components_masks,
+    is_connected,
+)
 from ffactors.instances import random_connected_graph
 from ffactors.solver import FactorSubgraph, _blossom_matching
+from ffactors.tutte import DeficiencyReport, SubsetPair, _evaluate
 
 ORACLE_MAX_M = 24
 
@@ -88,10 +97,11 @@ def brute_min_ratio(g: Graph, f: DegreeSpec | None = None):
     return best, witness
 
 
-def brute_maximum_matching_size(g: Graph) -> int:
-    """Maximum matching cardinality by recursion over vertex subsets: the
-    lowest remaining vertex is left exposed or matched to one of its
-    remaining neighbours, memoized on the remaining set."""
+def brute_maximum_matching_size(g: Graph, mask: int | None = None) -> int:
+    """Maximum matching cardinality of the subgraph induced on ``mask``
+    (default all of G) by recursion over vertex subsets: the lowest
+    remaining vertex is left exposed or matched to one of its remaining
+    neighbours, memoized on the remaining set."""
     masks = g.adj_masks
 
     @cache
@@ -108,7 +118,17 @@ def brute_maximum_matching_size(g: Graph) -> int:
             nbrs ^= u
         return best
 
-    return rec(g.full_mask)
+    return rec(g.full_mask if mask is None else mask)
+
+
+def brute_gallai_edmonds(g: Graph) -> tuple[set[int], set[int]]:
+    """Gallai-Edmonds (D, A) from the definition: v is in D iff G - v has a
+    maximum matching as large as G's, and A = N(D) minus D."""
+    size = brute_maximum_matching_size(g)
+    d = {v for v in range(g.n)
+         if brute_maximum_matching_size(g, g.full_mask ^ (1 << v)) == size}
+    a = {u for v in d for u in g.adj[v]} - d
+    return d, a
 
 
 def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
@@ -118,6 +138,33 @@ def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
     return tuple(
         (v, mate[v]) for v in range(h.n) if mate[v] > v
     )
+
+
+def _all_pairs(full: int):
+    """All 3^n disjoint (S, T) mask pairs."""
+    for s_mask in range(full + 1):
+        rest = full & ~s_mask
+        t_mask = rest
+        while True:
+            yield s_mask, t_mask
+            if t_mask == 0:
+                break
+            t_mask = (t_mask - 1) & rest
+
+
+def brute_min_deficiency(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
+    """The pair with delta < 0 that is least under (delta, |S|+|T|, S, T)
+    over all 3^n disjoint pairs, or None when no pair violates."""
+    best_key = best = None
+    for s_mask, t_mask in _all_pairs(g.full_mask):
+        res = _evaluate(g, s_mask, t_mask, f.values)
+        if res[4] < 0:
+            key = (res[4], s_mask.bit_count() + t_mask.bit_count(),
+                   _bits_of(s_mask), _bits_of(t_mask))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = DeficiencyReport(SubsetPair(key[2], key[3]), *res)
+    return best
 
 
 def _edge_search(

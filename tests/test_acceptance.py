@@ -22,6 +22,7 @@ from conftest import (
     atlas_graphs,
     brute_force_f_factor,
     brute_maximum_matching_size,
+    brute_min_deficiency,
     brute_stability,
     brute_vertex_connectivity,
     maximum_matching,
@@ -68,10 +69,15 @@ def _sampled_even_specs(n: int, count: int, seed: int, lo: int = 0, hi: int = 3)
 
 
 def _triangle_check(g, f) -> bool:
+    """Solver, edge-search oracle, derived pair and 3^n pair oracle agree on
+    existence, and the derived pair's delta is the oracle's minimum."""
     fast = find_f_factor(g, f)
     slow = brute_force_f_factor(g, f, max_m=28)  # n <= 8 means m <= 28
     pair = find_violating_pair(g, f)
-    if not ((fast is None) == (slow is None) == (pair is not None)):
+    least = brute_min_deficiency(g, f)
+    if not ((fast is None) == (slow is None) == (pair is not None) == (least is not None)):
+        return False
+    if pair is not None and pair.delta != least.delta:
         return False
     if fast is not None and not verify_f_factor(g, f, fast):
         return False
@@ -255,7 +261,7 @@ def test_criterion_7_g0_refutation_instance():
     assert stability_number(g)[0] == p
     # no factor, certified by the clique cutset with empty T
     assert find_f_factor(g, f) is None
-    audit = find_violating_pair(g, f, seed=1)
+    audit = find_violating_pair(g, f)
     assert audit is not None
     assert audit.pair.s == tuple(range(k)) and audit.pair.t == ()
     assert audit.delta == a * k - p < 0

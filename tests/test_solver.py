@@ -7,12 +7,14 @@ from conftest import (
     _edge_search,
     brute_force_ab_factor,
     brute_force_f_factor,
+    brute_gallai_edmonds,
     brute_maximum_matching_size,
     maximum_matching,
     seeded_corpus,
 )
 from ffactors.graph import (
     DegreeSpec,
+    build_graph,
     complete_graph,
     constant_spec,
     cycle,
@@ -96,10 +98,20 @@ class TestGadget:
         # 2f < d everywhere: 3 externals and 1 copy vertex per vertex
         assert gadget.size == 4 * (3 + 1)
 
-    def test_infeasible_target_rejected(self):
+    def test_copy_form_above_degree(self):
+        """lo == hi == f > d: f copies per vertex, of which f - d stay
+        exposed; f > d with lo < hi is still rejected."""
         g = cycle(4)
+        gadget = tutte_gadget(g, (3,) * g.n, (3,) * g.n)
+        assert gadget.copy_form == [True] * 4
+        # 2 externals and 3 copies each; copy-copy bridges and 2 x 3 block edges
+        assert gadget.starts == [0, 5, 10, 15, 20]
+        assert gadget.size == 8 + 4 * 3
+        assert sum(map(len, gadget.adj)) // 2 == 4 + 4 * 6
+        mate = _blossom_matching(gadget.size, gadget.adj)
+        assert mate.count(-1) == 4
         with pytest.raises(ValueError, match="exceeds degree"):
-            tutte_gadget(g, (3,) * g.n, (3,) * g.n)
+            tutte_gadget(g, (3,) * g.n, (4,) * g.n)
 
     def test_exact_bounds_shape(self):
         """lo == hi == f: the 2m externals, then f copy vertices where
@@ -177,6 +189,30 @@ class TestMaximumMatching:
             assert len(maximum_matching(g)) == sum(u != -1 for u in mate) // 2 == size, g
             exposed += g.n - 2 * size >= 2
         assert len(corpus) >= 300 and 3 * exposed >= len(corpus), (len(corpus), exposed)
+
+    def test_gallai_edmonds_labels(self):
+        """The labels the failed searches leave are the Gallai-Edmonds D
+        and A of the brute-force oracle, on the blossom corpus and on
+        gadgets of up to 12 vertices, f(v) > d(v) and odd f(X) included."""
+        rng = random.Random(73)
+        gadgets = []
+        while len(gadgets) < 250:
+            n = rng.randint(1, 5)
+            g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6))
+            f = [rng.randint(0, g.degree(v) + 1) for v in range(n)]
+            gadget = tutte_gadget(g, f, f)
+            if gadget.size <= 12:
+                edges = [(i, j) for i, nbrs in enumerate(gadget.adj) for j in nbrs if i < j]
+                gadgets.append(build_graph(gadget.size, edges))
+        nontrivial = 0
+        for h in _matcher_corpus() + gadgets:
+            labels = [""] * h.n
+            _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj], labels)
+            d, a = brute_gallai_edmonds(h)
+            assert {v for v in range(h.n) if labels[v] == "D"} == d, h
+            assert {v for v in range(h.n) if labels[v] == "A"} == a, h
+            nontrivial += bool(a)
+        assert nontrivial >= 100, nontrivial
 
 
 class TestFindFFactor:

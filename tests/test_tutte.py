@@ -1,23 +1,57 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import seeded_corpus
+from conftest import brute_min_deficiency, seeded_corpus
 from ffactors.graph import (
     DegreeSpec,
+    build_graph,
     complete_graph,
     constant_spec,
     cycle,
+    is_connected,
 )
-from ffactors.instances import random_graph
+from ffactors.instances import random_connected_graph, random_graph
 from ffactors.invariants import is_t_odd_tough
+from ffactors.reports import build_report, recheck_report, violating_pair_certificate
+from ffactors.solver import _blossom_matching, tutte_gadget
 from ffactors.tutte import (
     SubsetPair,
     deficiency,
     find_violating_pair,
 )
 from ffactors.constructions import build_g1, g0_desk_instance
+
+
+def _barrier(rng, k: int, sizes: list[int]):
+    """A cutset S = {0, ..., k-1} joined to one or two vertices of each of
+    len(sizes) connected components, each with an odd f-sum, and f(S) =
+    len(sizes) - 2: delta(S, {}) = -2 with f(X) even and f <= d."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    f = [0] * k
+    offset = k
+    for size in sizes:
+        c = random_connected_graph(size, 0.3, rng.randrange(10**6))
+        local = [0] * size
+        for u, v in c.edges():
+            edges.append((u + offset, v + offset))
+            if rng.random() < 0.5:
+                local[u] += 1
+                local[v] += 1
+        anchors = rng.sample(range(size), 2)
+        edges += [(s, a + offset) for s in range(k) for a in anchors]
+        if sum(local) % 2 == 0:
+            local[anchors[0]] += 1  # its edges to S leave room
+        f += local
+        offset += size
+    budget = len(sizes) - 2
+    for s in range(k):
+        f[s] = min(budget, k - 1 + 2 * len(sizes))
+        budget -= f[s]
+    assert budget == 0
+    return build_graph(offset, edges), DegreeSpec(tuple(f))
 
 
 def random_pair(g, rng):
@@ -101,21 +135,73 @@ class TestFindViolatingPair:
         assert rep.delta == -4
         assert rep.pair == built.witness_pair
 
-    def test_g0_heuristic_finds_cut(self):
+    def test_g0_desk_clique_cut(self):
         built = g0_desk_instance()
-        rep = find_violating_pair(built.graph, built.spec, seed=1)
+        rep = find_violating_pair(built.graph, built.spec)
         a, k, p = (built.params[x] for x in ("a", "k", "p"))
         assert rep is not None
         assert rep.pair.s == tuple(range(k)) and rep.pair.t == ()
         assert rep.delta == a * k - p
 
-    def test_exact_cap(self):
-        # enumeration up to the cap, heuristic above it, which misses the
-        # g1 witness that enumeration finds
-        built = build_g1(1, 3, 2, 5, 2)
-        g, f = built.graph, built.spec
-        assert find_violating_pair(g, f, exact_max_n=g.n).pair == built.witness_pair
-        assert find_violating_pair(g, f, exact_max_n=g.n - 1) is None
+    def test_barriers_and_planted_at_scale(self):
+        """n = 60-200: every barrier gets a pair with delta equal to minus
+        the gadget's exposed count, at most the construction's -2, which
+        recheck accepts; every planted instance gets None."""
+        rng = random.Random(83)
+        for _ in range(6):
+            sizes = [rng.randint(15, 45) for _ in range(rng.randint(3, 5))]
+            g, f = _barrier(rng, rng.randint(1, 2), sizes)
+            assert 60 <= g.n <= 200
+            rep = find_violating_pair(g, f)
+            gadget = tutte_gadget(g, f.values, f.values)
+            mate = _blossom_matching(gadget.size, gadget.adj)
+            assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
+            doc = build_report("audit", {}, None, (g, f), {},
+                               [violating_pair_certificate(rep)])
+            assert recheck_report(doc) == []
+        for _ in range(4):
+            n = rng.randint(60, 200)
+            g = random_connected_graph(n, 8 / n, rng.randrange(10**6))
+            keep = [e for e in g.edges() if rng.random() < 0.5]
+            f = DegreeSpec(tuple(sum(v in e for e in keep) for v in range(n)))
+            assert find_violating_pair(g, f) is None
+
+
+class TestOracle:
+    """The derived pair against the 3^n minimum-deficiency oracle."""
+
+    @staticmethod
+    def _check(g, f, kinds: Counter) -> None:
+        derived = find_violating_pair(g, f)
+        oracle = brute_min_deficiency(g, f)
+        assert (derived is None) == (oracle is None), (g.edges(), f.values)
+        if derived is not None:
+            assert derived.delta == oracle.delta, (g.edges(), f.values)
+            assert deficiency(g, derived.pair, f).delta == derived.delta
+        kinds["odd f(X)"] += f.total() % 2
+        kinds["f > d"] += any(f.values[v] > g.degree(v) for v in range(g.n))
+        kinds["isolated"] += any(g.degree(v) == 0 for v in range(g.n))
+        kinds["disconnected"] += not is_connected(g)
+        kinds["violating"] += derived is not None
+
+    def test_atlas(self, small_atlas):
+        rng = random.Random(89)
+        kinds: Counter = Counter()
+        for g in small_atlas:
+            for _ in range(3):
+                f = DegreeSpec(tuple(rng.randint(0, g.degree(v) + 1) for v in range(g.n)))
+                self._check(g, f, kinds)
+        assert min(kinds.values()) >= 50, kinds
+
+    def test_seeded_up_to_nine(self):
+        rng = random.Random(97)
+        kinds: Counter = Counter()
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng.randrange(10**6))
+            f = DegreeSpec(tuple(rng.randint(0, g.degree(v) + 1) for v in range(n)))
+            self._check(g, f, kinds)
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestEmptyTLemma:
