@@ -13,11 +13,18 @@ and is refused past 2^N subsets.  It also reaches ``verify-theorem main``.
 The audit search is polynomial at every n; FFACTORS_AUDIT_MAX_N and
 --exact-max-n only choose the report's mode label, "exact" up to the cap
 and "heuristic" above it, although the pair is a minimum either way.
+
+The parser is built once per process, on the first ``main`` call, and reads
+no environment.  Both cap variables are read again on every call and fill
+whichever cap the command line left unset, so a variable changed between
+calls takes effect.  A negative or non-integer cap exits 2 with one line
+naming the flag or the variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,14 +41,19 @@ def _env_cap(name: str, default: int) -> int:
     if value is None:
         return default
     try:
-        return int(value)
+        cap = int(value)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return cap
 
 
 def _read_instance(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return instances.parse_instance(text)
+    if path == "-":
+        return instances.parse_instance(sys.stdin.read())
+    with open(path) as fh:
+        return instances.parse_instance(fh.read())
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -191,10 +203,10 @@ def _cmd_recheck(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    audit_cap = _env_cap("FFACTORS_AUDIT_MAX_N", AUDIT_EXACT_MAX_N)
-    tough_cap = _env_cap("FFACTORS_TOUGHNESS_MAX_N", invariants.TOUGHNESS_MAX_N)
-
+    """The whole CLI.  It reads no environment, so one parser serves every
+    call; a cap left unset here is None and ``main`` fills it."""
     parser = argparse.ArgumentParser(
         prog="ffactors",
         description="f-factor existence: solving, certifying, and auditing "
@@ -209,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="find a minimum-deficiency violating pair")
     p.add_argument("instance")
-    p.add_argument("--exact-max-n", type=int, default=audit_cap,
-                   help=f"largest n labelled mode exact (default {audit_cap}; "
-                        "larger graphs are labelled heuristic)")
+    p.add_argument("--exact-max-n", type=int,
+                   help=f"largest n labelled mode exact (default {AUDIT_EXACT_MAX_N}, "
+                        "or $FFACTORS_AUDIT_MAX_N; larger graphs are labelled heuristic)")
     p.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
@@ -222,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", action="store_true")
     p.add_argument("--toughness", action="store_true")
     p.add_argument("--odd-toughness", action="store_true")
-    p.add_argument("--toughness-max-n", type=int, default=tough_cap,
-                   help=f"cutset scan cap: at most 2^N subsets (default {tough_cap})")
+    p.add_argument("--toughness-max-n", type=int,
+                   help="cutset scan cap: at most 2^N subsets "
+                        f"(default {invariants.TOUGHNESS_MAX_N}, or $FFACTORS_TOUGHNESS_MAX_N)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_invariants)
 
@@ -237,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confirm", action="store_true",
                    help="run the solver when all hypotheses hold")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_theorem, toughness_max_n=tough_cap)
+    p.set_defaults(func=_cmd_verify_theorem, toughness_max_n=None)
 
     p = sub.add_parser("gen", help="emit an instance file")
     p.add_argument("family", choices=("g0", "g1", "random"))
@@ -274,7 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        caps = {
+            "exact_max_n": _env_cap("FFACTORS_AUDIT_MAX_N", AUDIT_EXACT_MAX_N),
+            "toughness_max_n": _env_cap("FFACTORS_TOUGHNESS_MAX_N",
+                                        invariants.TOUGHNESS_MAX_N),
+        }
         args = build_parser().parse_args(argv)
+        for key, cap in caps.items():
+            if getattr(args, key, 0) is None:
+                setattr(args, key, cap)
+        if getattr(args, "toughness_max_n", 0) < 0:
+            raise ValueError(f"--toughness-max-n must be at least 0, "
+                             f"got {args.toughness_max_n}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

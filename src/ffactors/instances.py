@@ -105,9 +105,13 @@ def serialize_instance(g: Graph, f: DegreeSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_digest(text: str) -> str:
+    """Content hash of a normalized serialization."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def instance_digest(g: Graph, f: DegreeSpec) -> str:
-    """Content hash of the normalized serialization."""
-    return hashlib.sha256(serialize_instance(g, f).encode()).hexdigest()
+    return text_digest(serialize_instance(g, f))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

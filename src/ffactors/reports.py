@@ -13,7 +13,7 @@ import json
 import time
 
 from .graph import DegreeSpec, Graph
-from .instances import instance_digest, parse_instance, serialize_instance
+from .instances import instance_digest, parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
 from .tutte import SubsetPair, deficiency
 
@@ -47,9 +47,9 @@ def build_report(
         "seed": seed,
     }
     if instance is not None:
-        g, f = instance
-        doc["instance_digest"] = instance_digest(g, f)
-        doc["instance"] = serialize_instance(g, f)
+        text = serialize_instance(*instance)
+        doc["instance_digest"] = text_digest(text)
+        doc["instance"] = text
     else:
         doc["instance_digest"] = None
         doc["instance"] = None

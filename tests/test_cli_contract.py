@@ -53,6 +53,21 @@ class TestToughnessCap:
             assert "cap 8" in err
 
 
+    def test_negative_cap(self, tmp_path, monkeypatch):
+        g = cycle(6)
+        inst = tmp_path / "c6.inst"
+        inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+        argv = ["invariants", str(inst), "--odd-toughness"]
+        monkeypatch.delenv("FFACTORS_TOUGHNESS_MAX_N", raising=False)
+        code, err = run([*argv, "--toughness-max-n", "-1"])
+        assert_one_line_error(code, err)
+        assert "--toughness-max-n" in err
+        monkeypatch.setenv("FFACTORS_TOUGHNESS_MAX_N", "-1")
+        for command in (argv, ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]):
+            code, err = run(command)
+            assert_one_line_error(code, err)
+            assert "FFACTORS_TOUGHNESS_MAX_N" in err
+
     def test_verify_theorem_main_decides_n60(self, tmp_path):
         inst, out = tmp_path / "r60.inst", tmp_path / "report.json"
         assert run(["gen", "random", "--n", "60", "--p-edge", "0.7", "--a", "1",
@@ -70,6 +85,44 @@ def test_fuzz_rejects_empty_ranges(flags):
     code, err = run(["fuzz", "main", *flags])
     assert_one_line_error(code, err)
     assert flags[0] in err
+
+
+class TestParserCache:
+    def test_built_once(self, tmp_path, monkeypatch):
+        # a cap variable changes between commands: a parser rebuilt per call
+        # or per variable value fails the identity check, one that froze the
+        # variable at its first build fails the report check
+        inst, out = tmp_path / "c4.inst", tmp_path / "report.json"
+        inst.write_text(serialize_instance(cycle(4), constant_spec(cycle(4), 2)))
+        parsers = []
+        build = cli.build_parser
+
+        def recording():
+            parsers.append(build())
+            return parsers[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        monkeypatch.delenv("FFACTORS_AUDIT_MAX_N", raising=False)
+        assert run(["solve", str(inst), "--out", str(out)])[0] == 0
+        assert run(["recheck", str(out)])[0] == 0
+        monkeypatch.setenv("FFACTORS_AUDIT_MAX_N", "5")
+        assert run(["audit", str(inst), "--out", str(out)])[0] == 0
+        assert json.loads(out.read_text())["parameters"]["exact_max_n"] == 5
+        assert len(parsers) == 3
+        assert all(parser is parsers[0] for parser in parsers)
+
+    def test_cap_variable_read_per_call(self, tmp_path, monkeypatch):
+        inst, out = tmp_path / "r10.inst", tmp_path / "report.json"
+        assert run(["gen", "random", "--n", "10", "--seed", "3", "--out", str(inst)])[0] == 0
+        monkeypatch.delenv("FFACTORS_AUDIT_MAX_N", raising=False)
+        labels = []
+        for cap in (None, "5"):
+            if cap is not None:
+                monkeypatch.setenv("FFACTORS_AUDIT_MAX_N", cap)
+            assert run(["audit", str(inst), "--out", str(out)])[0] == 0
+            doc = json.loads(out.read_text())
+            labels.append((doc["parameters"]["exact_max_n"], doc["verdicts"]["mode"]))
+        assert labels == [(15, "exact"), (5, "heuristic")]
 
 
 @pytest.mark.parametrize("name", ["FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N"])
