@@ -17,8 +17,8 @@ and "heuristic" above it, although the pair is a minimum either way.
 The parser is built once per process, on the first ``main`` call, and reads
 no environment.  Both cap variables are read again on every call and fill
 whichever cap the command line left unset, so a variable changed between
-calls takes effect.  A negative or non-integer cap exits 2 with one line
-naming the flag or the variable.
+calls takes effect.  A cap variable that is negative or not an integer, or
+a negative --toughness-max-n, exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, key, 0) is None:
                 setattr(args, key, cap)
         if getattr(args, "toughness_max_n", 0) < 0:
-            raise ValueError(f"--toughness-max-n must be at least 0, "
+            raise ValueError("--toughness-max-n must be at least 0, "
                              f"got {args.toughness_max_n}")
         return args.func(args)
     except (ValueError, OSError) as exc:

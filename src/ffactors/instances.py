@@ -106,11 +106,12 @@ def serialize_instance(g: Graph, f: DegreeSpec) -> str:
 
 
 def text_digest(text: str) -> str:
-    """Content hash of a normalized serialization."""
+    """Content hash of a text made by ``serialize_instance``."""
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def instance_digest(g: Graph, f: DegreeSpec) -> str:
+    """Content hash of the normalized serialization."""
     return text_digest(serialize_instance(g, f))
 
 
