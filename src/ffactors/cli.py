@@ -6,19 +6,12 @@ no discrepancy; recheck: all certificates verify), 1 negative outcome
 (solve: no factor; fuzz: discrepancy; recheck: mismatch), 2 usage or
 runtime error.
 
-The toughness cap defaults from the environment variable
-FFACTORS_TOUGHNESS_MAX_N and is overridden by --toughness-max-n.  It bounds
-work, not n: a cutset scan covers only sizes kappa <= |S| <= ratio * alpha
-and is refused past 2^N subsets.  It also reaches ``verify-theorem main``.
-The audit search is polynomial at every n; FFACTORS_AUDIT_MAX_N and
---exact-max-n only choose the report's mode label, "exact" up to the cap
-and "heuristic" above it, although the pair is a minimum either way.
-
-The parser is built once per process, on the first ``main`` call, and reads
-no environment.  Both cap variables are read again on every call and fill
-whichever cap the command line left unset, so a variable changed between
-calls takes effect.  A cap variable that is negative or not an integer, or
-a negative --toughness-max-n, exits 2 with one line naming it.
+The argument list is the only input besides the files it names.  The
+toughness cap --toughness-max-n (``invariants`` and ``verify-theorem``)
+bounds work, not n: a cutset scan covers only sizes
+kappa <= |S| <= ratio * alpha and is refused past 2^N subsets; a negative
+cap exits 2 with one line.  The parser is built once per process, on the
+first ``main`` call.
 """
 
 from __future__ import annotations
@@ -26,27 +19,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
 from . import constructions, instances, invariants, reports, solver, theorems, tutte
 
 
+# The audit pair is a minimum at every n; the label only splits n at this
+# size because bench/checks.py still demands that split (ROADMAP item 1).
 AUDIT_EXACT_MAX_N = 15
-
-
-def _env_cap(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return cap
 
 
 def _read_instance(path: str):
@@ -83,7 +64,7 @@ def _cmd_audit(args) -> int:
     g, f = _read_instance(args.instance)
     found = tutte.find_violating_pair(g, f)
     verdicts = {
-        "mode": "exact" if g.n <= args.exact_max_n else "heuristic",
+        "mode": "exact" if g.n <= AUDIT_EXACT_MAX_N else "heuristic",
         "violating_pair_found": found is not None,
     }
     if found is None:
@@ -92,10 +73,7 @@ def _cmd_audit(args) -> int:
     else:
         verdicts["conclusion"] = "f-factor does not exist"
         certs = [reports.violating_pair_certificate(found)]
-    doc = reports.build_report(
-        "audit", {"exact_max_n": args.exact_max_n}, args.seed,
-        (g, f), verdicts, certs, started,
-    )
+    doc = reports.build_report("audit", {}, None, (g, f), verdicts, certs, started)
     _emit(doc, args.out)
     return 0
 
@@ -203,10 +181,15 @@ def _cmd_recheck(args) -> int:
     return 1 if failures else 0
 
 
+def _add_toughness_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--toughness-max-n", type=int, default=invariants.TOUGHNESS_MAX_N,
+                   help="cutset scan cap: at most 2^N subsets "
+                        f"(default {invariants.TOUGHNESS_MAX_N})")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole CLI.  It reads no environment, so one parser serves every
-    call; a cap left unset here is None and ``main`` fills it."""
+    """The whole CLI; one parser serves every call."""
     parser = argparse.ArgumentParser(
         prog="ffactors",
         description="f-factor existence: solving, certifying, and auditing "
@@ -221,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="find a minimum-deficiency violating pair")
     p.add_argument("instance")
-    p.add_argument("--exact-max-n", type=int,
-                   help=f"largest n labelled mode exact (default {AUDIT_EXACT_MAX_N}, "
-                        "or $FFACTORS_AUDIT_MAX_N; larger graphs are labelled heuristic)")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
 
@@ -234,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", action="store_true")
     p.add_argument("--toughness", action="store_true")
     p.add_argument("--odd-toughness", action="store_true")
-    p.add_argument("--toughness-max-n", type=int,
-                   help="cutset scan cap: at most 2^N subsets "
-                        f"(default {invariants.TOUGHNESS_MAX_N}, or $FFACTORS_TOUGHNESS_MAX_N)")
+    _add_toughness_cap(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_invariants)
 
@@ -249,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star-order", type=int, default=3)
     p.add_argument("--confirm", action="store_true",
                    help="run the solver when all hypotheses hold")
+    _add_toughness_cap(p)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify_theorem, toughness_max_n=None)
+    p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser("gen", help="emit an instance file")
     p.add_argument("family", choices=("g0", "g1", "random"))
@@ -287,15 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        caps = {
-            "exact_max_n": _env_cap("FFACTORS_AUDIT_MAX_N", AUDIT_EXACT_MAX_N),
-            "toughness_max_n": _env_cap("FFACTORS_TOUGHNESS_MAX_N",
-                                        invariants.TOUGHNESS_MAX_N),
-        }
         args = build_parser().parse_args(argv)
-        for key, cap in caps.items():
-            if getattr(args, key, 0) is None:
-                setattr(args, key, cap)
         if getattr(args, "toughness_max_n", 0) < 0:
             raise ValueError("--toughness-max-n must be at least 0, "
                              f"got {args.toughness_max_n}")

@@ -281,7 +281,7 @@ THEOREMS: dict[str, Theorem] = {
         g, f, p.a, p.b, confirm=p.confirm)),
     # r-factor via connectivity and stability
     "regular_connectivity": Theorem(lambda g, f, p: check_theorem_regular_connectivity(
-        g, p.r, confirm=p.confirm), trial="r", skip_invalid=True),
+        g, p.r, confirm=p.confirm), trial="r"),
     # [a,b]-factor via stability and minimum degree
     "ab_factor": Theorem(lambda g, f, p: check_theorem_ab_factor(
         g, p.a, p.b, confirm=p.confirm), trial="ab"),

@@ -124,13 +124,24 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     is in S if all its copies are in A, otherwise in T if all its
     externals are.  No pair has delta below minus the exposed count, and
     the pair is checked to reach it; a mismatch raises ValueError.
+
+    The gadget is built for f'(v) = f(v) when f(v) <= d(v) + 2, otherwise
+    for whichever of d(v) + 1 and d(v) + 2 has the parity of f(v), so its
+    size does not grow with f.  With at least d(v) + 1 copies every
+    external of v is in A, so v lands in T.  Parities, and with them h,
+    are kept, so delta_f = delta_f' - sum(f - f') on the derived pair and
+    delta_f >= delta_f' - sum(f - f') on every pair.
     """
     fvals = f.values
-    gadget = tutte_gadget(g, fvals, fvals)
+    clamped = [fv if fv <= len(nbrs) + 2 else len(nbrs) + 2 - (fv - len(nbrs)) % 2
+               for fv, nbrs in zip(fvals, g.adj)]
+    gadget = tutte_gadget(g, clamped, clamped)
     labels = [""] * gadget.size
     mate = _blossom_matching(gadget.size, gadget.adj, labels)
-    # with an odd f(X) the gadget's last vertex is a bare parity vertex
-    exposed = mate.count(-1) - f.total() % 2
+    # with an odd f(X) the gadget's last vertex is a bare parity vertex;
+    # each unit of f removed by the clamp is one more exposed copy
+    total = f.total()
+    exposed = mate.count(-1) - total % 2 + total - sum(clamped)
     if not exposed:
         return None
     s_mask = t_mask = 0

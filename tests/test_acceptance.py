@@ -304,7 +304,7 @@ def test_criterion_9_round_trip_and_certificate_laws(tmp_path):
         text = serialize_instance(g, f)
         g2, f2 = parse_instance(text)
         assert serialize_instance(g2, f2) == text
-    # every emitted certificate passes recheck; identical seeds give
+    # every emitted certificate passes recheck; repeated runs give
     # byte-identical reports modulo timing
     inst = tmp_path / "g1.inst"
     built = build_g1(1, 3, 2, 5, 2)
@@ -316,7 +316,7 @@ def test_criterion_9_round_trip_and_certificate_laws(tmp_path):
             capture_output=True, text=True,
         )
 
-    for command in (["solve", str(inst)], ["audit", str(inst), "--seed", "3"]):
+    for command in (["solve", str(inst)], ["audit", str(inst)]):
         first = json.loads(run(command).stdout)
         second = json.loads(run(command).stdout)
         assert recheck_report(first) == []

@@ -12,6 +12,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ffactors import cli
-from ffactors.graph import build_graph, complete_graph, constant_spec, cycle, path, star
+from ffactors.graph import (
+    DegreeSpec, build_graph, complete_graph, constant_spec, cycle, path, star,
+)
 from ffactors.instances import serialize_instance
 from ffactors.invariants import stability_number
 
@@ -38,35 +41,27 @@ def assert_one_line_error(code: int, err: str) -> None:
 
 
 class TestToughnessCap:
-    def test_cap_reaches_verify_theorem_main(self, tmp_path, monkeypatch):
+    def test_cap_reaches_verify_theorem_main(self, tmp_path):
         # kappa = 2 and alpha = 6: the window holds more than 2^8 subsets
         g = cycle(12)
         inst = tmp_path / "c12.inst"
         inst.write_text(serialize_instance(g, constant_spec(g, 1)))
         argv = ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]
-        monkeypatch.delenv("FFACTORS_TOUGHNESS_MAX_N", raising=False)
         assert run(argv)[0] == 0
-        monkeypatch.setenv("FFACTORS_TOUGHNESS_MAX_N", "8")
         for command in (argv, ["invariants", str(inst), "--odd-toughness"]):
-            code, err = run(command)
+            code, err = run([*command, "--toughness-max-n", "8"])
             assert_one_line_error(code, err)
             assert "cap 8" in err
 
-
-    def test_negative_cap(self, tmp_path, monkeypatch):
+    def test_negative_cap(self, tmp_path):
         g = cycle(6)
         inst = tmp_path / "c6.inst"
         inst.write_text(serialize_instance(g, constant_spec(g, 1)))
-        argv = ["invariants", str(inst), "--odd-toughness"]
-        monkeypatch.delenv("FFACTORS_TOUGHNESS_MAX_N", raising=False)
-        code, err = run([*argv, "--toughness-max-n", "-1"])
-        assert_one_line_error(code, err)
-        assert "--toughness-max-n" in err
-        monkeypatch.setenv("FFACTORS_TOUGHNESS_MAX_N", "-1")
-        for command in (argv, ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]):
-            code, err = run(command)
+        for command in (["invariants", str(inst), "--odd-toughness"],
+                        ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]):
+            code, err = run([*command, "--toughness-max-n", "-1"])
             assert_one_line_error(code, err)
-            assert "FFACTORS_TOUGHNESS_MAX_N" in err
+            assert "--toughness-max-n" in err
 
     def test_verify_theorem_main_decides_n60(self, tmp_path):
         inst, out = tmp_path / "r60.inst", tmp_path / "report.json"
@@ -89,9 +84,6 @@ def test_fuzz_rejects_empty_ranges(flags):
 
 class TestParserCache:
     def test_built_once(self, tmp_path, monkeypatch):
-        # a cap variable changes between commands: a parser rebuilt per call
-        # or per variable value fails the identity check, one that froze the
-        # variable at its first build fails the report check
         inst, out = tmp_path / "c4.inst", tmp_path / "report.json"
         inst.write_text(serialize_instance(cycle(4), constant_spec(cycle(4), 2)))
         parsers = []
@@ -102,37 +94,35 @@ class TestParserCache:
             return parsers[-1]
 
         monkeypatch.setattr(cli, "build_parser", recording)
-        monkeypatch.delenv("FFACTORS_AUDIT_MAX_N", raising=False)
         assert run(["solve", str(inst), "--out", str(out)])[0] == 0
         assert run(["recheck", str(out)])[0] == 0
-        monkeypatch.setenv("FFACTORS_AUDIT_MAX_N", "5")
         assert run(["audit", str(inst), "--out", str(out)])[0] == 0
-        assert json.loads(out.read_text())["parameters"]["exact_max_n"] == 5
         assert len(parsers) == 3
         assert all(parser is parsers[0] for parser in parsers)
 
-    def test_cap_variable_read_per_call(self, tmp_path, monkeypatch):
-        inst, out = tmp_path / "r10.inst", tmp_path / "report.json"
-        assert run(["gen", "random", "--n", "10", "--seed", "3", "--out", str(inst)])[0] == 0
-        monkeypatch.delenv("FFACTORS_AUDIT_MAX_N", raising=False)
-        labels = []
-        for cap in (None, "5"):
-            if cap is not None:
-                monkeypatch.setenv("FFACTORS_AUDIT_MAX_N", cap)
-            assert run(["audit", str(inst), "--out", str(out)])[0] == 0
-            doc = json.loads(out.read_text())
-            labels.append((doc["parameters"]["exact_max_n"], doc["verdicts"]["mode"]))
-        assert labels == [(15, "exact"), (5, "heuristic")]
+
+def test_environment_is_not_read(tmp_path, monkeypatch):
+    """Variables that once set the caps change nothing."""
+    monkeypatch.setenv("FFACTORS_TOUGHNESS_MAX_N", "8")
+    monkeypatch.setenv("FFACTORS_AUDIT_MAX_N", "5")
+    c12, r10, out = tmp_path / "c12.inst", tmp_path / "r10.inst", tmp_path / "report.json"
+    c12.write_text(serialize_instance(cycle(12), constant_spec(cycle(12), 1)))
+    assert run(["verify-theorem", "main", str(c12), "--a", "1", "--b", "2"]) == (0, "")
+    assert run(["gen", "random", "--n", "10", "--seed", "3", "--out", str(r10)])[0] == 0
+    assert run(["audit", str(r10), "--out", str(out)]) == (0, "")
+    assert json.loads(out.read_text())["verdicts"]["mode"] == "exact"
 
 
-@pytest.mark.parametrize("name", ["FFACTORS_AUDIT_MAX_N", "FFACTORS_TOUGHNESS_MAX_N"])
-def test_non_integer_cap_variable(tmp_path, monkeypatch, name):
-    inst = tmp_path / "c4.inst"
-    inst.write_text(serialize_instance(cycle(4), constant_spec(cycle(4), 2)))
-    monkeypatch.setenv(name, "abc")
-    code, err = run(["solve", str(inst)])
-    assert_one_line_error(code, err)
-    assert name in err
+def test_audit_with_huge_f(tmp_path):
+    """The gadget does not grow with f: f = 2,000,000 on a path end."""
+    g = path(3)
+    inst, out = tmp_path / "p3.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, DegreeSpec((2_000_000, 1, 1))))
+    started = time.perf_counter()
+    assert run(["audit", str(inst), "--out", str(out)])[0] == 0
+    assert time.perf_counter() - started < 1
+    assert json.loads(out.read_text())["certificates"][0]["delta"] == -2_000_000
+    assert run(["recheck", str(out)])[0] == 0
 
 
 @pytest.mark.parametrize("a", ["0", "-1"])
@@ -195,7 +185,9 @@ def test_alpha_search_does_not_recurse():
 @functools.cache
 def _base_reports() -> dict[str, dict]:
     """A solve report with a factor certificate, an audit report with a
-    violating pair, and a confirmed [1,2]-factor report."""
+    violating pair, a confirmed [1,2]-factor report, and a confirmed
+    1-factor report of ``regular_connectivity``, whose recheck reads r from
+    the report's parameters."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         c4 = tmp / "c4.inst"
@@ -205,12 +197,16 @@ def _base_reports() -> dict[str, dict]:
         r8 = tmp / "r8.inst"
         assert run(["gen", "random", "--n", "8", "--p-edge", "0.6", "--a", "1", "--b", "3",
                     "--seed", "2", "--out", str(r8)])[0] == 0
+        k6 = tmp / "k6.inst"
+        k6.write_text(serialize_instance(complete_graph(6), constant_spec(complete_graph(6), 2)))
         assert run(["solve", str(c4), "--out", str(tmp / "solve.json")])[0] == 0
         assert run(["audit", str(claw), "--out", str(tmp / "audit.json")])[0] == 0
         assert run(["verify-theorem", "ab_factor", str(r8), "--a", "1", "--b", "2",
                     "--confirm", "--out", str(tmp / "ab.json")])[0] == 0
+        assert run(["verify-theorem", "regular_connectivity", str(k6), "--r", "1",
+                    "--confirm", "--out", str(tmp / "rc.json")])[0] == 0
         return {name: json.loads((tmp / f"{name}.json").read_text())
-                for name in ("solve", "audit", "ab")}
+                for name in ("solve", "audit", "ab", "rc")}
 
 
 @pytest.fixture
@@ -297,18 +293,12 @@ class TestRecheckABFactor:
         assert self.recheck(tmp_path, reports["ab"]) == 1
 
 
-def test_regular_connectivity_factor_rechecks_against_r(tmp_path):
+def test_regular_connectivity_factor_rechecks_against_r(tmp_path, reports):
     """The checker's factor is an r-factor; the instance's f is 2."""
-    g = complete_graph(6)
-    inst = tmp_path / "k6.inst"
-    inst.write_text(serialize_instance(g, constant_spec(g, 2)))
-    out = tmp_path / "doc.json"
-    assert run(["verify-theorem", "regular_connectivity", str(inst), "--r", "1",
-                "--confirm", "--out", str(out)])[0] == 0
-    doc = json.loads(out.read_text())
+    doc = reports["rc"]
     assert doc["verdicts"]["confirmation"] == "confirmed"
-    assert run(["recheck", str(out)])[0] == 0
-    for r, code in ((3, 1), ("1", 2)):
+    out = tmp_path / "doc.json"
+    for r, code in ((1, 0), (3, 1), ("1", 2)):
         doc["parameters"]["r"] = r
         out.write_text(json.dumps(doc))
         assert run(["recheck", str(out)])[0] == code
@@ -366,7 +356,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_reports(draw):
-    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(["solve", "audit", "ab"]))])
+    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(["solve", "audit", "ab", "rc"]))])
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         value = draw(JSON_VALUES)

@@ -16,6 +16,7 @@ from ffactors.graph import (
 from ffactors.instances import random_connected_graph, random_graph
 from ffactors.invariants import is_t_odd_tough
 from ffactors.reports import build_report, recheck_report, violating_pair_certificate
+from ffactors import tutte
 from ffactors.solver import _blossom_matching, tutte_gadget
 from ffactors.tutte import (
     SubsetPair,
@@ -202,6 +203,36 @@ class TestOracle:
             f = DegreeSpec(tuple(rng.randint(0, g.degree(v) + 1) for v in range(n)))
             self._check(g, f, kinds)
         assert min(kinds.values()) >= 50, kinds
+
+    def test_f_up_to_degree_plus_seven(self):
+        # f(v) > d(v) + 2 is clamped before the gadget is built
+        rng = random.Random(103)
+        kinds: Counter = Counter()
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.7]), rng.randrange(10**6))
+            f = DegreeSpec(tuple(rng.randint(0, g.degree(v) + 7) for v in range(n)))
+            self._check(g, f, kinds)
+            kinds["clamped"] += any(f.values[v] > g.degree(v) + 2 for v in range(n))
+        assert min(kinds.values()) >= 50, kinds
+
+
+def test_gadget_bound_stays_within_degree_plus_two(monkeypatch):
+    """The gadget for f does not grow with f."""
+    bounds = []
+
+    def recording(g, lo, hi):
+        bounds.extend(hi[v] - g.degree(v) for v in range(g.n))
+        return tutte_gadget(g, lo, hi)
+
+    monkeypatch.setattr(tutte, "tutte_gadget", recording)
+    rng = random.Random(107)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        g = random_graph(n, 0.4, rng.randrange(10**6))
+        f = DegreeSpec(tuple(rng.randint(0, g.degree(v) + 50) for v in range(n)))
+        find_violating_pair(g, f)
+    assert max(bounds) <= 2 and len(bounds) > 100
 
 
 class TestEmptyTLemma:
