@@ -187,8 +187,17 @@ def _max_independent(g: Graph, avail: int, target: int | None = None) -> tuple[i
     there is none.
 
     Branch and bound on an explicit stack, pruning when the chosen vertices
-    plus every remaining one cannot beat the best found.  Each step scans the
-    remaining vertices in index order.  The first one of degree <= 1 in the
+    plus every remaining one cannot beat the best found.  Past that test, a
+    node is also pruned by a greedy clique cover of the remaining vertices
+    (Tomita & Kameda, J. Global Optim. 2007): take the lowest vertex, then
+    keep adding the lowest vertex adjacent to all taken, and repeat on the
+    rest.  An independent set meets each clique at most once, so the chosen
+    vertices plus the number of cliques bound the branch; counting stops
+    once that sum beats the best.  Both bounds prune only branches that
+    cannot beat the best strictly, and the best changes only on a strict
+    gain, so the set returned (and the first ``target`` set found) is the
+    one the unpruned search returns.  Each step scans the remaining
+    vertices in index order.  The first one of degree <= 1 in the
     remaining subgraph is taken without branching: some maximum independent
     set contains it, because it can be swapped in for its only neighbour
     (Akiba & Iwata, TCS 2016).  Otherwise the step branches on a
@@ -204,6 +213,18 @@ def _max_independent(g: Graph, avail: int, target: int | None = None) -> tuple[i
         while size + avail.bit_count() > best:
             if not avail:
                 best, best_set = size, chosen
+                break
+            cover, rest = size, avail
+            while rest and cover <= best:
+                low = rest & -rest
+                clique, common = low, masks[low.bit_length() - 1] & rest
+                while common:
+                    u = common & -common
+                    clique |= u
+                    common &= masks[u.bit_length() - 1]
+                rest &= ~clique
+                cover += 1
+            if cover <= best:
                 break
             pick, pick_deg = -1, -1
             a = avail

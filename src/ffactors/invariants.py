@@ -56,9 +56,13 @@ def stability_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     return size, _bits_of(chosen)
 
 
-def vertex_connectivity(g: Graph) -> int:
+def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     """Minimum number of vertices whose removal disconnects the graph or
     reduces it to a single vertex; n-1 for complete graphs.
+
+    With a ``cap`` >= 0, min(kappa, cap): the search starts from
+    min(delta, cap) and no flow pushes past it, so a caller that only needs
+    to know whether kappa reaches ``cap`` pays for nothing above it.
 
     Esfahanian & Hakimi (Networks 1984): let v be the smallest-index vertex
     of minimum degree delta.  kappa is the minimum of delta and of the
@@ -78,18 +82,22 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if not is_connected(g):
         return 0
+    if cap is None:
+        cap = n
     if g.m == n * (n - 1) // 2:
-        return n - 1
+        return min(n - 1, cap)
     v = min(range(n), key=g.degree)
     nbrs = g.adj[v]
+    best = min(len(nbrs), cap)
+    if best <= 1:
+        return best
     pairs = chain(((v, u) for u in range(n) if u != v and not g.has_edge(v, u)),
                   ((x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)))
     network = _split_network(g)
-    best = len(nbrs)
     for s, t in pairs:
+        best = min(best, _vertex_disjoint_paths(network, s, t, best))
         if best == 1:
             break
-        best = min(best, _vertex_disjoint_paths(network, s, t, best))
     return best
 
 
@@ -170,20 +178,61 @@ def _odd_count(comps: list[int], f: DegreeSpec) -> int:
     return h
 
 
+def _union_tables(g: Graph) -> list[list[int]]:
+    """For each byte of vertex indices (8k to 8k+7), the union of the
+    neighbour masks of every subset of that byte, indexed by the subset's
+    bits."""
+    masks = g.adj_masks
+    tables = []
+    for lo in range(0, g.n, 8):
+        width = min(8, g.n - lo)
+        table = [0] * (1 << width)
+        for i in range(1, 1 << width):
+            low = i & -i
+            table[i] = table[i ^ low] | masks[lo + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _connected(unions: list[list[int]], mask: int) -> bool:
+    """True iff the subgraph induced on the non-empty ``mask`` is connected:
+    a BFS from its lowest vertex that reads one ``_union_tables`` entry per
+    non-empty byte of each frontier."""
+    reached = frontier = mask & -mask
+    while frontier:
+        nbrs = 0
+        while frontier:
+            shift = ((frontier & -frontier).bit_length() - 1) & ~7
+            nbrs |= unions[shift >> 3][(frontier >> shift) & 255]
+            frontier &= ~(255 << shift)
+        frontier = nbrs & mask & ~reached
+        reached |= frontier
+        if reached == mask:
+            return True
+    return False
+
+
 def _cutset_scan(g: Graph, weight, max_n: int, top):
     """The one cutset enumerator: yield (S, |S| / w) for each cutset S of G,
     i.e. each S whose removal leaves at least two components, with
     w = weight(components of G-S) > 0, by size upward from kappa.
 
     Every cutset has |S| >= kappa and w <= c(G-S) <= alpha, so a ratio r
-    needs |S| <= r * alpha.  ``top(alpha)``, read again before each size, is
-    the largest size the caller still needs.  The cap bounds work, not n: the
-    scan is refused past 2^max_n subsets, the cost of a full scan at n = max_n.
+    needs |S| <= r * alpha.  ``top(alpha)``, read again before each size and
+    never growing, is the largest size the caller still needs.  alpha comes
+    first, so kappa is computed capped at the first window top plus one: no
+    flow runs past the window, and a kappa above it scans nothing.  The cap
+    bounds work, not n: the scan is refused past 2^max_n subsets, the cost
+    of a full scan at n = max_n.  Each subset is screened by ``_connected``
+    before its components are counted, so ``components_masks`` runs on
+    cutsets only.
     """
     if not is_connected(g) or g.n == 0:
         raise ValueError("toughness is defined for connected graphs only")
-    kappa, (alpha, _) = vertex_connectivity(g), stability_number(g)
+    alpha, _ = stability_number(g)
+    kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)
     bits, full, budget = [1 << v for v in range(g.n)], g.full_mask, 1 << max_n
+    unions = None
     for size in range(kappa, g.n - 1):
         last = min(top(alpha), g.n - 2)
         if size > last:
@@ -195,13 +244,17 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
                 f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
                 f"(cap {max_n}); raise max_n to override"
             )
+        if unions is None:
+            unions = _union_tables(g)
         for combo in combinations(bits, size):
             s_mask = sum(combo)
-            comps = components_masks(g, full & ~s_mask)
-            if len(comps) >= 2:
-                w = weight(comps)
-                if w:
-                    yield s_mask, Fraction(size, w)
+            rest = full & ~s_mask
+            if _connected(unions, rest):
+                continue
+            comps = components_masks(g, rest)
+            w = weight(comps)
+            if w:
+                yield s_mask, Fraction(size, w)
 
 
 def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
@@ -253,7 +306,8 @@ def is_t_odd_tough(
 
     A violation needs kappa <= |S| < t * alpha, so the scan covers only that
     window and stops at the first violating cutset; when t * alpha <= kappa
-    (t = 0, for one) no cutset is scanned at all.
+    (t = 0, for one) no cutset is scanned at all.  kappa is computed capped
+    at ceil(t * alpha), so no flow runs past the window.
     """
     t = Fraction(t)
     if t < 0:

@@ -1,7 +1,8 @@
 """Shared corpora and independent brute-force oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: maximum
-independent sets by full subset enumeration, vertex separators by subset
+independent sets by full subset enumeration (and, for larger graphs and
+exact witnesses, by the branch and bound without its cover bound), vertex separators by subset
 search, (odd-)toughness by a full scan of all subsets, matchings by
 vertex-subset recursion, degree-bounded factors by edge-subset recursion
 and minimum-deficiency pairs by all 3^n disjoint pairs.  They are the
@@ -59,6 +60,43 @@ def brute_stability(g: Graph) -> int:
         if ok:
             best = max(best, subset.bit_count())
     return best
+
+
+def plain_max_independent(g: Graph, avail: int, target: int | None = None) -> tuple[int, int]:
+    """``graph._max_independent`` without its clique-cover bound: the same
+    branch and bound, pruned only when the chosen vertices plus every
+    remaining one cannot beat the best found.  It must return the identical
+    ``(size, mask)``, witness included."""
+    masks = g.adj_masks
+    best, best_set = (0 if target is None else target - 1), 0
+    stack = [(avail, 0, 0)]
+    while stack:
+        avail, chosen, size = stack.pop()
+        while size + avail.bit_count() > best:
+            if not avail:
+                best, best_set = size, chosen
+                break
+            pick, pick_deg = -1, -1
+            a = avail
+            while a:
+                low = a & -a
+                v = low.bit_length() - 1
+                d = (masks[v] & avail).bit_count()
+                if d <= 1:
+                    pick, pick_deg = v, d
+                    break
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+                a ^= low
+            bit = 1 << pick
+            if pick_deg > 1:
+                stack.append((avail ^ bit, chosen, size))
+            avail &= ~bit & ~masks[pick]
+            chosen |= bit
+            size += 1
+            if size == target:
+                return size, chosen
+    return best, best_set
 
 
 def brute_vertex_connectivity(g: Graph) -> int:

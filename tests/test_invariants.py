@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import pytest
 
@@ -9,13 +11,16 @@ from conftest import (
     brute_min_ratio,
     brute_stability,
     brute_vertex_connectivity,
+    plain_max_independent,
     seeded_corpus,
 )
 from ffactors import invariants
 from ffactors.graph import (
     DegreeSpec,
+    _max_independent,
     build_graph,
     complete_graph,
+    components_masks,
     constant_spec,
     cycle,
     disjoint_union,
@@ -23,8 +28,10 @@ from ffactors.graph import (
     petersen_graph,
     star,
 )
-from ffactors.instances import random_connected_graph
+from ffactors.instances import random_connected_graph, random_degree_spec
 from ffactors.invariants import (
+    _connected,
+    _union_tables,
     is_t_odd_tough,
     odd_component_count,
     odd_toughness,
@@ -76,6 +83,50 @@ class TestStabilityNumber:
             assert not any(g.has_edge(u, v) for u, v in combinations(witness, 2))
 
 
+def _alpha_corpus():
+    """Connected atlas graphs with n <= 7 and seeded graphs with n <= 45 and
+    p from .05 to .7, disconnected ones included."""
+    rng = random.Random(41)
+    graphs = atlas_graphs(7, connected_only=True)
+    for p in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7):
+        for _ in range(12):
+            n = rng.randint(8, 45)
+            graphs.append(build_graph(n, [e for e in combinations(range(n), 2)
+                                          if rng.random() < p]))
+    return graphs
+
+
+class TestCliqueCoverBound:
+    """The cover bound against the branch and bound without it: identical
+    size and witness mask."""
+
+    def test_matches_plain_search(self):
+        for g in _alpha_corpus():
+            assert _max_independent(g, g.full_mask) == plain_max_independent(g, g.full_mask)
+
+    def test_matches_plain_search_in_target_mode(self):
+        for g in _alpha_corpus()[::3]:
+            for v in range(g.n):
+                for target in (2, 3, 4):
+                    avail = g.adj_masks[v]
+                    assert (_max_independent(g, avail, target)
+                            == plain_max_independent(g, avail, target))
+
+    @pytest.mark.parametrize("build, alpha, mask", [
+        (lambda: disjoint_union([complete_graph(3)] * 40), 40, None),
+        (lambda: g0_desk_instance().graph, 4, 2199291723777),
+        (lambda: random_connected_graph(100, 0.1, 1), None, None),
+    ], ids=["40-triangles", "g0-desk", "G(100,.1)"])
+    def test_scale(self, build, alpha, mask):
+        g = build()
+        started = time.perf_counter()
+        size, chosen = _max_independent(g, g.full_mask)
+        assert time.perf_counter() - started < 1
+        assert size == chosen.bit_count()
+        assert alpha is None or size == alpha
+        assert mask is None or chosen == mask
+
+
 class TestVertexConnectivity:
     def test_complete_convention(self):
         assert vertex_connectivity(complete_graph(5)) == 4
@@ -120,6 +171,48 @@ class TestVertexConnectivity:
         d = min_degree(g)
         assert vertex_connectivity(g) >= 1
         assert 0 < len(calls) <= (g.n - 1 - d) + d * (d - 1) // 2
+
+
+    def test_cap_on_atlas(self, small_atlas):
+        for g in small_atlas:
+            kappa = brute_vertex_connectivity(g)
+            for cap in range(g.n + 1):
+                assert vertex_connectivity(g, cap) == min(kappa, cap)
+
+    def test_scan_caps_flows_at_the_window(self, monkeypatch):
+        # t * alpha <= kappa: the window is empty, and no flow may be asked
+        # for more than ceil(t * alpha) paths
+        caps = []
+        flow = invariants._vertex_disjoint_paths
+
+        def recorded(network, s, t, cap):
+            caps.append(cap)
+            return flow(network, s, t, cap)
+
+        monkeypatch.setattr(invariants, "_vertex_disjoint_paths", recorded)
+        g = random_connected_graph(16, 0.7, 3)
+        f, t = random_degree_spec(g, 1, 3, 2), Fraction(1, 2)
+        alpha, kappa = stability_number(g)[0], brute_vertex_connectivity(g)
+        assert 2 <= ceil(t * alpha) <= kappa
+        assert is_t_odd_tough(g, f, t)
+        assert caps and max(caps) <= ceil(t * alpha)
+
+
+class TestConnectivityScreen:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 53])
+    def test_matches_components(self, n):
+        rng = random.Random(n)
+        g = build_graph(n, [e for e in combinations(range(n), 2)
+                            if rng.random() < min(1.0, 3 / n)])
+        unions = _union_tables(g)
+        seen = set()
+        for _ in range(2000):
+            density = rng.random()
+            mask = sum(1 << v for v in range(n) if rng.random() < density) or 1 << rng.randrange(n)
+            connected = len(components_masks(g, mask)) == 1
+            assert _connected(unions, mask) == connected
+            seen.add(connected)
+        assert seen == ({True} if n == 1 else {True, False})
 
 
 class TestOddComponentCount:

@@ -1,0 +1,28 @@
+"""`src/` stays stdlib-only: every module the package imports is either in
+the standard library or ``ffactors`` itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ffactors"
+
+
+def imported_packages(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_src_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    outside = {
+        (path.name, name)
+        for path in files
+        for name in imported_packages(ast.parse(path.read_text(), filename=str(path)))
+        if name not in sys.stdlib_module_names and name != "ffactors"
+    }
+    assert not outside

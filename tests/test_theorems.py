@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from ffactors.graph import (
     path,
     star,
 )
-from ffactors.instances import random_degree_spec
+from ffactors.instances import random_connected_graph, random_degree_spec
 from ffactors.theorems import (
     check_corollary_kappa,
     check_main_theorem,
@@ -78,6 +79,17 @@ class TestMainTheorem:
         assert hypothesis_named(report, "stability").satisfied
         assert not hypothesis_named(report, "odd_toughness").satisfied
         assert len(calls) == 1
+
+    def test_dense_n100_within_budget(self):
+        """kappa = 39 is far above the window (alpha = 9, t = 1), so its
+        flows stop at the window and no cutset is scanned."""
+        g = random_connected_graph(100, 0.5, 1)
+        f = random_degree_spec(g, 1, 3, 2)
+        started = time.perf_counter()
+        report = check_main_theorem(g, f, 1, 3)
+        assert time.perf_counter() - started < 1.5
+        assert hypothesis_named(report, "stability").observed == "alpha=9 <= 9"
+        assert report.hypotheses_met
 
     def test_min_degree_hypothesis_fails(self):
         g = complete_graph(2)
