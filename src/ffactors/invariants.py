@@ -101,19 +101,24 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     return best
 
 
-_SplitNetwork = tuple[list[int], list[list[int]], list[int]]
+_SplitNetwork = tuple[list[int], list[list[int]], list[int], dict[tuple[int, int], int],
+                      tuple[int, ...]]
 
 
 def _split_network(g: Graph) -> _SplitNetwork:
-    """The split digraph as flat arrays ``(head, out, base)``: node 2w is
-    w_in and 2w+1 is w_out, arc i runs to ``head[i]`` with base capacity
-    ``base[i]``, its reverse is arc i ^ 1, and ``out[x]`` lists the arcs
-    leaving node x.  Every arc w_in -> w_out and u_out -> w_in has capacity
-    1; the vertex arcs already bound the edge arcs."""
+    """The split digraph as flat arrays ``(head, out, base, arc, masks)``:
+    node 2w is w_in and 2w+1 is w_out, arc i runs to ``head[i]`` with base
+    capacity ``base[i]``, its reverse is arc i ^ 1, ``out[x]`` lists the
+    arcs leaving node x and ``arc[x, y]`` is the id of the arc x -> y.
+    Every arc w_in -> w_out and u_out -> w_in has capacity 1; the vertex
+    arcs already bound the edge arcs.  ``masks`` is ``g.adj_masks``, for
+    the bitmask path search that runs before the residual one."""
     head: list[int] = []
     out: list[list[int]] = [[] for _ in range(2 * g.n)]
+    arc: dict[tuple[int, int], int] = {}
 
     def add(x: int, y: int) -> None:
+        arc[x, y] = len(head)
         out[x].append(len(head))
         head.append(y)
         out[y].append(len(head))
@@ -123,17 +128,67 @@ def _split_network(g: Graph) -> _SplitNetwork:
         add(2 * w, 2 * w + 1)
         for u in g.adj[w]:
             add(2 * w + 1, 2 * u)
-    return head, out, [1, 0] * (len(head) // 2)
+    return head, out, [1, 0] * (len(head) // 2), arc, g.adj_masks
 
 
 def _vertex_disjoint_paths(network: _SplitNetwork, s: int, t: int, cap: int) -> int:
     """Max number of internally vertex-disjoint paths between non-adjacent
-    s and t, stopping early at ``cap``: BFS augmentation from s_out to t_in
-    on a fresh copy of the split network's capacities."""
-    head, out, base = network
+    s and t, stopping early at ``cap``.
+
+    Greedy phase: while fewer than ``cap`` paths are found, take a shortest
+    s-t path through vertices no earlier path uses, by a layered BFS over
+    the neighbour masks (one running mask of free vertices not yet reached;
+    each layer is the OR of its frontier's masks), backtracking from the
+    first layer that meets N(t) by the lowest-index vertex in each layer.
+    A common neighbour of s and t is a one-vertex path.  Reaching ``cap``
+    this way needs no residual network.
+
+    Residual phase: otherwise the greedy paths, which are disjoint, are a
+    feasible flow, pushed into a copy of the split network's capacities;
+    BFS augmentation from s_out to t_in continues from it.  Augmenting from
+    any feasible flow reaches the maximum (Ford-Fulkerson), so the count is
+    exact even where a greedy path blocks others: the augmentation
+    reroutes it.
+    """
+    head, out, base, arc, masks = network
+    free = ((1 << len(masks)) - 1) & ~(1 << s) & ~(1 << t)
+    goal = masks[t]
+    paths = []
+    while len(paths) < cap:
+        layers = [masks[s] & free]
+        avail = free ^ layers[0]
+        while layers[-1] and not layers[-1] & goal:
+            frontier, reach = layers[-1], 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            layers.append(reach & avail)
+            avail ^= layers[-1]
+        if not layers[-1]:
+            break
+        path, want = [], goal  # from t back to s
+        for layer in reversed(layers):
+            bit = layer & want
+            bit &= -bit
+            path.append(bit.bit_length() - 1)
+            free ^= bit
+            want = masks[path[-1]]
+        paths.append(path)
+    flow = len(paths)
+    if flow == cap:
+        return flow
     residual = base[:]
+    for path in paths:
+        nodes = [2 * s + 1]
+        for w in reversed(path):
+            nodes += (2 * w, 2 * w + 1)
+        nodes.append(2 * t)
+        for x, y in zip(nodes, nodes[1:]):
+            a = arc[x, y]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
     while flow < cap:
         via = [-1] * len(out)  # arc by which BFS reached each node
         via[source] = len(head)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import ceil
 from types import SimpleNamespace
 from typing import Callable
 
@@ -134,15 +135,22 @@ def check_main_theorem(
 def check_corollary_kappa(
     g: Graph, f: DegreeSpec, a: int, b: int, confirm: bool = False
 ) -> HypothesisReport:
-    """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa)."""
+    """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa).
+
+    kappa is computed capped at c = ceil(bound / a), which is >= 0 since
+    delta >= b: if kappa >= c then a*c >= bound, so min(bound, a*min(kappa,
+    c)) = bound = min(bound, a*kappa) and the row reads the same, while no
+    flow pushes past c paths.
+    """
     report = HypothesisReport("kappa_corollary", "f-factor exists")
     delta = _check_graph_and_f(report, g, f, a, b)
     if delta is None:
         _not_evaluated(report, "stability")
     else:
         alpha, _ = stability_number(g)
-        kappa = vertex_connectivity(g)
-        bound = min(stability_bound(a, b, delta), Fraction(a * kappa))
+        stab = stability_bound(a, b, delta)
+        kappa = vertex_connectivity(g, ceil(stab / a))
+        bound = min(stab, Fraction(a * kappa))
         report.add(
             "stability",
             f"alpha={alpha} <= min(bound, a*kappa)={bound}",

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration (and, for larger graphs and
 exact witnesses, by the branch and bound without its cover bound), vertex separators by subset
-search, (odd-)toughness by a full scan of all subsets, matchings by
+search (of the whole graph, and between one pair of vertices),
+(odd-)toughness by a full scan of all subsets, matchings by
 vertex-subset recursion, degree-bounded factors by edge-subset recursion
 and minimum-deficiency pairs by all 3^n disjoint pairs.  They are the
 ground truth the fast paths are checked against.
@@ -114,6 +115,22 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if rest and len(components_masks(g, rest)) >= 2:
                 return size
     return g.n - 1
+
+
+def brute_local_connectivity(g: Graph, s: int, t: int) -> int:
+    """Fewest vertices other than the non-adjacent s and t whose removal
+    leaves s and t in different components, by subset search; by Menger's
+    theorem, the maximum number of internally vertex-disjoint s-t paths."""
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            comps = components_masks(g, g.full_mask & ~mask)
+            if not any(c >> s & 1 and c >> t & 1 for c in comps):
+                return size
+    raise ValueError("s and t are adjacent")
 
 
 def brute_min_ratio(g: Graph, f: DegreeSpec | None = None):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     atlas_graphs,
+    brute_local_connectivity,
     brute_min_ratio,
     brute_stability,
     brute_vertex_connectivity,
@@ -31,7 +32,9 @@ from ffactors.graph import (
 from ffactors.instances import random_connected_graph, random_degree_spec
 from ffactors.invariants import (
     _connected,
+    _split_network,
     _union_tables,
+    _vertex_disjoint_paths,
     is_t_odd_tough,
     odd_component_count,
     odd_toughness,
@@ -178,6 +181,34 @@ class TestVertexConnectivity:
             kappa = brute_vertex_connectivity(g)
             for cap in range(g.n + 1):
                 assert vertex_connectivity(g, cap) == min(kappa, cap)
+
+    def test_flows_match_local_oracle(self, small_atlas):
+        # kappa is a minimum over pairs, so an overcount on any other pair
+        # would not show in it: check every non-adjacent pair at every cap
+        for g in small_atlas + seeded_corpus(30, 3, 9, seed=31):
+            network = _split_network(g)
+            for s, t in combinations(range(g.n), 2):
+                if g.has_edge(s, t):
+                    continue
+                local = brute_local_connectivity(g, s, t)
+                for cap in range(g.n + 1):
+                    assert _vertex_disjoint_paths(network, s, t, cap) == min(local, cap)
+
+    def test_flow_reroutes_a_stranding_greedy_path(self):
+        # the shortest path 0-1-3-5 leaves 2 without a way to 5; the two
+        # disjoint paths are 0-1-4-5 and 0-2-3-5
+        g = build_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+        assert _vertex_disjoint_paths(_split_network(g), 0, 5, 2) == 2
+
+    @pytest.mark.parametrize("build, kappa, seconds", [
+        (lambda: random_connected_graph(200, 0.3, 1), 44, 2),
+        (lambda: cycle(400), 2, 1),
+    ], ids=["G(200,.3)", "cycle(400)"])
+    def test_scale(self, build, kappa, seconds):
+        g = build()
+        started = time.perf_counter()
+        assert vertex_connectivity(g) == kappa
+        assert time.perf_counter() - started < seconds
 
     def test_scan_caps_flows_at_the_window(self, monkeypatch):
         # t * alpha <= kappa: the window is empty, and no flow may be asked

@@ -1,17 +1,22 @@
 import random
 import time
 from fractions import Fraction
+from math import ceil
 
 import pytest
-from conftest import seeded_corpus
+from conftest import brute_vertex_connectivity, seeded_corpus
 
+from ffactors import invariants
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
+    build_graph,
     complete_graph,
     constant_spec,
     cycle,
+    disjoint_union,
     empty_graph,
     join,
+    min_degree,
     path,
     star,
 )
@@ -131,6 +136,49 @@ class TestCorollaryKappa:
                 report = check_main_theorem(g, f, a, b)
                 assert hypothesis_named(report, "odd_toughness").satisfied
         assert met >= 10
+
+    def test_kappa_capped_where_a_kappa_cannot_bind(self, monkeypatch):
+        # kappa = 13 is above c = ceil(bound / a) = 3, so no flow may be
+        # asked for more than c paths
+        g = random_connected_graph(40, 0.5, 3)
+        f = random_degree_spec(g, 1, 3, 2)
+        c = ceil(stability_bound(1, 3, min_degree(g)))
+        assert c == 3 and invariants.vertex_connectivity(g) == 13
+        caps = []
+        flow = invariants._vertex_disjoint_paths
+
+        def recorded(network, s, t, cap):
+            caps.append(cap)
+            return flow(network, s, t, cap)
+
+        monkeypatch.setattr(invariants, "_vertex_disjoint_paths", recorded)
+        check_corollary_kappa(g, f, 1, 3)
+        assert caps and max(caps) <= c
+
+    def test_capped_row_matches_separator_search(self):
+        # the stability row reads the same as one built from the uncapped
+        # kappa of the subset-search oracle, on both sides of the cap; two
+        # cliques joined by a few edges have kappa far below delta
+        bridged = [disjoint_union([complete_graph(k)] * 2) for k in (7, 8, 9)]
+        bridged = [build_graph(g.n, [*g.edges(), *((i, g.n // 2 + i) for i in range(bridges))])
+                   for g in bridged for bridges in (1, 2)]
+        rng = random.Random(47)
+        above = below = 0
+        for g in seeded_corpus(40, 4, 11, seed=45) + bridged:
+            a, b = rng.choice(((1, 2), (1, 3), (2, 2), (2, 3)))
+            delta = min_degree(g)
+            if delta < b:
+                continue
+            f = random_degree_spec(g, a, b, rng.randrange(2**31))
+            kappa, stab = brute_vertex_connectivity(g), stability_bound(a, b, delta)
+            alpha = invariants.stability_number(g)[0]
+            bound = min(stab, Fraction(a * kappa))
+            row = hypothesis_named(check_corollary_kappa(g, f, a, b), "stability")
+            assert row.observed == f"alpha={alpha} <= min(bound, a*kappa)={bound}"
+            assert row.satisfied == (alpha <= bound)
+            above += kappa > ceil(stab / a)
+            below += kappa < ceil(stab / a)
+        assert above and below
 
 
 class TestMinDegreeTheorem:
