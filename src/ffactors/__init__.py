@@ -14,12 +14,10 @@ from .graph import (
     build_graph,
     complete_bipartite,
     complete_graph,
-    components,
     constant_spec,
     cycle,
     disjoint_union,
     empty_graph,
-    f_sum,
     is_connected,
     is_star_free,
     join,

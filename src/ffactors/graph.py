@@ -119,11 +119,6 @@ def constant_spec(graph: Graph, value: int) -> DegreeSpec:
     return DegreeSpec((value,) * graph.n)
 
 
-def f_sum(f: DegreeSpec, vertices: Iterable[int]) -> int:
-    """Sum of target degrees over a vertex set."""
-    return sum(f.values[v] for v in vertices)
-
-
 def components_masks(g: Graph, mask: int) -> list[int]:
     """Connected components of the subgraph induced on ``mask``, as bitmasks.
 
@@ -148,14 +143,6 @@ def components_masks(g: Graph, mask: int) -> list[int]:
         out.append(comp)
         remaining &= ~comp
     return out
-
-
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Partition of the vertices into maximal connected pieces.
-
-    Deterministic order: by smallest contained index.
-    """
-    return [_bits_of(c) for c in components_masks(g, g.full_mask)]
 
 
 def is_connected(g: Graph) -> bool:

@@ -93,64 +93,38 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
         return best
     pairs = chain(((v, u) for u in range(n) if u != v and not g.has_edge(v, u)),
                   ((x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)))
-    network = _split_network(g)
     for s, t in pairs:
-        best = min(best, _vertex_disjoint_paths(network, s, t, best))
+        best = min(best, _vertex_disjoint_paths(g.adj_masks, s, t, best))
         if best == 1:
             break
     return best
 
 
-_SplitNetwork = tuple[list[int], list[list[int]], list[int], dict[tuple[int, int], int],
-                      tuple[int, ...]]
-
-
-def _split_network(g: Graph) -> _SplitNetwork:
-    """The split digraph as flat arrays ``(head, out, base, arc, masks)``:
-    node 2w is w_in and 2w+1 is w_out, arc i runs to ``head[i]`` with base
-    capacity ``base[i]``, its reverse is arc i ^ 1, ``out[x]`` lists the
-    arcs leaving node x and ``arc[x, y]`` is the id of the arc x -> y.
-    Every arc w_in -> w_out and u_out -> w_in has capacity 1; the vertex
-    arcs already bound the edge arcs.  ``masks`` is ``g.adj_masks``, for
-    the bitmask path search that runs before the residual one."""
-    head: list[int] = []
-    out: list[list[int]] = [[] for _ in range(2 * g.n)]
-    arc: dict[tuple[int, int], int] = {}
-
-    def add(x: int, y: int) -> None:
-        arc[x, y] = len(head)
-        out[x].append(len(head))
-        head.append(y)
-        out[y].append(len(head))
-        head.append(x)
-
-    for w in range(g.n):
-        add(2 * w, 2 * w + 1)
-        for u in g.adj[w]:
-            add(2 * w + 1, 2 * u)
-    return head, out, [1, 0] * (len(head) // 2), arc, g.adj_masks
-
-
-def _vertex_disjoint_paths(network: _SplitNetwork, s: int, t: int, cap: int) -> int:
+def _vertex_disjoint_paths(masks: tuple[int, ...], s: int, t: int, cap: int) -> int:
     """Max number of internally vertex-disjoint paths between non-adjacent
-    s and t, stopping early at ``cap``.
+    s and t of the graph with neighbour masks ``masks``, stopping early at
+    ``cap``.
 
     Greedy phase: while fewer than ``cap`` paths are found, take a shortest
     s-t path through vertices no earlier path uses, by a layered BFS over
     the neighbour masks (one running mask of free vertices not yet reached;
     each layer is the OR of its frontier's masks), backtracking from the
     first layer that meets N(t) by the lowest-index vertex in each layer.
-    A common neighbour of s and t is a one-vertex path.  Reaching ``cap``
-    this way needs no residual network.
+    A common neighbour of s and t is a one-vertex path.
 
     Residual phase: otherwise the greedy paths, which are disjoint, are a
-    feasible flow, pushed into a copy of the split network's capacities;
-    BFS augmentation from s_out to t_in continues from it.  Augmenting from
-    any feasible flow reaches the maximum (Ford-Fulkerson), so the count is
-    exact even where a greedy path blocks others: the augmentation
-    reroutes it.
+    feasible unit flow in the vertex-split digraph, kept as each used
+    vertex's predecessor.  Each augmentation is a BFS over the split nodes,
+    2w for "w entered" and 2w+1 for "w left", with arcs read off the masks
+    and that flow: a free w goes from entered to left, a used w from
+    entered only back to its predecessor left, and w left goes to the
+    entered node of every neighbour but s, and back to w entered if w is
+    used.  An arc w left -> v entered that the flow fills needs no mark:
+    the BFS reaches w left (s aside) only from v entered, and v entered
+    leads only back to w left.  Augmenting from any feasible flow reaches
+    the maximum (Ford-Fulkerson), so the count is exact even where a
+    greedy path blocks others: the augmentation reroutes it.
     """
-    head, out, base, arc, masks = network
     free = ((1 << len(masks)) - 1) & ~(1 << s) & ~(1 << t)
     goal = masks[t]
     paths = []
@@ -178,36 +152,44 @@ def _vertex_disjoint_paths(network: _SplitNetwork, s: int, t: int, cap: int) -> 
     flow = len(paths)
     if flow == cap:
         return flow
-    residual = base[:]
+    pred = [-1] * len(masks)  # each used vertex's predecessor in the flow
     for path in paths:
-        nodes = [2 * s + 1]
-        for w in reversed(path):
-            nodes += (2 * w, 2 * w + 1)
-        nodes.append(2 * t)
-        for x, y in zip(nodes, nodes[1:]):
-            a = arc[x, y]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
+        for v, w in zip(path, path[1:] + [s]):
+            pred[v] = w
     source, sink = 2 * s + 1, 2 * t
     while flow < cap:
-        via = [-1] * len(out)  # arc by which BFS reached each node
-        via[source] = len(head)
-        queue = [source]
+        via = [-1] * (2 * len(masks))  # the node each split node was reached from
+        via[source], queue = source, [source]
+        entered = 1 << s  # the vertices whose entered node is reached
         for x in queue:
-            for a in out[x]:
-                if residual[a] and via[head[a]] < 0:
-                    via[head[a]] = a
-                    queue.append(head[a])
-            if via[sink] >= 0:
-                break
+            w = x >> 1
+            if x & 1:  # w left
+                step = (masks[w] | (1 << w if pred[w] >= 0 else 0)) & ~entered
+                entered |= step
+                while step:
+                    low = step & -step
+                    y = 2 * low.bit_length() - 2
+                    via[y] = x
+                    queue.append(y)
+                    step ^= low
+                if via[sink] >= 0:
+                    break
+            else:  # w entered
+                y = x + 1 if pred[w] < 0 else 2 * pred[w] + 1
+                if via[y] < 0:
+                    via[y] = x
+                    queue.append(y)
         else:
             break
-        x = sink
-        while x != source:
-            a = via[x]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
-            x = head[a ^ 1]
+        y = sink
+        while y != source:  # an edge arc joins the flow forward, leaves it backward
+            x = via[y]
+            if x >> 1 != y >> 1:
+                if x & 1:
+                    pred[y >> 1] = x >> 1
+                else:
+                    pred[x >> 1] = -1
+            y = x
         flow += 1
     return flow
 

@@ -73,6 +73,14 @@ def strip_timing(doc: dict) -> dict:
 
 _PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
 
+# per command, the verdict that its certificates stand for: the report must
+# claim (key, value) iff it carries a certificate of one of these types
+_CLAIMS = {
+    "solve": ("factor_exists", True, ("factor",)),
+    "audit": ("violating_pair_found", True, ("violating_pair",)),
+    "verify-theorem": ("confirmation", "confirmed", ("factor", "ab_factor")),
+}
+
 
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, int) for v in value)
@@ -87,11 +95,14 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
 
 
 def recheck_report(doc: dict) -> list[str]:
-    """Re-verify every certificate embedded in a report.
+    """Re-verify every certificate embedded in a report, and that the
+    report's verdict claims a factor or a violating pair exactly when it
+    carries a certificate for one.
 
     Returns a list of failure descriptions; empty means everything checks.
-    A malformed report (not an object, or a certificate with a missing or
-    mistyped field) raises ValueError instead.
+    A malformed report (not an object, a certificate with a missing or
+    mistyped field, or verdicts that are not an object) raises ValueError
+    instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -154,4 +165,14 @@ def recheck_report(doc: dict) -> list[str]:
                 )
         else:
             failures.append(f"certificate {i}: unknown type {kind!r}")
+    command = doc.get("command")
+    if isinstance(command, str) and command in _CLAIMS:
+        key, value, kinds = _CLAIMS[command]
+        verdicts = doc.get("verdicts")
+        if not isinstance(verdicts, dict):
+            raise ValueError("the report's 'verdicts' must be an object")
+        got = verdicts.get(key)
+        claimed = type(got) is type(value) and got == value
+        if claimed != any(cert.get("type") in kinds for cert in certificates):
+            failures.append(f"verdict {key}={got!r} does not match the certificates")
     return failures

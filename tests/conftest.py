@@ -35,6 +35,11 @@ from ffactors.tutte import DeficiencyReport, SubsetPair, _evaluate
 ORACLE_MAX_M = 24
 
 
+def f_sum(f: DegreeSpec, vertices) -> int:
+    """Sum of target degrees over a vertex set."""
+    return sum(f.values[v] for v in vertices)
+
+
 def pytest_configure(config):
     """Let the tests' ``python -m ffactors.cli`` subprocesses import this
     checkout's package, as pyproject's pytest ``pythonpath`` does for the

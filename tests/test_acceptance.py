@@ -25,11 +25,12 @@ from conftest import (
     brute_min_deficiency,
     brute_stability,
     brute_vertex_connectivity,
+    f_sum,
     maximum_matching,
     seeded_corpus,
 )
 from ffactors.constructions import build_g1, g0_desk_instance
-from ffactors.graph import DegreeSpec, components_masks, f_sum, _bits_of
+from ffactors.graph import DegreeSpec, components_masks, _bits_of
 from ffactors.instances import (
     random_connected_graph,
     random_degree_spec,

@@ -293,6 +293,42 @@ class TestRecheckABFactor:
         assert self.recheck(tmp_path, reports["ab"]) == 1
 
 
+class TestRecheckVerdicts:
+    """A report's verdict claims a factor or a violating pair exactly when
+    it carries a certificate for one."""
+
+    # each base report's claimed verdict, and a value that does not claim it
+    CLAIMS = {"solve": ("factor_exists", False), "audit": ("violating_pair_found", False),
+              "ab": ("confirmation", "refuted"), "rc": ("confirmation", None)}
+
+    def recheck(self, tmp_path, doc) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_claim_without_certificate_fails(self, tmp_path, reports, name):
+        assert self.recheck(tmp_path, reports[name])[0] == 0
+        reports[name]["certificates"] = []
+        code, err = self.recheck(tmp_path, reports[name])
+        assert code == 1 and self.CLAIMS[name][0] in err
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_certificate_without_claim_fails(self, tmp_path, reports, name):
+        key, other = self.CLAIMS[name]
+        reports[name]["verdicts"][key] = other
+        code, err = self.recheck(tmp_path, reports[name])
+        assert code == 1 and key in err
+
+    @pytest.mark.parametrize("verdicts", [[], "confirmed", None, 1])
+    @pytest.mark.parametrize("name", ["solve", "audit", "ab"])
+    def test_mistyped_verdicts(self, tmp_path, reports, name, verdicts):
+        reports[name]["verdicts"] = verdicts
+        code, err = self.recheck(tmp_path, reports[name])
+        assert_one_line_error(code, err)
+        assert "'verdicts'" in err
+
+
 def test_regular_connectivity_factor_rechecks_against_r(tmp_path, reports):
     """The checker's factor is an r-factor; the instance's f is 2."""
     doc = reports["rc"]

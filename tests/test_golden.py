@@ -112,14 +112,15 @@ def test_golden_report(case, instance_paths, tmp_path):
 
 
 def test_golden_certificates_recheck():
-    """Every stored report that carries a certificate passes ``recheck``."""
+    """Every stored report passes ``recheck``, its verdict matched to its
+    certificates; only the one case that exits 2 has no report."""
     checked = []
     for case in sorted(CASES):
         report = json.loads((GOLDEN_DIR / f"{case}.json").read_text())["report"]
-        if report and report["certificates"]:
+        if report is not None:
             assert recheck_report(report) == [], case
             checked.append(case)
-    assert {f"verify-ab_factor-{name}" for name in ("desk", "r12", "g1", "d14")} <= set(checked)
+    assert set(CASES) - set(checked) == {"verify-claw_free-r12"}
 
 
 def regenerate() -> None:

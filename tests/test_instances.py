@@ -134,7 +134,7 @@ class TestReports:
         g = cycle(4)
         f = constant_spec(g, 2)
         factor = find_f_factor(g, f)
-        doc = build_report("solve", {}, None, (g, f), {},
+        doc = build_report("solve", {}, None, (g, f), {"factor_exists": True},
                            [factor_certificate(factor)])
         doc["certificates"][0]["edges"] = doc["certificates"][0]["edges"][:-1]
         assert recheck_report(doc)
@@ -144,7 +144,7 @@ class TestReports:
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, SubsetPair.of(g, [], [3]), f)
         assert rep.delta < 0
-        doc = build_report("audit", {}, 0, (g, f), {},
+        doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
                            [violating_pair_certificate(rep)])
         assert recheck_report(doc) == []
 
@@ -152,8 +152,8 @@ class TestReports:
         g = cycle(4)
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, SubsetPair.of(g, [], [3]), f)
-        doc = build_report("audit", {}, 0, (g, f), {},
-                          [violating_pair_certificate(rep)])
+        doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
+                           [violating_pair_certificate(rep)])
         doc["certificates"][0]["delta"] = -99
         assert recheck_report(doc)
 

@@ -32,7 +32,6 @@ from ffactors.graph import (
 from ffactors.instances import random_connected_graph, random_degree_spec
 from ffactors.invariants import (
     _connected,
-    _split_network,
     _union_tables,
     _vertex_disjoint_paths,
     is_t_odd_tough,
@@ -185,20 +184,38 @@ class TestVertexConnectivity:
     def test_flows_match_local_oracle(self, small_atlas):
         # kappa is a minimum over pairs, so an overcount on any other pair
         # would not show in it: check every non-adjacent pair at every cap
-        for g in small_atlas + seeded_corpus(30, 3, 9, seed=31):
-            network = _split_network(g)
+        # the residual phase augments in 2 flows of the atlas and seed 31,
+        # and in 17 more on seed 7's graphs of 10-12 vertices
+        for g in (small_atlas + seeded_corpus(30, 3, 9, seed=31)
+                  + seeded_corpus(30, 10, 12, seed=7)):
             for s, t in combinations(range(g.n), 2):
                 if g.has_edge(s, t):
                     continue
                 local = brute_local_connectivity(g, s, t)
                 for cap in range(g.n + 1):
-                    assert _vertex_disjoint_paths(network, s, t, cap) == min(local, cap)
+                    assert _vertex_disjoint_paths(g.adj_masks, s, t, cap) == min(local, cap)
 
-    def test_flow_reroutes_a_stranding_greedy_path(self):
+    @pytest.mark.parametrize("copies", [1, 2], ids=["once", "twice"])
+    def test_flow_reroutes_a_stranding_greedy_path(self, copies):
         # the shortest path 0-1-3-5 leaves 2 without a way to 5; the two
-        # disjoint paths are 0-1-4-5 and 0-2-3-5
-        g = build_graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
-        assert _vertex_disjoint_paths(_split_network(g), 0, 5, 2) == 2
+        # disjoint paths are 0-1-4-5 and 0-2-3-5.  Twice over a shared s = 0
+        # and t = 5 (1-4 copied to 6-9), greedy finds 2 of the 4 paths and
+        # the residual phase must augment twice
+        gadget = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+        g = build_graph(2 + 4 * copies, [tuple(v if v in (0, 5) else v + 5 * k for v in e)
+                                         for k in range(copies) for e in gadget])
+        assert brute_local_connectivity(g, 0, 5) == 2 * copies
+        for cap in (2 * copies, g.n):
+            assert _vertex_disjoint_paths(g.adj_masks, 0, 5, cap) == 2 * copies
+
+    def test_flow_frees_a_greedy_path_vertex(self):
+        # greedy takes 5-0-1-3-8; the two disjoint paths 5-2-6-3-8 and
+        # 5-0-7-9-8 drop 1 from the flow, so the augmentation must step from
+        # 1 left back to 1 entered
+        g = build_graph(10, [(0, 1), (0, 5), (0, 7), (1, 3), (2, 5), (2, 6), (3, 6),
+                             (3, 8), (7, 9), (8, 9)])
+        assert brute_local_connectivity(g, 5, 8) == 2
+        assert _vertex_disjoint_paths(g.adj_masks, 5, 8, 2) == 2
 
     @pytest.mark.parametrize("build, kappa, seconds", [
         (lambda: random_connected_graph(200, 0.3, 1), 44, 2),
@@ -216,9 +233,9 @@ class TestVertexConnectivity:
         caps = []
         flow = invariants._vertex_disjoint_paths
 
-        def recorded(network, s, t, cap):
+        def recorded(masks, s, t, cap):
             caps.append(cap)
-            return flow(network, s, t, cap)
+            return flow(masks, s, t, cap)
 
         monkeypatch.setattr(invariants, "_vertex_disjoint_paths", recorded)
         g = random_connected_graph(16, 0.7, 3)

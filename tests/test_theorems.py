@@ -147,9 +147,9 @@ class TestCorollaryKappa:
         caps = []
         flow = invariants._vertex_disjoint_paths
 
-        def recorded(network, s, t, cap):
+        def recorded(masks, s, t, cap):
             caps.append(cap)
-            return flow(network, s, t, cap)
+            return flow(masks, s, t, cap)
 
         monkeypatch.setattr(invariants, "_vertex_disjoint_paths", recorded)
         check_corollary_kappa(g, f, 1, 3)

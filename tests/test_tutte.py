@@ -157,7 +157,7 @@ class TestFindViolatingPair:
             gadget = tutte_gadget(g, f.values, f.values)
             mate = _blossom_matching(gadget.size, gadget.adj)
             assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
-            doc = build_report("audit", {}, None, (g, f), {},
+            doc = build_report("audit", {}, None, (g, f), {"violating_pair_found": True},
                                [violating_pair_certificate(rep)])
             assert recheck_report(doc) == []
         for _ in range(4):
