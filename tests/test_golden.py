@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -68,6 +69,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"verify-{name}-d14"] = ["verify-theorem", name, "{d14}", "--a", "2",
                                        "--b", "3", "--r", "3", "--confirm"]
         cases[f"fuzz-{name}"] = ["fuzz", name, "--trials", "25", "--seed", "7"]
+    # gen writes its instance with --out, so its report goes to --report
+    for name in ("desk", "g1", "r9"):
+        cases[f"gen-{name}"] = ["gen", *INSTANCES[name], "--out", os.devnull,
+                                "--report", "{report}"]
     return cases
 
 
@@ -88,7 +93,9 @@ def run_case(argv: list[str], paths: dict[str, str], out: Path) -> dict:
     and timing-stripped report."""
     if out.exists():
         out.unlink()
-    argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+    argv = [arg.format(report=out, **paths) for arg in argv]
+    if "--report" not in argv:
+        argv += ["--out", str(out)]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli.main(argv)
