@@ -37,13 +37,20 @@ def _read_instance(path: str):
         return instances.parse_instance(fh.read())
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = reports.dumps_report(doc)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, parameters: dict, seed: int | None, instance, verdicts: dict,
+          certs: list[dict], started: float | None, out: str | None = None) -> None:
+    """Write the report of ``args.command`` to ``out``, by default ``args.out``."""
+    doc = reports.build_report(args.command, parameters, seed, instance, verdicts,
+                               certs, started)
+    _write(reports.dumps_report(doc), args.out if out is None else out)
 
 
 def _cmd_solve(args) -> int:
@@ -52,10 +59,7 @@ def _cmd_solve(args) -> int:
     factor = solver.find_f_factor(g, f)
     verdicts = {"factor_exists": factor is not None}
     certs = [] if factor is None else [reports.factor_certificate(factor)]
-    doc = reports.build_report(
-        "solve", {}, None, (g, f), verdicts, certs, started
-    )
-    _emit(doc, args.out)
+    _emit(args, {}, None, (g, f), verdicts, certs, started)
     return 0 if factor is not None else 1
 
 
@@ -73,8 +77,7 @@ def _cmd_audit(args) -> int:
     else:
         verdicts["conclusion"] = "f-factor does not exist"
         certs = [reports.violating_pair_certificate(found)]
-    doc = reports.build_report("audit", {}, None, (g, f), verdicts, certs, started)
-    _emit(doc, args.out)
+    _emit(args, {}, None, (g, f), verdicts, certs, started)
     return 0
 
 
@@ -97,11 +100,7 @@ def _cmd_invariants(args) -> int:
             value = measure()
             verdicts[key] = str(value)
             verdicts[f"{key}_witness"] = None if value.witness is None else list(value.witness)
-    doc = reports.build_report(
-        "invariants", {"toughness_max_n": cap}, None, (g, f),
-        verdicts, [], started,
-    )
-    _emit(doc, args.out)
+    _emit(args, {"toughness_max_n": cap}, None, (g, f), verdicts, [], started)
     return 0
 
 
@@ -114,43 +113,28 @@ def _cmd_verify_theorem(args) -> int:
         certs.append(reports.ab_factor_certificate(report.factor, args.a, args.b))
     elif report.factor is not None:
         certs.append(reports.factor_certificate(report.factor))
-    doc = reports.build_report(
-        "verify-theorem",
-        {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
-         "star_order": args.star_order, "confirm": args.confirm},
-        None, (g, f), report.to_dict(), certs, started,
-    )
-    _emit(doc, args.out)
+    _emit(args, {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
+                 "star_order": args.star_order, "confirm": args.confirm},
+          None, (g, f), report.to_dict(), certs, started)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "g0":
-        built = constructions.build_g0(args.a, args.b, args.k, args.delta, args.p)
-        g, f = built.graph, built.spec
-        report_dict = built.to_dict()
-    elif args.family == "g1":
-        built = constructions.build_g1(args.a, args.b, args.r, args.delta, args.alpha)
-        g, f = built.graph, built.spec
-        report_dict = built.to_dict()
-    else:  # random
+    if args.family == "random":
         g = instances.random_connected_graph(args.n, args.p_edge, args.seed)
         f = instances.random_degree_spec(g, args.a, args.b, args.seed + 1)
         report_dict = {"family": "random", "n": args.n, "p_edge": args.p_edge,
                        "seed": args.seed}
-    text = instances.serialize_instance(g, f)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     else:
-        sys.stdout.write(text)
+        if args.family == "g0":
+            built = constructions.build_g0(args.a, args.b, args.k, args.delta, args.p)
+        else:
+            built = constructions.build_g1(args.a, args.b, args.r, args.delta, args.alpha)
+        g, f, report_dict = built.graph, built.spec, built.to_dict()
+    _write(instances.serialize_instance(g, f), args.out)
     if args.report:
-        doc = reports.build_report(
-            "gen", report_dict, getattr(args, "seed", None), (g, f),
-            {"generated": True}, [], None,
-        )
-        with open(args.report, "w") as fh:
-            fh.write(reports.dumps_report(doc))
+        _emit(args, report_dict, args.seed, (g, f), {"generated": True}, [], None,
+              args.report)
     return 0
 
 
@@ -160,13 +144,9 @@ def _cmd_fuzz(args) -> int:
         args.theorem, args.trials, args.seed,
         n_range=(args.min_n, args.max_n),
     )
-    doc = reports.build_report(
-        "fuzz",
-        {"theorem": args.theorem, "trials": args.trials,
-         "min_n": args.min_n, "max_n": args.max_n},
-        args.seed, None, campaign.to_dict(), [], started,
-    )
-    _emit(doc, args.out)
+    _emit(args, {"theorem": args.theorem, "trials": args.trials,
+                 "min_n": args.min_n, "max_n": args.max_n},
+          args.seed, None, campaign.to_dict(), [], started)
     return 1 if campaign.discrepancies else 0
 
 

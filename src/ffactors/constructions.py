@@ -88,6 +88,27 @@ def stability_bound(a: int, b: int, delta: int) -> Fraction:
     return Fraction(4 * a * (delta - b), (b + 1) ** 2)
 
 
+def _report(
+    family: str, g: Graph, f: DegreeSpec, params: dict[str, int], alpha: int,
+    delta: int, pair: SubsetPair, forced: bool, extras: dict,
+) -> ConstructionReport:
+    """The report both families end in.  An odd f(X) rules a factor out by
+    parity; otherwise ``forced`` (the family's deficiency inequality) makes
+    ``pair`` the witness, and without it the family predicts nothing."""
+    f_total = f.total()
+    even = f_total % 2 == 0
+    reason = "parity" if not even else "deficiency" if forced else None
+    witnessed = reason == "deficiency"
+    return ConstructionReport(
+        family, g, f, params, alpha, delta, f_total, even,
+        expected_existence=None if reason is None else False,
+        nonexistence_reason=reason,
+        witness_pair=pair if witnessed else None,
+        witness_deficiency=deficiency(g, pair, f) if witnessed else None,
+        extras=extras,
+    )
+
+
 def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     """Clique-cutset family: K_k cutset, p components K_{delta+1}.
 
@@ -121,38 +142,12 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
         edges.append((0, start))
     g = build_graph(n, edges)
     f = DegreeSpec((a,) * k + (b,) * (n - k))
-    f_total = f.total()
-    even = f_total % 2 == 0
-
-    pair = SubsetPair(tuple(range(k)), ())
-    witness = deficiency(g, pair, f)
     bound = stability_bound(a, b, delta)
-    stability_ok = p <= bound
-
-    if not even:
-        existence, reason = False, "parity"
-    elif p > a * k:
-        existence, reason = False, "deficiency"
-    else:
-        existence, reason = None, None
-    return ConstructionReport(
-        family="g0",
-        graph=g,
-        spec=f,
-        params={"a": a, "b": b, "k": k, "delta": delta, "p": p},
-        expected_alpha=p,
-        expected_min_degree=delta,
-        f_total=f_total,
-        f_total_even=even,
-        expected_existence=existence,
-        nonexistence_reason=reason,
-        witness_pair=pair if reason == "deficiency" else None,
-        witness_deficiency=witness if reason == "deficiency" else None,
-        extras={
-            "stability_bound": bound,
-            "stability_hypothesis_met": stability_ok,
-            "cutset_ratio": Fraction(k, p),
-        },
+    return _report(
+        "g0", g, f, {"a": a, "b": b, "k": k, "delta": delta, "p": p},
+        alpha=p, delta=delta, pair=SubsetPair(tuple(range(k)), ()), forced=p > a * k,
+        extras={"stability_bound": bound, "stability_hypothesis_met": p <= bound,
+                "cutset_ratio": Fraction(k, p)},
     )
 
 
@@ -184,33 +179,11 @@ def build_g1(a: int, b: int, r: int, delta: int, alpha: int) -> ConstructionRepo
     part_b = disjoint_union([complete_graph(r) for _ in range(alpha)])
     g = join(part_a, part_b)
     f = DegreeSpec((a,) * a_size + (b,) * (alpha * r))
-    f_total = f.total()
-    even = f_total % 2 == 0
     threshold = Fraction(a * a_size, r * (b + 1 - r))
-
-    pair = SubsetPair(tuple(range(a_size)), tuple(range(a_size, g.n)))
-    witness = deficiency(g, pair, f)
-    if not even:
-        existence, reason = False, "parity"
-    elif alpha > threshold:
-        existence, reason = False, "deficiency"
-    else:
-        existence, reason = None, None
-    return ConstructionReport(
-        family="g1",
-        graph=g,
-        spec=f,
-        params={"a": a, "b": b, "r": r, "delta": delta, "alpha": alpha},
-        expected_alpha=alpha,
-        expected_min_degree=delta,
-        f_total=f_total,
-        f_total_even=even,
-        expected_existence=existence,
-        nonexistence_reason=reason,
-        witness_pair=pair if reason == "deficiency" else None,
-        witness_deficiency=witness if reason == "deficiency" else None,
-        extras={
-            "threshold": threshold,
-            "strict_chain": alpha > delta > b > r,
-        },
+    return _report(
+        "g1", g, f, {"a": a, "b": b, "r": r, "delta": delta, "alpha": alpha},
+        alpha=alpha, delta=delta,
+        pair=SubsetPair(tuple(range(a_size)), tuple(range(a_size, g.n))),
+        forced=alpha > threshold,
+        extras={"threshold": threshold, "strict_chain": alpha > delta > b > r},
     )

@@ -108,6 +108,14 @@ def _check_graph_and_f(
     return delta if connected and b >= 2 and a >= 1 and delta >= b else None
 
 
+def _stability(
+    report: HypothesisReport, g: Graph, bound: Fraction, shown: str | None = None
+) -> None:
+    """Add the row alpha <= bound, with the bound worded as ``shown`` if given."""
+    alpha, _ = stability_number(g)
+    report.add("stability", f"alpha={alpha} <= {shown or bound}", alpha <= bound)
+
+
 def _not_evaluated(report: HypothesisReport, *names: str) -> None:
     for name in names:
         report.add(name, "not evaluated (prior hypothesis failed)", False)
@@ -124,9 +132,7 @@ def check_main_theorem(
     if delta is None:
         _not_evaluated(report, "stability", "odd_toughness")
     else:
-        alpha, _ = stability_number(g)
-        bound = stability_bound(a, b, delta)
-        report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
+        _stability(report, g, stability_bound(a, b, delta))
         tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
         report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
     return _confirm(report, g, f.values, f.values, confirm)
@@ -147,15 +153,10 @@ def check_corollary_kappa(
     if delta is None:
         _not_evaluated(report, "stability")
     else:
-        alpha, _ = stability_number(g)
         stab = stability_bound(a, b, delta)
         kappa = vertex_connectivity(g, ceil(stab / a))
         bound = min(stab, Fraction(a * kappa))
-        report.add(
-            "stability",
-            f"alpha={alpha} <= min(bound, a*kappa)={bound}",
-            alpha <= bound,
-        )
+        _stability(report, g, bound, f"min(bound, a*kappa)={bound}")
     return _confirm(report, g, f.values, f.values, confirm)
 
 
@@ -192,9 +193,7 @@ def check_theorem_regular_connectivity(
     kappa = vertex_connectivity(g)
     kappa_bound = Fraction((r + 1) ** 2, 2)
     report.add("connectivity", f"kappa={kappa} >= {kappa_bound}", kappa >= kappa_bound)
-    alpha, _ = stability_number(g)
-    alpha_bound = Fraction(4 * r * kappa, (r + 1) ** 2)
-    report.add("stability", f"alpha={alpha} <= {alpha_bound}", alpha <= alpha_bound)
+    _stability(report, g, Fraction(4 * r * kappa, (r + 1) ** 2))
     return _confirm(report, g, (r,) * g.n, (r,) * g.n, confirm)
 
 
@@ -214,8 +213,7 @@ def check_theorem_ab_factor(
     else:
         bound = Fraction(4 * b * (delta - a + 1), a * (a + 2))
         which = "even-a bound"
-    alpha, _ = stability_number(g)
-    report.add("stability", f"alpha={alpha} <= {bound} ({which})", alpha <= bound)
+    _stability(report, g, bound, f"{bound} ({which})")
     return _confirm(report, g, (a,) * g.n, (b,) * g.n, confirm)
 
 
@@ -234,9 +232,7 @@ def check_theorem_claw_free(
     _check_f(report, f, a, b)
     delta = min_degree(g)
     report.add("min_degree", f"delta={delta} >= b+n-1={b + n - 1}", delta >= b + n - 1)
-    bound = Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2)
-    alpha, _ = stability_number(g)
-    report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
+    _stability(report, g, Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2))
     return _confirm(report, g, f.values, f.values, confirm)
 
 
@@ -252,9 +248,7 @@ def check_stability_conjecture(
     delta = _check_graph_and_f(report, g, f, a, b)
     # unlike the two theorems above, alpha also waits for the f rows
     if report.hypotheses_met:
-        alpha, _ = stability_number(g)
-        bound = stability_bound(a, b, delta)
-        report.add("stability", f"alpha={alpha} <= {bound}", alpha <= bound)
+        _stability(report, g, stability_bound(a, b, delta))
     else:
         _not_evaluated(report, "stability")
     return _confirm(report, g, f.values, f.values, confirm)
