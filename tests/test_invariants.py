@@ -195,18 +195,31 @@ class TestVertexConnectivity:
                 for cap in range(g.n + 1):
                     assert _vertex_disjoint_paths(g.adj_masks, s, t, cap) == min(local, cap)
 
-    @pytest.mark.parametrize("copies", [1, 2], ids=["once", "twice"])
-    def test_flow_reroutes_a_stranding_greedy_path(self, copies):
-        # the shortest path 0-1-3-5 leaves 2 without a way to 5; the two
-        # disjoint paths are 0-1-4-5 and 0-2-3-5.  Twice over a shared s = 0
-        # and t = 5 (1-4 copied to 6-9), greedy finds 2 of the 4 paths and
-        # the residual phase must augment twice
-        gadget = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
-        g = build_graph(2 + 4 * copies, [tuple(v if v in (0, 5) else v + 5 * k for v in e)
-                                         for k in range(copies) for e in gadget])
-        assert brute_local_connectivity(g, 0, 5) == 2 * copies
-        for cap in (2 * copies, g.n):
-            assert _vertex_disjoint_paths(g.adj_masks, 0, 5, cap) == 2 * copies
+    # the shortest path 0-1-3-5 leaves 2 without a way to 5; the two
+    # disjoint paths are 0-1-4-5 and 0-2-3-5
+    GADGET = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+    # s=0, t=1, x=2, w=3, y=4, z1=5, z2=6, c1=7, c2=8, u1-u4=9-12, v1-v3=13-15:
+    # greedy takes s-x-w-y-t, the first augmentation (s-z1-z2-y-w-x-c1-c2-t)
+    # cancels both of w's flow edges, and the second (s-u1-...-u4-w-v1-v2-v3-t)
+    # routes through w, so w must be free again once both are cancelled
+    CANCELLED = [(0, 2), (0, 5), (0, 9), (2, 3), (3, 4), (4, 1), (5, 6), (6, 4), (2, 7),
+                 (7, 8), (8, 1), (9, 10), (10, 11), (11, 12), (12, 3), (3, 13), (13, 14),
+                 (14, 15), (15, 1)]
+
+    @pytest.mark.parametrize("n, edges, t, paths", [
+        (6, GADGET, 5, 2),
+        # twice over a shared s = 0 and t = 5 (1-4 copied to 6-9): greedy
+        # finds 2 of the 4 paths and the residual phase must augment twice
+        (10, GADGET + [tuple(v if v in (0, 5) else v + 5 for v in e) for e in GADGET], 5, 4),
+        (16, CANCELLED, 1, 3),
+    ], ids=["once", "twice", "cancelled"])
+    def test_flow_reroutes_a_stranding_greedy_path(self, n, edges, t, paths):
+        """Each augmentation reroutes a greedy path; a vertex whose two flow
+        edges are both cancelled becomes free."""
+        g = build_graph(n, edges)
+        assert brute_local_connectivity(g, 0, t) == paths
+        for cap in (paths, g.n):
+            assert _vertex_disjoint_paths(g.adj_masks, 0, t, cap) == paths
 
     def test_flow_frees_a_greedy_path_vertex(self):
         # greedy takes 5-0-1-3-8; the two disjoint paths 5-2-6-3-8 and
