@@ -125,15 +125,18 @@ def _cmd_gen(args) -> int:
         f = instances.random_degree_spec(g, args.a, args.b, args.seed + 1)
         report_dict = {"family": "random", "n": args.n, "p_edge": args.p_edge,
                        "seed": args.seed}
+        certs = []
     else:
         if args.family == "g0":
             built = constructions.build_g0(args.a, args.b, args.k, args.delta, args.p)
         else:
             built = constructions.build_g1(args.a, args.b, args.r, args.delta, args.alpha)
         g, f, report_dict = built.graph, built.spec, built.to_dict()
+        witness = built.witness_deficiency
+        certs = [] if witness is None else [reports.violating_pair_certificate(witness)]
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:
-        _emit(args, report_dict, args.seed, (g, f), {"generated": True}, [], None,
+        _emit(args, report_dict, args.seed, (g, f), {"generated": True}, certs, None,
               args.report)
     return 0
 

@@ -39,6 +39,8 @@ class ConstructionReport:
 
     ``expected_existence`` is False when nonexistence is forced (by parity or
     by the witness pair), None when the construction makes no prediction.
+    ``to_dict`` leaves the witness out: ``gen --report`` carries it as a
+    violating-pair certificate, which ``recheck`` verifies.
     """
 
     family: str
@@ -65,14 +67,6 @@ class ConstructionReport:
             "f_total_even": self.f_total_even,
             "expected_existence": self.expected_existence,
             "nonexistence_reason": self.nonexistence_reason,
-            "witness_pair": None if self.witness_pair is None else {
-                "s": list(self.witness_pair.s),
-                "t": list(self.witness_pair.t),
-            },
-            "witness_deficiency": (
-                None if self.witness_deficiency is None
-                else self.witness_deficiency.to_dict()
-            ),
             "extras": {k: str(v) for k, v in sorted(self.extras.items())},
         }
 

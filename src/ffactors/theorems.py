@@ -62,7 +62,6 @@ class HypothesisReport:
             "hypotheses_met": self.hypotheses_met,
             "prediction": self.prediction,
             "confirmation": self.confirmation,
-            "factor": None if self.factor is None else [list(e) for e in self.factor.edges],
         }
 
 
@@ -304,8 +303,6 @@ class TrialRecord:
     index: int
     seed: int
     instance: str
-    hypotheses_met: bool
-    confirmation: str | None
 
 
 @dataclass
@@ -340,9 +337,7 @@ class CampaignReport:
         if check.confirmation == "confirmed":
             self.confirmed += 1
         elif check.confirmation == "refuted":
-            self.discrepancies.append(TrialRecord(
-                index, seed, serialize_instance(g, spec), True, "refuted",
-            ))
+            self.discrepancies.append(TrialRecord(index, seed, serialize_instance(g, spec)))
 
 
 # what a campaign trial draws from

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ffactors import cli
+from ffactors import cli, theorems
 from ffactors.graph import (
     DegreeSpec, build_graph, complete_graph, constant_spec, cycle, path, star,
 )
-from ffactors.instances import serialize_instance
+from ffactors.instances import parse_instance, serialize_instance
 from ffactors.invariants import stability_number
 
 
@@ -274,11 +274,14 @@ class TestRecheckABFactor:
         return run(["recheck", str(path)])[0]
 
     def test_confirmed_factor_rechecks(self, tmp_path, reports):
+        """The factor is stated once, as the certificate."""
         doc = reports["ab"]
-        cert = doc["certificates"][0]
-        assert cert == {"type": "ab_factor", "a": 1, "b": 2,
-                        "edges": doc["verdicts"]["factor"]}
+        g, _ = parse_instance(doc["instance"])
+        factor = theorems.check_theorem_ab_factor(g, 1, 2, confirm=True).factor
+        assert doc["certificates"] == [{"type": "ab_factor", "a": 1, "b": 2,
+                                        "edges": [list(e) for e in factor.edges]}]
         assert doc["verdicts"]["confirmation"] == "confirmed"
+        assert "factor" not in doc["verdicts"]
         assert self.recheck(tmp_path, doc) == 0
 
     def test_dropped_edge_fails(self, tmp_path, reports):
@@ -327,6 +330,39 @@ class TestRecheckVerdicts:
         code, err = self.recheck(tmp_path, reports[name])
         assert_one_line_error(code, err)
         assert "'verdicts'" in err
+
+
+@pytest.mark.parametrize("key, value", [("delta", 5), ("s", []), ("t", [1])])
+def test_gen_witness_is_rechecked(tmp_path, key, value):
+    """gen --report carries the g0 desk instance's witness pair as a
+    certificate, so recheck catches a tampered one."""
+    report = tmp_path / "gen.json"
+    assert run(["gen", "g0", "--a", "2", "--b", "3", "--k", "1", "--delta", "12",
+                "--p", "4", "--out", str(tmp_path / "desk.inst"),
+                "--report", str(report)])[0] == 0
+    doc = json.loads(report.read_text())
+    assert doc["parameters"]["nonexistence_reason"] == "deficiency"
+    (cert,) = doc["certificates"]
+    assert (cert["type"], cert["s"], cert["t"], cert["delta"]) == ("violating_pair", [0], [], -2)
+    assert run(["recheck", str(report)])[0] == 0
+    cert[key] = value
+    report.write_text(json.dumps(doc))
+    assert run(["recheck", str(report)])[0] == 1
+
+
+def test_fuzz_discrepancy_exits_1(tmp_path, monkeypatch):
+    """A met prediction that the solver refutes is a discrepancy: fuzz
+    exits 1 and records the trial's seed and a reproducible instance."""
+    monkeypatch.setattr(theorems, "find_factor", lambda g, lo, hi: None)
+    out = tmp_path / "fuzz.json"
+    assert run(["fuzz", "main", "--trials", "10", "--seed", "7", "--out", str(out)])[0] == 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts["hypotheses_met"] == verdicts["discrepancy_count"] == 2
+    assert verdicts["confirmed"] == 0
+    for record in verdicts["discrepancies"]:
+        assert set(record) == {"index", "seed", "instance"}
+        assert record["seed"] == 7 * 1_000_003 + record["index"]
+        assert serialize_instance(*parse_instance(record["instance"])) == record["instance"]
 
 
 def test_regular_connectivity_factor_rechecks_against_r(tmp_path, reports):
