@@ -53,19 +53,14 @@ def _emit(args, parameters: dict, seed: int | None, instance, verdicts: dict,
     _write(reports.dumps_report(doc), args.out if out is None else out)
 
 
-def _cmd_solve(args) -> int:
-    started = time.monotonic()
-    g, f = _read_instance(args.instance)
+def _cmd_solve(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     factor = solver.find_f_factor(g, f)
     verdicts = {"factor_exists": factor is not None}
     certs = [] if factor is None else [reports.factor_certificate(factor)]
-    _emit(args, {}, None, (g, f), verdicts, certs, started)
-    return 0 if factor is not None else 1
+    return (0 if factor is not None else 1), {}, verdicts, certs
 
 
-def _cmd_audit(args) -> int:
-    started = time.monotonic()
-    g, f = _read_instance(args.instance)
+def _cmd_audit(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     found = tutte.find_violating_pair(g, f)
     verdicts = {
         "mode": "exact" if g.n <= AUDIT_EXACT_MAX_N else "heuristic",
@@ -77,13 +72,10 @@ def _cmd_audit(args) -> int:
     else:
         verdicts["conclusion"] = "f-factor does not exist"
         certs = [reports.violating_pair_certificate(found)]
-    _emit(args, {}, None, (g, f), verdicts, certs, started)
-    return 0
+    return 0, {}, verdicts, certs
 
 
-def _cmd_invariants(args) -> int:
-    started = time.monotonic()
-    g, f = _read_instance(args.instance)
+def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     cap = args.toughness_max_n
     verdicts: dict = {"n": g.n, "m": g.m}
     if args.alpha:
@@ -100,23 +92,18 @@ def _cmd_invariants(args) -> int:
             value = measure()
             verdicts[key] = str(value)
             verdicts[f"{key}_witness"] = None if value.witness is None else list(value.witness)
-    _emit(args, {"toughness_max_n": cap}, None, (g, f), verdicts, [], started)
-    return 0
+    return 0, {"toughness_max_n": cap}, verdicts, []
 
 
-def _cmd_verify_theorem(args) -> int:
-    started = time.monotonic()
-    g, f = _read_instance(args.instance)
+def _cmd_verify_theorem(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     report = theorems.THEOREMS[args.name].run(g, f, args)
     certs = []
     if report.factor is not None and args.name == "ab_factor":
         certs.append(reports.ab_factor_certificate(report.factor, args.a, args.b))
     elif report.factor is not None:
         certs.append(reports.factor_certificate(report.factor))
-    _emit(args, {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
-                 "star_order": args.star_order, "confirm": args.confirm},
-          None, (g, f), report.to_dict(), certs, started)
-    return 0
+    return 0, {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
+               "star_order": args.star_order, "confirm": args.confirm}, report.to_dict(), certs
 
 
 def _cmd_gen(args) -> int:
@@ -252,7 +239,15 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "toughness_max_n", 0) < 0:
             raise ValueError("--toughness-max-n must be at least 0, "
                              f"got {args.toughness_max_n}")
-        return args.func(args)
+        # an instance command returns (exit code, parameters, verdicts,
+        # certificates); its instance is read, timed and reported here
+        if not hasattr(args, "instance"):
+            return args.func(args)
+        started = time.monotonic()
+        g, f = _read_instance(args.instance)
+        code, parameters, verdicts, certs = args.func(args, g, f)
+        _emit(args, parameters, None, (g, f), verdicts, certs, started)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

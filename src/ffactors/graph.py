@@ -145,6 +145,19 @@ def components_masks(g: Graph, mask: int) -> list[int]:
     return out
 
 
+def _odd_count(comps: list[int], fvals: Sequence[int]) -> int:
+    """How many of the component masks have an odd sum of ``fvals``."""
+    h = 0
+    for comp in comps:
+        tot = 0
+        while comp:
+            low = comp & -comp
+            tot += fvals[low.bit_length() - 1]
+            comp ^= low
+        h += tot & 1
+    return h
+
+
 def is_connected(g: Graph) -> bool:
     """True for connected graphs; a single vertex counts as connected."""
     if g.n == 0:

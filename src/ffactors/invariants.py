@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     _bits_of,
     _mask_of,
+    _odd_count,
     as_vertex_set,
     components_masks,
     is_connected,
@@ -198,21 +199,7 @@ def odd_component_count(g: Graph, s, f: DegreeSpec) -> int:
     """Number of components C of G-S with f(C) odd; f is read at original
     vertex indices."""
     s_mask = _mask_of(as_vertex_set(s, g.n))
-    return _odd_count(components_masks(g, g.full_mask & ~s_mask), f)
-
-
-def _odd_count(comps: list[int], f: DegreeSpec) -> int:
-    """How many of the component masks have an odd f-sum."""
-    fvals = f.values
-    h = 0
-    for comp in comps:
-        tot = 0
-        while comp:
-            low = comp & -comp
-            tot += fvals[low.bit_length() - 1]
-            comp ^= low
-        h += tot & 1
-    return h
+    return _odd_count(components_masks(g, g.full_mask & ~s_mask), f.values)
 
 
 def _union_tables(g: Graph) -> list[list[int]]:
@@ -313,7 +300,7 @@ def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> Toug
     h'(G-S) counts components of G-S whose f-sum is odd.  Infinity when no
     qualifying cutset exists (complete graphs, or no odd component ever).
     """
-    return _min_ratio(g, lambda comps: _odd_count(comps, f), max_n)
+    return _min_ratio(g, lambda comps: _odd_count(comps, f.values), max_n)
 
 
 def toughness(g: Graph, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
@@ -330,7 +317,7 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f), g.n,
+    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f.values), g.n,
                         lambda alpha: SMALL_CUTSET_MAX)
     return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
@@ -349,6 +336,6 @@ def is_t_odd_tough(
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f), max_n,
+    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f.values), max_n,
                         lambda alpha: ceil(t * alpha) - 1)
     return all(ratio >= t for _, ratio in scan)

@@ -283,8 +283,6 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     # with no optional slack an odd sum(lo) leaves the parity vertex bare
     if any(low > t for low, t in zip(lo, top)) or (list(lo) == top and sum(lo) % 2):
         return None
-    if g.n == 0:
-        return FactorSubgraph(())
     gadget = tutte_gadget(g, lo, hi)
     mate = _blossom_matching(gadget.size, gadget.adj)
     if any(m == -1 for m in mate):

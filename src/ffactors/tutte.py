@@ -29,6 +29,7 @@ from .graph import (
     Graph,
     _bits_of,
     _mask_of,
+    _odd_count,
     as_vertex_set,
     components_masks,
 )
@@ -77,31 +78,13 @@ class DeficiencyReport:
 def _evaluate(g: Graph, s_mask: int, t_mask: int, fvals) -> tuple[int, int, int, int, int]:
     """Return (f_s, f_t, degree_term, h, delta) for the pair of bitmasks."""
     masks = g.adj_masks
-    f_s = f_t = degree_term = 0
-    m = s_mask
-    while m:
-        low = m & -m
-        f_s += fvals[low.bit_length() - 1]
-        m ^= low
-    m = t_mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        f_t += fvals[v]
-        degree_term += (masks[v] & ~s_mask).bit_count()
-        m ^= low
-    h = 0
+    t_bits = _bits_of(t_mask)
+    f_s = sum(fvals[v] for v in _bits_of(s_mask))
+    f_t = sum(fvals[v] for v in t_bits)
+    degree_term = sum((masks[v] & ~s_mask).bit_count() for v in t_bits)
     rest = g.full_mask & ~s_mask & ~t_mask
-    for comp in components_masks(g, rest):
-        total = 0
-        c = comp
-        while c:
-            low = c & -c
-            v = low.bit_length() - 1
-            total += fvals[v] + (masks[v] & t_mask).bit_count()
-            c ^= low
-        if total & 1:
-            h += 1
+    h = _odd_count(components_masks(g, rest),
+                   [fv + (nbrs & t_mask).bit_count() for fv, nbrs in zip(fvals, masks)])
     return f_s, f_t, degree_term, h, f_s - f_t + degree_term - h
 
 
