@@ -123,8 +123,8 @@ def _cmd_gen(args) -> int:
         certs = [] if witness is None else [reports.violating_pair_certificate(witness)]
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:
-        _emit(args, report_dict, args.seed, (g, f), {"generated": True}, certs, None,
-              args.report)
+        seed = args.seed if args.family == "random" else None
+        _emit(args, report_dict, seed, (g, f), {"generated": True}, certs, None, args.report)
     return 0
 
 

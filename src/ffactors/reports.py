@@ -73,12 +73,14 @@ def strip_timing(doc: dict) -> dict:
 
 _PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
 
-# per command, the verdict that its certificates stand for: the report must
-# claim (key, value) iff it carries a certificate of one of these types
+# per command, the claim that its certificates stand for: the report's
+# section must hold (key, value) iff it carries a certificate of one of these
+# types
 _CLAIMS = {
-    "solve": ("factor_exists", True, ("factor",)),
-    "audit": ("violating_pair_found", True, ("violating_pair",)),
-    "verify-theorem": ("confirmation", "confirmed", ("factor", "ab_factor")),
+    "solve": ("verdicts", "factor_exists", True, ("factor",)),
+    "audit": ("verdicts", "violating_pair_found", True, ("violating_pair",)),
+    "verify-theorem": ("verdicts", "confirmation", "confirmed", ("factor", "ab_factor")),
+    "gen": ("parameters", "nonexistence_reason", "deficiency", ("violating_pair",)),
 }
 
 
@@ -96,13 +98,14 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
 
 def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report, and that the
-    report's verdict claims a factor or a violating pair exactly when it
-    carries a certificate for one.
+    report claims a factor or a violating pair exactly when it carries a
+    certificate for one: in its verdicts, or for ``gen`` in its
+    parameters' nonexistence reason.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a certificate with a missing or
-    mistyped field, or verdicts that are not an object) raises ValueError
-    instead.
+    mistyped field, or a claim section that is not an object) raises
+    ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -167,12 +170,12 @@ def recheck_report(doc: dict) -> list[str]:
             failures.append(f"certificate {i}: unknown type {kind!r}")
     command = doc.get("command")
     if isinstance(command, str) and command in _CLAIMS:
-        key, value, kinds = _CLAIMS[command]
-        verdicts = doc.get("verdicts")
-        if not isinstance(verdicts, dict):
-            raise ValueError("the report's 'verdicts' must be an object")
-        got = verdicts.get(key)
+        section, key, value, kinds = _CLAIMS[command]
+        claims = doc.get(section)
+        if not isinstance(claims, dict):
+            raise ValueError(f"the report's {section!r} must be an object")
+        got = claims.get(key)
         claimed = type(got) is type(value) and got == value
         if claimed != any(cert.get("type") in kinds for cert in certificates):
-            failures.append(f"verdict {key}={got!r} does not match the certificates")
+            failures.append(f"{section}.{key}={got!r} does not match the certificates")
     return failures

@@ -25,6 +25,7 @@ from ffactors.graph import (
 )
 from ffactors.instances import parse_instance, serialize_instance
 from ffactors.invariants import stability_number
+from ffactors.reports import strip_timing
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -332,15 +333,20 @@ class TestRecheckVerdicts:
         assert "'verdicts'" in err
 
 
+def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:
+    """Write the g0 desk instance's gen --report; return its path and document."""
+    report = tmp_path / "gen.json"
+    assert run(["gen", "g0", "--a", "2", "--b", "3", "--k", "1", "--delta", "12",
+                "--p", "4", "--out", str(tmp_path / "desk.inst"),
+                "--report", str(report), *extra])[0] == 0
+    return report, json.loads(report.read_text())
+
+
 @pytest.mark.parametrize("key, value", [("delta", 5), ("s", []), ("t", [1])])
 def test_gen_witness_is_rechecked(tmp_path, key, value):
     """gen --report carries the g0 desk instance's witness pair as a
     certificate, so recheck catches a tampered one."""
-    report = tmp_path / "gen.json"
-    assert run(["gen", "g0", "--a", "2", "--b", "3", "--k", "1", "--delta", "12",
-                "--p", "4", "--out", str(tmp_path / "desk.inst"),
-                "--report", str(report)])[0] == 0
-    doc = json.loads(report.read_text())
+    report, doc = gen_desk_report(tmp_path)
     assert doc["parameters"]["nonexistence_reason"] == "deficiency"
     (cert,) = doc["certificates"]
     assert (cert["type"], cert["s"], cert["t"], cert["delta"]) == ("violating_pair", [0], [], -2)
@@ -348,6 +354,30 @@ def test_gen_witness_is_rechecked(tmp_path, key, value):
     cert[key] = value
     report.write_text(json.dumps(doc))
     assert run(["recheck", str(report)])[0] == 1
+
+
+@pytest.mark.parametrize("tamper", ["drop certificate", "drop reason"])
+def test_gen_reason_matches_witness(tmp_path, tamper):
+    """A gen report gives "deficiency" as its nonexistence reason exactly
+    when it carries the witness pair."""
+    report, doc = gen_desk_report(tmp_path)
+    if tamper == "drop certificate":
+        doc["certificates"] = []
+    else:
+        doc["parameters"]["nonexistence_reason"] = None
+        doc["parameters"]["expected_existence"] = None
+    report.write_text(json.dumps(doc))
+    code, err = run(["recheck", str(report)])
+    assert code == 1 and "nonexistence_reason" in err
+
+
+def test_gen_family_report_has_no_seed(tmp_path):
+    """g0 uses no randomness, so its report records no seed and does not
+    change with --seed."""
+    _, doc0 = gen_desk_report(tmp_path, "--seed", "0")
+    _, doc5 = gen_desk_report(tmp_path, "--seed", "5")
+    assert doc0["seed"] is None
+    assert strip_timing(doc0) == strip_timing(doc5)
 
 
 def test_fuzz_discrepancy_exits_1(tmp_path, monkeypatch):

@@ -42,6 +42,7 @@ from ffactors.invariants import (
     vertex_connectivity,
 )
 from ffactors.constructions import g0_desk_instance
+from ffactors.tutte import SubsetPair, deficiency
 
 
 class TestStabilityNumber:
@@ -298,6 +299,15 @@ class TestOddComponentCount:
             f = DegreeSpec(tuple((v * 7 + 3) % 4 for v in range(g.n)))
             h = odd_component_count(g, [], f)
             assert h % 2 == f.total() % 2
+
+    def test_is_deficiency_h_with_empty_t(self):
+        # h'(G - S) of odd-toughness is the deficiency term h(S, {})
+        rng = random.Random(23)
+        for g in seeded_corpus(40, 2, 9, seed=23):
+            f = DegreeSpec(tuple(rng.randrange(4) for _ in range(g.n)))
+            s = [v for v in range(g.n) if rng.random() < 0.3]
+            pair = SubsetPair.of(g, s, ())
+            assert odd_component_count(g, s, f) == deficiency(g, pair, f).h
 
 
 class TestOddToughness:

@@ -19,6 +19,7 @@ from ffactors.graph import (
     constant_spec,
     cycle,
     disjoint_union,
+    empty_graph,
     join,
     petersen_graph,
     star,
@@ -297,6 +298,7 @@ class TestFindFactor:
             assert find_factor(g, f.values, f.values) == find_f_factor(g, f)
 
     def test_empty_graph(self):
+        assert find_factor(empty_graph(0), [], []) == FactorSubgraph(())
         assert find_factor(star(0), [0], [1]) == FactorSubgraph(())
         assert find_factor(star(0), [1], [1]) is None
 
