@@ -57,6 +57,7 @@ from .constructions import (
     stability_bound,
 )
 from .theorems import (
+    THEOREMS,
     CampaignReport,
     HypothesisReport,
     check_corollary_kappa,

@@ -97,11 +97,7 @@ def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
 
 def _cmd_verify_theorem(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     report = theorems.THEOREMS[args.name].run(g, f, args)
-    certs = []
-    if report.factor is not None and args.name == "ab_factor":
-        certs.append(reports.ab_factor_certificate(report.factor, args.a, args.b))
-    elif report.factor is not None:
-        certs.append(reports.factor_certificate(report.factor))
+    certs = [] if report.factor is None else [reports.factor_certificate(report.factor)]
     return 0, {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
                "star_order": args.star_order, "confirm": args.confirm}, report.to_dict(), certs
 

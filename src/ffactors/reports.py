@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import json
 import time
+from types import SimpleNamespace
 
 from .graph import DegreeSpec, Graph
 from .instances import instance_digest, parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
+from .theorems import THEOREMS
 from .tutte import SubsetPair, deficiency
 
 
 def factor_certificate(factor: FactorSubgraph) -> dict:
     return {"type": "factor", "edges": [list(e) for e in factor.edges]}
-
-
-def ab_factor_certificate(factor: FactorSubgraph, a: int, b: int) -> dict:
-    return {"type": "ab_factor", "a": a, "b": b, "edges": [list(e) for e in factor.edges]}
 
 
 def violating_pair_certificate(report) -> dict:
@@ -79,7 +77,7 @@ _PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
 _CLAIMS = {
     "solve": ("verdicts", "factor_exists", True, ("factor",)),
     "audit": ("verdicts", "violating_pair_found", True, ("violating_pair",)),
-    "verify-theorem": ("verdicts", "confirmation", "confirmed", ("factor", "ab_factor")),
+    "verify-theorem": ("verdicts", "confirmation", "confirmed", ("factor",)),
     "gen": ("parameters", "nonexistence_reason", "deficiency", ("violating_pair",)),
 }
 
@@ -96,6 +94,18 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
     return FactorSubgraph(tuple(tuple(e) for e in edges))
 
 
+def _claimed_bounds(doc: dict, params: dict, g: Graph, f: DegreeSpec):
+    """The degree bounds (lo, hi) that a report's factor must meet: those of
+    the factor its theorem predicts for ``verify-theorem``, else f."""
+    if doc.get("command") != "verify-theorem":
+        return f.values, f.values
+    name = params.get("name")
+    theorem = THEOREMS.get(name) if isinstance(name, str) else None
+    if theorem is None:
+        raise ValueError("the report's 'name' must be a theorem id")
+    return theorem.bounds(g.n, f, SimpleNamespace(**params))
+
+
 def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report, and that the
     report claims a factor or a violating pair exactly when it carries a
@@ -104,8 +114,8 @@ def recheck_report(doc: dict) -> list[str]:
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a certificate with a missing or
-    mistyped field, or a claim section that is not an object) raises
-    ValueError instead.
+    mistyped field, a factor whose claimed bounds cannot be read, or a
+    claim section that is not an object) raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -130,26 +140,9 @@ def recheck_report(doc: dict) -> list[str]:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
         if kind == "factor":
-            target = f.values
-            if (doc.get("command"), params.get("name")) == ("verify-theorem",
-                                                            "regular_connectivity"):
-                # that checker's factor is an r-factor, whatever the instance's f
-                r = params.get("r")
-                if not isinstance(r, int):
-                    raise ValueError(f"certificate {i}: the report's 'r' must be an integer")
-                target = (r,) * g.n
-            if not verify_factor(g, target, target, _factor_of(cert, i)):
-                failures.append(f"certificate {i}: edge set is not an f-factor")
-        elif kind == "ab_factor":
-            factor = _factor_of(cert, i)
-            a, b = cert.get("a"), cert.get("b")
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise ValueError(f"certificate {i}: needs integers 'a' and 'b'")
-            if (params.get("a"), params.get("b")) != (a, b):
-                failures.append(f"certificate {i}: bounds a={a}, b={b} are not "
-                                "the report's parameters")
-            if not verify_factor(g, (a,) * g.n, (b,) * g.n, factor):
-                failures.append(f"certificate {i}: edge set is not an [{a},{b}]-factor")
+            lo, hi = _claimed_bounds(doc, params, g, f)
+            if not verify_factor(g, lo, hi, _factor_of(cert, i)):
+                failures.append(f"certificate {i}: edge set is not the claimed factor")
         elif kind == "violating_pair":
             if not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
                     and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):

@@ -3,10 +3,11 @@ validation campaign driver.
 
 Each checker evaluates every hypothesis of its condition with exact
 arithmetic and returns a HypothesisReport; a sufficient condition predicts
-an f-factor only when all hypotheses hold, and says nothing otherwise.
-With ``confirm=True`` a met prediction is checked against the constructive
-solver, and any disagreement is flagged as a refutation (which the test
-suite treats as fatal).  ``THEOREMS`` maps each theorem id to its checker.
+a factor only when all hypotheses hold, and says nothing otherwise.
+``THEOREMS`` maps each theorem id to its checker and to the factor it
+predicts; ``Theorem.run`` with ``confirm`` checks a met prediction against
+the constructive solver, and any disagreement is flagged as a refutation
+(which the test suite treats as fatal).
 """
 
 from __future__ import annotations
@@ -72,22 +73,6 @@ def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
     report.add("f_total_even", f"f(X) = {total}", total % 2 == 0)
 
 
-def _confirm(
-    report: HypothesisReport, g: Graph, lo: tuple[int, ...], hi: tuple[int, ...],
-    confirm: bool,
-) -> HypothesisReport:
-    """With ``confirm``, check a met prediction against the solver: a
-    factor with lo(v) <= deg(v) <= hi(v) must exist."""
-    if confirm and report.hypotheses_met:
-        factor = find_factor(g, lo, hi)
-        if factor is not None and verify_factor(g, lo, hi, factor):
-            report.confirmation = "confirmed"
-            report.factor = factor
-        else:
-            report.confirmation = "refuted"
-    return report
-
-
 def _check_graph_and_f(
     report: HypothesisReport, g: Graph, f: DegreeSpec, a: int, b: int
 ) -> int | None:
@@ -121,8 +106,7 @@ def _not_evaluated(report: HypothesisReport, *names: str) -> None:
 
 
 def check_main_theorem(
-    g: Graph, f: DegreeSpec, a: int, b: int,
-    confirm: bool = False, toughness_max_n: int = TOUGHNESS_MAX_N,
+    g: Graph, f: DegreeSpec, a: int, b: int, toughness_max_n: int = TOUGHNESS_MAX_N
 ) -> HypothesisReport:
     """Connected, delta >= b >= 2, a <= f <= b with a >= 1, f(X) even,
     alpha <= 4a(delta-b)/(b+1)^2, odd-toughness >= 1/a."""
@@ -134,12 +118,10 @@ def check_main_theorem(
         _stability(report, g, stability_bound(a, b, delta))
         tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
         report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
-    return _confirm(report, g, f.values, f.values, confirm)
+    return report
 
 
-def check_corollary_kappa(
-    g: Graph, f: DegreeSpec, a: int, b: int, confirm: bool = False
-) -> HypothesisReport:
+def check_corollary_kappa(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
     """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa).
 
     kappa is computed capped at c = ceil(bound / a), which is >= 0 since
@@ -156,12 +138,10 @@ def check_corollary_kappa(
         kappa = vertex_connectivity(g, ceil(stab / a))
         bound = min(stab, Fraction(a * kappa))
         _stability(report, g, bound, f"min(bound, a*kappa)={bound}")
-    return _confirm(report, g, f.values, f.values, confirm)
+    return report
 
 
-def check_theorem_min_degree(
-    g: Graph, f: DegreeSpec, a: int, b: int, confirm: bool = False
-) -> HypothesisReport:
+def check_theorem_min_degree(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
     """delta >= b|X|/(a+b) and |X| > (a+b)(a+b-3)/a, with a <= f <= b and
     f(X) even."""
     if not 1 <= a <= b:
@@ -177,12 +157,10 @@ def check_theorem_min_degree(
     order_bound = Fraction((a + b) * (a + b - 3), a)
     report.add("order", f"|X|={n} > {order_bound}", n > order_bound)
     _check_f(report, f, a, b)
-    return _confirm(report, g, f.values, f.values, confirm)
+    return report
 
 
-def check_theorem_regular_connectivity(
-    g: Graph, r: int, confirm: bool = False
-) -> HypothesisReport:
+def check_theorem_regular_connectivity(g: Graph, r: int) -> HypothesisReport:
     """r odd: |X| even, kappa >= (r+1)^2/2, alpha <= 4r*kappa/(r+1)^2
     gives an r-factor."""
     if r < 1 or r % 2 == 0:
@@ -193,15 +171,12 @@ def check_theorem_regular_connectivity(
     kappa_bound = Fraction((r + 1) ** 2, 2)
     report.add("connectivity", f"kappa={kappa} >= {kappa_bound}", kappa >= kappa_bound)
     _stability(report, g, Fraction(4 * r * kappa, (r + 1) ** 2))
-    return _confirm(report, g, (r,) * g.n, (r,) * g.n, confirm)
+    return report
 
 
-def check_theorem_ab_factor(
-    g: Graph, a: int, b: int, confirm: bool = False
-) -> HypothesisReport:
+def check_theorem_ab_factor(g: Graph, a: int, b: int) -> HypothesisReport:
     """Stability vs minimum degree condition for an [a,b]-factor; the bound
-    depends on the parity of a.  Confirmation asks the solver for a factor
-    with a <= deg(v) <= b, at any size."""
+    depends on the parity of a."""
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
     report = HypothesisReport("ab_factor", f"[{a},{b}]-factor exists")
@@ -213,12 +188,11 @@ def check_theorem_ab_factor(
         bound = Fraction(4 * b * (delta - a + 1), a * (a + 2))
         which = "even-a bound"
     _stability(report, g, bound, f"{bound} ({which})")
-    return _confirm(report, g, (a,) * g.n, (b,) * g.n, confirm)
+    return report
 
 
 def check_theorem_claw_free(
-    g: Graph, f: DegreeSpec, a: int, b: int, star_order: int,
-    confirm: bool = False,
+    g: Graph, f: DegreeSpec, a: int, b: int, star_order: int
 ) -> HypothesisReport:
     """K_{1,n}-free condition with n = star_order: connected, star-free,
     delta >= b+n-1, alpha <= 4a(delta-b-n+1)/((n-1)(b+1)^2)."""
@@ -232,11 +206,11 @@ def check_theorem_claw_free(
     delta = min_degree(g)
     report.add("min_degree", f"delta={delta} >= b+n-1={b + n - 1}", delta >= b + n - 1)
     _stability(report, g, Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2))
-    return _confirm(report, g, f.values, f.values, confirm)
+    return report
 
 
 def check_stability_conjecture(
-    g: Graph, f: DegreeSpec, a: int, b: int, confirm: bool = False
+    g: Graph, f: DegreeSpec, a: int, b: int
 ) -> HypothesisReport:
     """The stability bound alone, without any toughness hypothesis.
 
@@ -250,48 +224,73 @@ def check_stability_conjecture(
         _stability(report, g, stability_bound(a, b, delta))
     else:
         _not_evaluated(report, "stability")
-    return _confirm(report, g, f.values, f.values, confirm)
+    return report
 
 
 @dataclass(frozen=True)
 class Theorem:
-    """How the CLI and the campaign run one checker.
+    """One checker, and the factor that its conclusion predicts.
 
-    ``run(g, f, params)`` calls the checker; ``params`` carries a, b, r,
+    ``check(g, f, params)`` calls the checker; ``params`` carries a, b, r,
     star_order, confirm and toughness_max_n (the CLI's argparse namespace
-    is one such object).  ``trial`` is what a campaign trial draws after
-    (a, b): "f" a random f in [a, b], "r" an odd r with f = r, or "ab"
-    nothing, with b raised to a + 1.  With ``skip_invalid`` a campaign
-    skips a trial whose parameters the checker rejects.
+    is one such object).  ``factor`` is the predicted factor: "f" an
+    f-factor, "r" an r-factor, "ab" an [a, b]-factor.  A campaign trial
+    draws by it after (a, b): a random f in [a, b], or an odd r, or b raised
+    to a + 1; the last two take the lower bound as f.  With
+    ``skip_invalid`` a campaign skips a trial whose parameters the checker
+    rejects.
     """
 
-    run: Callable[[Graph, DegreeSpec | None, object], HypothesisReport]
-    trial: str = "f"
+    check: Callable[[Graph, DegreeSpec | None, object], HypothesisReport]
+    factor: str = "f"
     skip_invalid: bool = False
 
+    def bounds(self, n: int, f: DegreeSpec | None, params) -> tuple[tuple[int, ...], ...]:
+        """The degree bounds (lo, hi) of the predicted factor on n vertices;
+        an r, a or b read from ``params`` must be an integer."""
+        if self.factor == "f":
+            return f.values, f.values
+        keys = ("r", "r") if self.factor == "r" else ("a", "b")
+        for key in keys:
+            if not isinstance(getattr(params, key, None), int):
+                raise ValueError(f"parameter {key!r} must be an integer")
+        return tuple((getattr(params, key),) * n for key in keys)
 
+    def run(self, g: Graph, f: DegreeSpec | None, params) -> HypothesisReport:
+        """Run the checker; with ``params.confirm``, check a met prediction
+        against the solver: a factor within ``bounds`` must exist."""
+        report = self.check(g, f, params)
+        if params.confirm and report.hypotheses_met:
+            lo, hi = self.bounds(g.n, f, params)
+            factor = find_factor(g, lo, hi)
+            if factor is not None and verify_factor(g, lo, hi, factor):
+                report.confirmation = "confirmed"
+                report.factor = factor
+            else:
+                report.confirmation = "refuted"
+        return report
+
+
+# each lambda looks its checker up at call time, so a rebound name runs
 THEOREMS: dict[str, Theorem] = {
     # stability bound + odd-toughness >= 1/a
     "main": Theorem(lambda g, f, p: check_main_theorem(
-        g, f, p.a, p.b, confirm=p.confirm, toughness_max_n=p.toughness_max_n)),
+        g, f, p.a, p.b, toughness_max_n=p.toughness_max_n)),
     # stability bound strengthened by min(. , a*kappa)
-    "kappa_corollary": Theorem(lambda g, f, p: check_corollary_kappa(
-        g, f, p.a, p.b, confirm=p.confirm)),
+    "kappa_corollary": Theorem(lambda g, f, p: check_corollary_kappa(g, f, p.a, p.b)),
     # minimum-degree condition delta >= b|X|/(a+b)
-    "min_degree": Theorem(lambda g, f, p: check_theorem_min_degree(
-        g, f, p.a, p.b, confirm=p.confirm)),
+    "min_degree": Theorem(lambda g, f, p: check_theorem_min_degree(g, f, p.a, p.b)),
     # r-factor via connectivity and stability
-    "regular_connectivity": Theorem(lambda g, f, p: check_theorem_regular_connectivity(
-        g, p.r, confirm=p.confirm), trial="r"),
+    "regular_connectivity": Theorem(
+        lambda g, f, p: check_theorem_regular_connectivity(g, p.r), factor="r"),
     # [a,b]-factor via stability and minimum degree
-    "ab_factor": Theorem(lambda g, f, p: check_theorem_ab_factor(
-        g, p.a, p.b, confirm=p.confirm), trial="ab"),
+    "ab_factor": Theorem(lambda g, f, p: check_theorem_ab_factor(g, p.a, p.b), factor="ab"),
     # K_{1,n}-free condition
     "claw_free": Theorem(lambda g, f, p: check_theorem_claw_free(
-        g, f, p.a, p.b, p.star_order, confirm=p.confirm), skip_invalid=True),
+        g, f, p.a, p.b, p.star_order), skip_invalid=True),
     # the stability bound alone (refuted by g0)
-    "stability_conjecture": Theorem(lambda g, f, p: check_stability_conjecture(
-        g, f, p.a, p.b, confirm=p.confirm)),
+    "stability_conjecture": Theorem(
+        lambda g, f, p: check_stability_conjecture(g, f, p.a, p.b)),
 }
 
 
@@ -386,22 +385,22 @@ def empirical_validate(
         a, b = rng.choice(AB_CHOICES)
         params = SimpleNamespace(a=a, b=b, r=None, star_order=STAR_ORDER, confirm=True,
                                  toughness_max_n=TOUGHNESS_MAX_N)
-        f = None
-        if entry.trial == "r":
-            params.r = rng.choice(R_CHOICES)
-            f = DegreeSpec((params.r,) * g.n)
-        elif entry.trial == "ab":
-            params.b = max(b, a + 1)
-        else:
+        if entry.factor == "f":
             try:
                 f = random_degree_spec(g, a, b, rng.randrange(2**31))
             except ValueError:
                 continue  # unrepairable parity (a == b with odd total)
+        else:
+            if entry.factor == "r":
+                params.r = rng.choice(R_CHOICES)
+            else:
+                params.b = max(b, a + 1)
+            f = DegreeSpec(entry.bounds(g.n, None, params)[0])
         try:
             check = entry.run(g, f, params)
         except ValueError:
             if entry.skip_invalid:
                 continue
             raise
-        report.tally(index, tseed, check, g, f if f is not None else DegreeSpec((a,) * g.n))
+        report.tally(index, tseed, check, g, f)
     return report

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,9 @@ from ffactors.graph import (
     is_connected,
 )
 from ffactors.instances import random_connected_graph
+from ffactors.invariants import TOUGHNESS_MAX_N
 from ffactors.solver import FactorSubgraph, _blossom_matching
+from ffactors.theorems import THEOREMS, HypothesisReport
 from ffactors.tutte import DeficiencyReport, SubsetPair, _evaluate
 
 ORACLE_MAX_M = 24
@@ -38,6 +41,17 @@ ORACLE_MAX_M = 24
 def f_sum(f: DegreeSpec, vertices) -> int:
     """Sum of target degrees over a vertex set."""
     return sum(f.values[v] for v in vertices)
+
+
+def run_confirmed(name: str, g: Graph, f: DegreeSpec | None = None,
+                  **params) -> HypothesisReport:
+    """Run theorem ``name`` as ``verify-theorem --confirm`` does: its checker,
+    then the solver on a met prediction.  ``params`` override the CLI's
+    defaults a=1, b=2, r=1 and star_order=3."""
+    namespace = SimpleNamespace(a=1, b=2, r=1, star_order=3, confirm=True,
+                                toughness_max_n=TOUGHNESS_MAX_N)
+    vars(namespace).update(params)
+    return THEOREMS[name].run(g, f, namespace)
 
 
 def pytest_configure(config):

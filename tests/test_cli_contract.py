@@ -19,6 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_confirmed
+
 from ffactors import cli, theorems
 from ffactors.graph import (
     DegreeSpec, build_graph, complete_graph, constant_spec, cycle, path, star,
@@ -187,8 +189,8 @@ def test_alpha_search_does_not_recurse():
 def _base_reports() -> dict[str, dict]:
     """A solve report with a factor certificate, an audit report with a
     violating pair, a confirmed [1,2]-factor report, and a confirmed
-    1-factor report of ``regular_connectivity``, whose recheck reads r from
-    the report's parameters."""
+    1-factor report of ``regular_connectivity``; the last two are rechecked
+    against the bounds (a and b, or r) in the report's parameters."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         c4 = tmp / "c4.inst"
@@ -255,19 +257,31 @@ class TestRecheckMalformed:
 
     @pytest.mark.parametrize("key", ["a", "b", "edges"])
     def test_ab_factor_without_field(self, tmp_path, reports, key):
-        del reports["ab"]["certificates"][0][key]
-        code, err = self.recheck(tmp_path, reports["ab"])
+        # the bounds come from the report's parameters, the edges from the
+        # certificate
+        doc = reports["ab"]
+        del (doc["certificates"][0] if key == "edges" else doc["parameters"])[key]
+        code, err = self.recheck(tmp_path, doc)
         assert_one_line_error(code, err)
         assert repr(key) in err
 
     def test_ab_factor_mistyped_bound(self, tmp_path, reports):
-        reports["ab"]["certificates"][0]["b"] = "2"
+        reports["ab"]["parameters"]["b"] = "2"
         assert_one_line_error(*self.recheck(tmp_path, reports["ab"]))
+
+    @pytest.mark.parametrize("name", ["nonsense", ["main"], None, 3])
+    def test_unknown_theorem_name(self, tmp_path, reports, name):
+        """The theorem id decides the factor's bounds, so a report whose id
+        is unknown, or not a string at all, is malformed."""
+        reports["ab"]["parameters"]["name"] = name
+        code, err = self.recheck(tmp_path, reports["ab"])
+        assert_one_line_error(code, err)
+        assert "'name'" in err
 
 
 class TestRecheckABFactor:
-    """A confirmed [a,b]-factor is checked against [a, b], not against the
-    instance's f."""
+    """A confirmed [a,b]-factor is checked against the report's [a, b], not
+    against the instance's f."""
 
     def recheck(self, tmp_path, doc) -> int:
         path = tmp_path / "doc.json"
@@ -278,8 +292,8 @@ class TestRecheckABFactor:
         """The factor is stated once, as the certificate."""
         doc = reports["ab"]
         g, _ = parse_instance(doc["instance"])
-        factor = theorems.check_theorem_ab_factor(g, 1, 2, confirm=True).factor
-        assert doc["certificates"] == [{"type": "ab_factor", "a": 1, "b": 2,
+        factor = run_confirmed("ab_factor", g, a=1, b=2).factor
+        assert doc["certificates"] == [{"type": "factor",
                                         "edges": [list(e) for e in factor.edges]}]
         assert doc["verdicts"]["confirmation"] == "confirmed"
         assert "factor" not in doc["verdicts"]
@@ -293,7 +307,8 @@ class TestRecheckABFactor:
             assert self.recheck(tmp_path, doc) == 1
 
     def test_changed_bound_fails(self, tmp_path, reports):
-        reports["ab"]["certificates"][0]["b"] = 3
+        # the factor has a vertex of degree 1, below a = 2
+        reports["ab"]["parameters"]["a"] = 2
         assert self.recheck(tmp_path, reports["ab"]) == 1
 
 
@@ -393,6 +408,29 @@ def test_fuzz_discrepancy_exits_1(tmp_path, monkeypatch):
         assert set(record) == {"index", "seed", "instance"}
         assert record["seed"] == 7 * 1_000_003 + record["index"]
         assert serialize_instance(*parse_instance(record["instance"])) == record["instance"]
+
+
+@pytest.mark.parametrize("name, n, f, cert", [
+    # all six edges of K4: a 3-factor, not the [1,2]-factor that is predicted
+    ("ab_factor", 4, 3, {"type": "factor", "edges": [list(e) for e in complete_graph(4).edges()]}),
+    # a perfect matching of K6, not the 2-factor that is predicted
+    ("main", 6, 2, {"type": "ab_factor", "a": 1, "b": 2, "edges": [[0, 1], [2, 3], [4, 5]]}),
+])
+def test_certificate_is_the_predicted_factor(tmp_path, name, n, f, cert):
+    """A verify-theorem factor is checked against the factor that the
+    report's theorem predicts, whatever kind or bounds the certificate
+    names: both tampered certificates below fit the instance otherwise."""
+    g = complete_graph(n)
+    inst, out = tmp_path / "k.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, f)))
+    assert run(["verify-theorem", name, str(inst), "--a", "1", "--b", "2", "--confirm",
+                "--out", str(out)])[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["verdicts"]["confirmation"] == "confirmed"
+    assert run(["recheck", str(out)])[0] == 0
+    doc["certificates"] = [cert]
+    out.write_text(json.dumps(doc))
+    assert run(["recheck", str(out)])[0] == 1
 
 
 def test_regular_connectivity_factor_rechecks_against_r(tmp_path, reports):

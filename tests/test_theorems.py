@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
-from conftest import brute_vertex_connectivity, seeded_corpus
+from conftest import brute_vertex_connectivity, run_confirmed, seeded_corpus
 
 from ffactors import invariants
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
@@ -50,7 +50,7 @@ class TestMainBound:
 class TestMainTheorem:
     def test_k5_two_factor(self):
         g = complete_graph(5)
-        report = check_main_theorem(g, constant_spec(g, 2), 2, 2, confirm=True)
+        report = run_confirmed("main", g, constant_spec(g, 2), a=2, b=2)
         assert report.hypotheses_met
         assert report.prediction == "f-factor exists"
         assert report.confirmation == "confirmed"
@@ -106,7 +106,7 @@ class TestMainTheorem:
 class TestCorollaryKappa:
     def test_k5(self):
         g = complete_graph(5)
-        report = check_corollary_kappa(g, constant_spec(g, 2), 2, 2, confirm=True)
+        report = run_confirmed("kappa_corollary", g, constant_spec(g, 2), a=2, b=2)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
@@ -184,7 +184,7 @@ class TestCorollaryKappa:
 class TestMinDegreeTheorem:
     def test_k6_two_factor(self):
         g = complete_graph(6)
-        report = check_theorem_min_degree(g, constant_spec(g, 2), 2, 2, confirm=True)
+        report = run_confirmed("min_degree", g, constant_spec(g, 2), a=2, b=2)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
@@ -195,14 +195,14 @@ class TestMinDegreeTheorem:
 
     def test_k2_perfect_matching(self):
         g = complete_graph(2)
-        report = check_theorem_min_degree(g, constant_spec(g, 1), 1, 1, confirm=True)
+        report = run_confirmed("min_degree", g, constant_spec(g, 1), a=1, b=1)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
 
 class TestRegularConnectivity:
     def test_k6_perfect_matching(self):
-        report = check_theorem_regular_connectivity(complete_graph(6), 1, confirm=True)
+        report = run_confirmed("regular_connectivity", complete_graph(6), r=1)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
@@ -222,7 +222,7 @@ class TestRegularConnectivity:
 
 class TestABFactorTheorem:
     def test_k4(self):
-        report = check_theorem_ab_factor(complete_graph(4), 1, 2, confirm=True)
+        report = run_confirmed("ab_factor", complete_graph(4), a=1, b=2)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
@@ -242,7 +242,7 @@ class TestABFactorTheorem:
         built = g0_desk_instance()
         g = built.graph
         assert g.m > 24
-        report = check_theorem_ab_factor(g, 2, 3, confirm=True)
+        report = run_confirmed("ab_factor", g, a=2, b=3)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
         degrees = [sum(v in e for e in report.factor.edges) for v in range(g.n)]
@@ -253,7 +253,7 @@ class TestABFactorTheorem:
 class TestClawFree:
     def test_k8(self):
         g = complete_graph(8)
-        report = check_theorem_claw_free(g, constant_spec(g, 2), 2, 2, 3, confirm=True)
+        report = run_confirmed("claw_free", g, constant_spec(g, 2), a=2, b=2, star_order=3)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
@@ -279,13 +279,13 @@ class TestStabilityConjecture:
     def test_refuted_on_g0(self, delta, p):
         built = build_g0(2, 3, 1, delta, p)
         assert built.f_total_even
-        report = check_stability_conjecture(built.graph, built.spec, 2, 3, confirm=True)
+        report = run_confirmed("stability_conjecture", built.graph, built.spec, a=2, b=3)
         assert report.hypotheses_met
         assert report.confirmation == "refuted"
 
     def test_holds_on_k5(self):
         g = complete_graph(5)
-        report = check_stability_conjecture(g, constant_spec(g, 2), 2, 2, confirm=True)
+        report = run_confirmed("stability_conjecture", g, constant_spec(g, 2), a=2, b=2)
         assert report.hypotheses_met
         assert report.confirmation == "confirmed"
 
