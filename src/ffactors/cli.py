@@ -138,7 +138,10 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_recheck(args) -> int:
     with open(args.report) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("report is nested too deeply to parse") from None
     failures = reports.recheck_report(doc)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -22,6 +22,11 @@ from .graph import DegreeSpec, Graph, build_graph, is_connected
 
 CONNECTED_TRIES = 200
 
+# the largest declared n an instance may have: a graph is built at its
+# declared n, whatever the document holds, so this bounds parse memory
+# (about 30 MB at the cap)
+MAX_N = 100_000
+
 
 # every line type with its exact fields
 _LINE_FORMS = {
@@ -54,6 +59,8 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
                 if n is not None:
                     raise ValueError("duplicate problem line")
                 n, declared_m = int(parts[2]), int(parts[3])
+                if n > MAX_N:
+                    raise ValueError(f"n={n} exceeds the limit of {MAX_N} vertices")
             elif parts[0] == "e":
                 if n is None:
                     raise ValueError("edge before problem line")

@@ -278,6 +278,14 @@ class TestRecheckMalformed:
         assert_one_line_error(code, err)
         assert "'name'" in err
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"a": ' * 100_000 + "1" + "}" * 100_000],
+                             ids=["lists", "objects"])
+    def test_deeply_nested_json(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert_one_line_error(*run(["recheck", str(path)]))
+
 
 class TestRecheckABFactor:
     """A confirmed [a,b]-factor is checked against the report's [a, b], not
@@ -369,6 +377,25 @@ def test_gen_witness_is_rechecked(tmp_path, key, value):
     cert[key] = value
     report.write_text(json.dumps(doc))
     assert run(["recheck", str(report)])[0] == 1
+
+
+def test_declared_n_past_the_cap(tmp_path):
+    """A declared n past the cap of 100,000 vertices is refused before
+    anything is built: in an instance file, and in a report's embedded
+    instance.  n at the cap still parses."""
+    assert parse_instance("p ffactor 100000 0\ndefault-f 0\n")[0].n == 100_000
+    text = "p ffactor 100001 0\ndefault-f 0\n"
+    inst = tmp_path / "big.inst"
+    inst.write_text(text)
+    code, err = run(["solve", str(inst)])
+    assert_one_line_error(code, err)
+    assert "line 1" in err
+    report, doc = gen_desk_report(tmp_path)
+    doc["instance"] = text
+    report.write_text(json.dumps(doc))
+    code, err = run(["recheck", str(report)])
+    assert_one_line_error(code, err)
+    assert "line 1" in err
 
 
 @pytest.mark.parametrize("tamper", ["drop certificate", "drop reason"])
