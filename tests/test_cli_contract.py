@@ -315,7 +315,9 @@ class TestRecheckABFactor:
             assert self.recheck(tmp_path, doc) == 1
 
     def test_changed_bound_fails(self, tmp_path, reports):
-        # the factor has a vertex of degree 1, below a = 2
+        # the [1,2]-factor has a vertex of degree 1, below a = 2
+        edges = reports["ab"]["certificates"][0]["edges"]
+        assert 1 in [sum(v in edge for edge in edges) for pair in edges for v in pair]
         reports["ab"]["parameters"]["a"] = 2
         assert self.recheck(tmp_path, reports["ab"]) == 1
 
@@ -439,14 +441,17 @@ def test_fuzz_discrepancy_exits_1(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, n, f, cert", [
     # all six edges of K4: a 3-factor, not the [1,2]-factor that is predicted
-    ("ab_factor", 4, 3, {"type": "factor", "edges": [list(e) for e in complete_graph(4).edges()]}),
+    ("ab_factor", 4, 3,
+     {"type": "factor", "edges": [list(e) for e in complete_graph(4).edges()]}),
     # a perfect matching of K6, not the 2-factor that is predicted
-    ("main", 6, 2, {"type": "ab_factor", "a": 1, "b": 2, "edges": [[0, 1], [2, 3], [4, 5]]}),
+    ("main", 6, 2,
+     {"type": "ab_factor", "a": 1, "b": 2, "edges": [[0, 1], [2, 3], [4, 5]]}),
 ])
 def test_certificate_is_the_predicted_factor(tmp_path, name, n, f, cert):
     """A verify-theorem factor is checked against the factor that the
     report's theorem predicts, whatever kind or bounds the certificate
-    names: both tampered certificates below fit the instance otherwise."""
+    names.  Each tampered certificate is a factor of the instance, but not
+    the predicted one."""
     g = complete_graph(n)
     inst, out = tmp_path / "k.inst", tmp_path / "report.json"
     inst.write_text(serialize_instance(g, constant_spec(g, f)))
