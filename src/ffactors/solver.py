@@ -26,12 +26,18 @@ ways, each read back from a perfect matching as stated:
   is matched to the slack-form end's external, which frees the copy-form
   end's external for a copy.
 
-All optional slack vertices form one clique, and when the sum of lo is odd
-one extra vertex is joined to every optional one.  Copy-form vertices hold
-no optional slack and have deg_H(v) = lo(v), so the unused optional slack
-vertices number 2|H| - sum(lo), and the clique (plus the extra vertex when
-that count is odd) pairs them up.  Hence a perfect matching gives a factor
-H, and every factor extends to one.
+With q > 0 optional slack vertices, a pairing path of 2q + e vertices comes
+last, e = sum(lo) mod 2, and optional vertex k is joined to its vertices 2k
+and 2k + 1.  Parity lemma: without the path the gadget has sum(lo) vertices
+mod 2, as a copy-form v adds d + lo(v) and a slack-form v adds 2d - lo(v);
+the externals at copy-form ends number 2 (copy-copy edges) + (mixed edges),
+and each mixed edge adds one subdivision vertex.  Pairing lemma: the path
+plus a set U of optional vertices has a perfect matching iff |U| = e mod 2.
+Sweep the pairs (2k, 2k + 1) in order: k in U takes 2k when the open run is
+even, else 2k + 1, so each closed run is even and the last has parity
+|U| + e.  A copy-form v holds no optional slack and has deg_H(v) = lo(v),
+so a factor H leaves 2|H| - sum(lo) = e (mod 2) optional vertices unused:
+a perfect matching gives a factor, and every factor extends to one.
 
 Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
 initialization; everything is deterministic given the graph's vertex order.
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .graph import DegreeSpec, Graph
@@ -72,8 +77,8 @@ class GadgetGraph:
     Vertex v's block takes consecutive ids, v in increasing order: first its
     external copies of edges vu, u in increasing order, then its copy
     vertices, or its mandatory and then its optional slack vertices.  The
-    subdivision vertices of mixed edges follow, in edge order, and the extra
-    parity vertex, if any, comes last.  ``bridges`` maps each original edge
+    subdivision vertices of mixed edges follow, in edge order, and the
+    pairing path, if any, comes last.  ``bridges`` maps each original edge
     (u, v) with u < v to (i, j, in_if_matched): the edge is in H iff
     ``(mate[i] == j) == in_if_matched``.  That is (x_u, x_v, False) for a
     copy-copy bridge, (x_u, x_v, True) for a slack-slack bridge, and
@@ -94,9 +99,7 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     docstring; requires 0 <= lo(v) <= hi(v) and, unless lo(v) == hi(v),
     lo(v) <= d(v); a bound hi(v) above d(v) counts as d(v).  Vertex v takes
     the copy form iff lo(v) == hi(v) and either 2 lo(v) < d(v) or
-    lo(v) > d(v).  With lo == hi == f the gadget has 2m + sum over v of
-    (f if copy form else d - f) vertices, plus one subdivision vertex per
-    edge whose ends take different forms."""
+    lo(v) > d(v); the parity lemma there counts the vertices."""
     ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
     optional: list[int] = []
@@ -139,13 +142,14 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
             adj[i].append(sub)
             adj[j].append(sub)
             bridges[(u, v)] = (sub, j if copy_form[u] else i, True)
-    for i, j in combinations(optional, 2):
-        adj[i].append(j)
-        adj[j].append(i)
-    if sum(lo) % 2:
-        for i in optional:
-            adj[i].append(len(adj))
-        adj.append(optional)
+    if optional:
+        # the pairing path: optional vertex k is joined to path vertices 2k and 2k + 1
+        path = range(len(adj), len(adj) + 2 * len(optional) + sum(lo) % 2)
+        adj.extend([p for p in (i - 1, i + 1) if p in path] for i in path)
+        for k, i in enumerate(optional):
+            for p in path[2 * k:2 * k + 2]:
+                adj[i].append(p)
+                adj[p].append(i)
     return GadgetGraph(len(adj), adj, bridges, starts, copy_form)
 
 
@@ -279,9 +283,7 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     exists, None otherwise; the existence answer is exact."""
     if not len(lo) == len(hi) == g.n:
         raise ValueError("degree spec length mismatch")
-    top = [min(h, g.degree(v)) for v, h in enumerate(hi)]
-    # with no optional slack an odd sum(lo) leaves the parity vertex bare
-    if any(low > t for low, t in zip(lo, top)) or (list(lo) == top and sum(lo) % 2):
+    if any(low > min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
         return None
     gadget = tutte_gadget(g, lo, hi)
     mate = _blossom_matching(gadget.size, gadget.adj)

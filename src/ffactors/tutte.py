@@ -14,10 +14,10 @@ choice under which delta always has the parity of f(X) (see the parity
 property tests).
 
 The minimum of delta is read off one maximum matching of the solver's gadget
-for f: it is minus the number of exposed gadget vertices, not counting the
-parity vertex (Lovasz, "Subgraphs with prescribed valencies", 1970), and a
-pair attaining it follows from the Gallai-Edmonds classes of the gadget
-vertices (Anstee, "An algorithmic proof of Tutte's f-factor theorem", 1985).
+for f: it is minus the number of exposed gadget vertices (Lovasz,
+"Subgraphs with prescribed valencies", 1970), and a pair attaining it
+follows from the Gallai-Edmonds classes of the gadget vertices (Anstee,
+"An algorithmic proof of Tutte's f-factor theorem", 1985).
 """
 
 from __future__ import annotations
@@ -121,10 +121,8 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     gadget = tutte_gadget(g, clamped, clamped)
     labels = [""] * gadget.size
     mate = _blossom_matching(gadget.size, gadget.adj, labels)
-    # with an odd f(X) the gadget's last vertex is a bare parity vertex;
     # each unit of f removed by the clamp is one more exposed copy
-    total = f.total()
-    exposed = mate.count(-1) - total % 2 + total - sum(clamped)
+    exposed = mate.count(-1) + f.total() - sum(clamped)
     if not exposed:
         return None
     s_mask = t_mask = 0

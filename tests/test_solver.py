@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -43,8 +44,7 @@ def _gadget_edge_kinds(g, lo, hi) -> Counter:
     vertex takes the copy form iff lo == hi and 2 lo < d.  Empty when
     find_factor answers before building a gadget."""
     degrees = [g.degree(v) for v in range(g.n)]
-    top = [min(h, d) for h, d in zip(hi, degrees)]
-    if any(x > t for x, t in zip(lo, top)) or (list(lo) == top and sum(lo) % 2):
+    if any(x > min(h, d) for x, h, d in zip(lo, hi, degrees)):
         return Counter()
     copy = [x == h and 2 * x < d for x, h, d in zip(lo, hi, degrees)]
     return Counter(
@@ -118,29 +118,95 @@ class TestGadget:
         """lo == hi == f: the 2m externals, then f copy vertices where
         2f < d and d - f mandatory slack vertices elsewhere, one subdivision
         vertex per edge whose ends take different forms, no optional slack
-        and no parity vertex."""
+        and no pairing path.  So the size has the parity of f(X), and an odd
+        f(X) leaves a vertex exposed without any extra vertex."""
+        odd_sums = 0
         for i, g in enumerate(seeded_corpus(20, 2, 10, seed=53)):
             rng = random.Random(i)
             f = [rng.randint(0, g.degree(v)) for v in range(g.n)]
             if sum(f) % 2:
                 f[0] += -1 if f[0] else 1  # an even sum, still within [0, d(0)]
-            gadget = tutte_gadget(g, f, f)
-            copy = [2 * f[v] < g.degree(v) for v in range(g.n)]
-            block = [f[v] if copy[v] else g.degree(v) - f[v] for v in range(g.n)]
-            mixed = sum(copy[u] != copy[v] for u, v in g.edges())
-            assert gadget.size == 2 * g.m + sum(block) + mixed
-            blocks = sum(g.degree(v) * block[v] for v in range(g.n))
-            assert sum(map(len, gadget.adj)) // 2 == g.m + mixed + blocks
+            specs = [f]
+            v = next((v for v in range(g.n) if g.degree(v)), None)
+            if v is not None:  # and an odd sum, still within [0, d(v)]
+                specs.append(f[:v] + [f[v] + (1 if f[v] < g.degree(v) else -1)] + f[v + 1:])
+            for spec in specs:
+                gadget = tutte_gadget(g, spec, spec)
+                copy = [2 * spec[v] < g.degree(v) for v in range(g.n)]
+                block = [spec[v] if copy[v] else g.degree(v) - spec[v] for v in range(g.n)]
+                mixed = sum(copy[u] != copy[v] for u, v in g.edges())
+                assert gadget.size == 2 * g.m + sum(block) + mixed
+                assert gadget.size % 2 == sum(spec) % 2
+                blocks = sum(g.degree(v) * block[v] for v in range(g.n))
+                assert sum(map(len, gadget.adj)) // 2 == g.m + mixed + blocks
+                odd_sums += sum(spec) % 2
+        assert odd_sums >= 15
 
     def test_bounded_shape(self):
         g = complete_graph(4)  # d = 3 and hi = 2: one mandatory slack vertex each
         gadget = tutte_gadget(g, (0, 1, 1, 1), (2,) * 4)
-        # externals, mandatory, optional (2 + 1 + 1 + 1), parity (sum(lo) = 3)
-        assert gadget.size == 12 + 4 + 5 + 1
-        # bridges, blocks of 3 externals times d - lo slack, clique, parity edges
-        assert sum(map(len, gadget.adj)) // 2 == 6 + (9 + 3 * 6) + 10 + 5
-        # hi above the degree counts as the degree: no mandatory slack
-        assert tutte_gadget(g, (1,) * 4, (9,) * 4).size == 12 + 4 * 2
+        # externals, mandatory, optional (2 + 1 + 1 + 1), and a pairing path
+        # of 2 * 5 + 1 vertices (sum(lo) = 3)
+        assert gadget.size == 12 + 4 + 5 + 11 == 32
+        # bridges, blocks of 3 externals times d - lo slack, path edges, and
+        # two edges from each optional vertex to the path
+        assert sum(map(len, gadget.adj)) // 2 == 6 + (9 + 3 * 6) + 10 + 2 * 5 == 53
+        # hi above the degree counts as the degree: no mandatory slack, so
+        # 8 optional slack vertices and a path of 2 * 8 (sum(lo) = 4)
+        assert tutte_gadget(g, (1,) * 4, (9,) * 4).size == 12 + 4 * 2 + 16 == 36
+
+    def test_pairing_path(self):
+        """Optional slack vertex k is joined to path vertices 2k and 2k + 1 of
+        a path of 2q + sum(lo) mod 2 vertices that comes last, and the
+        gadget has an even number of vertices."""
+        rng = random.Random(67)
+        paths = 0
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6))
+            lo = [rng.randint(0, g.degree(v)) for v in range(n)]
+            hi = [x + rng.randint(0, 3) for x in lo]
+            gadget = tutte_gadget(g, lo, hi)
+            optional = [i for v in range(n) if not gadget.copy_form[v]
+                        for i in range(gadget.starts[v + 1] - (min(hi[v], g.degree(v)) - lo[v]),
+                                       gadget.starts[v + 1])]
+            if not optional:
+                continue
+            paths += 1
+            first = gadget.size - 2 * len(optional) - sum(lo) % 2
+            assert gadget.size % 2 == 0
+            for i in range(first, gadget.size):
+                along = {p for p in (i - 1, i + 1) if first <= p < gadget.size}
+                k = (i - first) // 2
+                assert set(gadget.adj[i]) == along | ({optional[k]} if k < len(optional) else set())
+            for k, i in enumerate(optional):
+                assert set(gadget.adj[i]) - set(range(gadget.starts[-1])) == {
+                    first + 2 * k, first + 2 * k + 1}
+        assert paths >= 100
+
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_pairing_lemma(self, e):
+        """The path of 2q + e vertices plus a set U of the q optional vertices
+        has a perfect matching iff |U| has the parity of e."""
+        for q in range(1, 6):
+            size = 2 * q + e
+            for mask in range(1 << q):
+                chosen = [k for k in range(q) if mask >> k & 1]
+                adj = [[p for p in (i - 1, i + 1) if 0 <= p < size] for i in range(size)]
+                for k in chosen:
+                    adj.append([2 * k, 2 * k + 1])
+                    adj[2 * k].append(len(adj) - 1)
+                    adj[2 * k + 1].append(len(adj) - 1)
+                mate = _blossom_matching(len(adj), adj)
+                assert (-1 not in mate) == (len(chosen) % 2 == e), (q, chosen)
+
+    def test_linear_in_optional_slack(self):
+        """The [1, 2] gadget of a cycle has O(n) edges: 2n externals, n
+        optional slack vertices and a path of 2n."""
+        n = 2000
+        gadget = tutte_gadget(cycle(n), [1] * n, [2] * n)
+        assert gadget.size == 2 * n + n + 2 * n
+        assert sum(map(len, gadget.adj)) // 2 < 8 * n
 
     def test_lower_above_upper_rejected(self):
         g = cycle(4)
@@ -291,6 +357,15 @@ class TestFindFactor:
             kinds += _gadget_edge_kinds(g, lo, hi)
         assert min(seen.values()) >= 50, seen
         assert min(kinds[k] for k in ("copy", "slack", "mixed")) >= 50, kinds
+
+    def test_long_cycle(self):
+        """An [a, b] search on a 20,000-vertex cycle stays linear in size."""
+        n = 20_000
+        g, lo, hi = cycle(n), [1] * n, [2] * n
+        started = time.perf_counter()
+        factor = find_factor(g, lo, hi)
+        assert time.perf_counter() - started < 2
+        assert factor is not None and verify_factor(g, lo, hi, factor)
 
     def test_exact_bounds_are_find_f_factor(self):
         for i, g in enumerate(seeded_corpus(20, 2, 10, seed=61)):
