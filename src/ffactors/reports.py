@@ -106,16 +106,43 @@ def _claimed_bounds(doc: dict, params: dict, g: Graph, f: DegreeSpec):
     return theorem.bounds(g.n, f, SimpleNamespace(**params))
 
 
+def _theorem_verdict_failures(verdicts: dict) -> list[str]:
+    """A ``verify-theorem`` report's verdicts must follow from its
+    hypothesis rows, as ``Theorem.run`` derives them: the hypotheses are met
+    iff every row is satisfied, a prediction is made iff they are met, and
+    only a met prediction is confirmed or refuted."""
+    rows = verdicts.get("hypotheses")
+    if not (isinstance(rows, list) and all(
+            isinstance(row, dict) and isinstance(row.get("satisfied"), bool) for row in rows)):
+        raise ValueError("the report's 'hypotheses' must be a list of rows with a "
+                         "boolean 'satisfied'")
+    met = all(row["satisfied"] for row in rows)
+    failures = []
+    got = verdicts.get("hypotheses_met")
+    if not (isinstance(got, bool) and got == met):
+        failures.append(f"verdicts.hypotheses_met={got!r} does not match the hypothesis rows")
+    prediction = verdicts.get("prediction")
+    if (prediction == "no prediction") == met:
+        failures.append(f"verdicts.prediction={prediction!r} does not match the hypothesis rows")
+    if verdicts.get("confirmation") is not None and not met:
+        failures.append("verdicts.confirmation is set, but not every hypothesis row is satisfied")
+    return failures
+
+
 def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report, and that the
     report claims a factor or a violating pair exactly when it carries a
     certificate for one: in its verdicts, or for ``gen`` in its
     parameters' nonexistence reason.
 
+    A ``verify-theorem`` report's verdicts must also agree with its
+    hypothesis rows.
+
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a certificate with a missing or
-    mistyped field, a factor whose claimed bounds cannot be read, or a
-    claim section that is not an object) raises ValueError instead.
+    mistyped field, a factor whose claimed bounds cannot be read, a claim
+    section that is not an object, or hypothesis rows without a boolean
+    'satisfied') raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -171,4 +198,6 @@ def recheck_report(doc: dict) -> list[str]:
         claimed = type(got) is type(value) and got == value
         if claimed != any(cert.get("type") in kinds for cert in certificates):
             failures.append(f"{section}.{key}={got!r} does not match the certificates")
+        if command == "verify-theorem":
+            failures += _theorem_verdict_failures(claims)
     return failures

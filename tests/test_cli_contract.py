@@ -255,6 +255,23 @@ class TestRecheckMalformed:
         reports["audit"]["certificates"][0]["delta"] += 1
         assert self.recheck(tmp_path, reports["audit"])[0] == 1
 
+    def test_repeated_edge_exits_1(self, tmp_path):
+        """K2 with f = 2 has no factor; its one edge listed twice, once each
+        way, passes every degree check and fails only as a repeat."""
+        inst, out = tmp_path / "k2.inst", tmp_path / "solve.json"
+        inst.write_text(serialize_instance(complete_graph(2), constant_spec(complete_graph(2), 2)))
+        assert run(["solve", str(inst), "--out", str(out)])[0] == 1
+        doc = json.loads(out.read_text())
+        doc["verdicts"]["factor_exists"] = True
+        doc["certificates"] = [{"type": "factor", "edges": [[0, 1], [1, 0]]}]
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and "not the claimed factor" in err
+
+    def test_no_embedded_instance_exits_1(self, tmp_path, reports):
+        reports["solve"]["instance"] = None
+        code, err = self.recheck(tmp_path, reports["solve"])
+        assert code == 1 and "no embedded instance" in err
+
     @pytest.mark.parametrize("key", ["a", "b", "edges"])
     def test_ab_factor_without_field(self, tmp_path, reports, key):
         # the bounds come from the report's parameters, the edges from the
@@ -356,6 +373,79 @@ class TestRecheckVerdicts:
         code, err = self.recheck(tmp_path, reports[name])
         assert_one_line_error(code, err)
         assert "'verdicts'" in err
+
+
+class TestRecheckTheoremVerdicts:
+    """A verify-theorem report's verdicts follow from its hypothesis rows:
+    the hypotheses are met iff every row is satisfied, a prediction is made
+    iff they are met, and only a met prediction is confirmed."""
+
+    @pytest.fixture
+    def k6(self, tmp_path) -> dict:
+        """The confirmed 2-factor report of ``main`` on K6 with a = 1, b = 2."""
+        g = complete_graph(6)
+        inst, out = tmp_path / "k6.inst", tmp_path / "k6.json"
+        inst.write_text(serialize_instance(g, constant_spec(g, 2)))
+        assert run(["verify-theorem", "main", str(inst), "--a", "1", "--b", "2", "--confirm",
+                    "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"]["hypotheses_met"] is True
+        assert doc["verdicts"]["confirmation"] == "confirmed"
+        return doc
+
+    def recheck(self, tmp_path, doc) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])
+
+    def test_untampered_rechecks(self, tmp_path, k6):
+        assert self.recheck(tmp_path, k6)[0] == 0
+
+    def test_unmet_rows_with_a_confirmation(self, tmp_path, k6):
+        """Every row, the met flag and the prediction say "not met", but the
+        report still says "confirmed" and carries the factor."""
+        verdicts = k6["verdicts"]
+        for row in verdicts["hypotheses"]:
+            row["satisfied"] = False
+        verdicts["hypotheses_met"] = False
+        verdicts["prediction"] = "no prediction"
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and "confirmation" in err
+
+    def test_met_flag_against_rows(self, tmp_path, k6):
+        k6["verdicts"]["hypotheses_met"] = False
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and "hypotheses_met" in err
+
+    def test_prediction_against_rows(self, tmp_path, k6):
+        k6["verdicts"]["prediction"] = "no prediction"
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and "prediction" in err
+
+    def test_one_unsatisfied_row(self, tmp_path, k6):
+        k6["verdicts"]["hypotheses"][-1]["satisfied"] = False
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1
+        assert all(key in err for key in ("hypotheses_met", "prediction", "confirmation"))
+
+    def test_unmet_report_rechecks(self, tmp_path, k6):
+        """A consistent report whose hypotheses fail, with no confirmation
+        and no factor, still rechecks."""
+        verdicts = k6["verdicts"]
+        verdicts["hypotheses"][0]["satisfied"] = False
+        verdicts.update(hypotheses_met=False, prediction="no prediction", confirmation=None)
+        k6["certificates"] = []
+        assert self.recheck(tmp_path, k6)[0] == 0
+
+    @pytest.mark.parametrize("rows", [None, "rows", [1], [{"satisfied": 1}], [{}]])
+    def test_malformed_rows(self, tmp_path, k6, rows):
+        if rows is None:
+            del k6["verdicts"]["hypotheses"]
+        else:
+            k6["verdicts"]["hypotheses"] = rows
+        code, err = self.recheck(tmp_path, k6)
+        assert_one_line_error(code, err)
+        assert "'hypotheses'" in err
 
 
 def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:

@@ -405,6 +405,13 @@ class TestVerify:
             g, constant_spec(g, 1), FactorSubgraph(((0, 2), (1, 3)))
         )
 
+    def test_repeated_edge(self):
+        """The edge of K2 listed twice, once each way, meets f = 2 at both
+        ends; only the duplicate check rejects it."""
+        g = complete_graph(2)
+        assert not verify_f_factor(g, constant_spec(g, 2), FactorSubgraph(((0, 1), (1, 0))))
+        assert not verify_factor(g, (2, 2), (2, 2), FactorSubgraph(((0, 1), (0, 1))))
+
 
 class TestBruteForce:
     def test_two_factor_of_k4(self):
