@@ -106,11 +106,11 @@ def _claimed_bounds(doc: dict, params: dict, g: Graph, f: DegreeSpec):
     return theorem.bounds(g.n, f, SimpleNamespace(**params))
 
 
-def _theorem_verdict_failures(verdicts: dict) -> list[str]:
-    """A ``verify-theorem`` report's verdicts must follow from its
-    hypothesis rows, as ``Theorem.run`` derives them: the hypotheses are met
-    iff every row is satisfied, a prediction is made iff they are met, and
-    only a met prediction is confirmed or refuted."""
+def _theorem_verdict_failures(verdicts: dict, name: object) -> list[str]:
+    """A ``verify-theorem`` report's verdicts must name its theorem and follow
+    from its hypothesis rows, as ``Theorem.run`` derives them: the hypotheses
+    are met iff every row is satisfied, a prediction is made iff they are
+    met, and only a met prediction is confirmed or refuted."""
     rows = verdicts.get("hypotheses")
     if not (isinstance(rows, list) and all(
             isinstance(row, dict) and isinstance(row.get("satisfied"), bool) for row in rows)):
@@ -118,6 +118,9 @@ def _theorem_verdict_failures(verdicts: dict) -> list[str]:
                          "boolean 'satisfied'")
     met = all(row["satisfied"] for row in rows)
     failures = []
+    theorem = verdicts.get("theorem")
+    if theorem != name:
+        failures.append(f"verdicts.theorem={theorem!r} does not match parameters.name={name!r}")
     got = verdicts.get("hypotheses_met")
     if not (isinstance(got, bool) and got == met):
         failures.append(f"verdicts.hypotheses_met={got!r} does not match the hypothesis rows")
@@ -135,8 +138,8 @@ def recheck_report(doc: dict) -> list[str]:
     certificate for one: in its verdicts, or for ``gen`` in its
     parameters' nonexistence reason.
 
-    A ``verify-theorem`` report's verdicts must also agree with its
-    hypothesis rows.
+    A ``verify-theorem`` report's verdicts must also name its theorem and
+    agree with its hypothesis rows.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a certificate with a missing or
@@ -199,5 +202,5 @@ def recheck_report(doc: dict) -> list[str]:
         if claimed != any(cert.get("type") in kinds for cert in certificates):
             failures.append(f"{section}.{key}={got!r} does not match the certificates")
         if command == "verify-theorem":
-            failures += _theorem_verdict_failures(claims)
+            failures += _theorem_verdict_failures(claims, params.get("name"))
     return failures

@@ -16,15 +16,17 @@ incident edge, and one of two blocks joined completely to them:
   deg_H(v) >= lo(v).
 
 So each vertex has at most d * min(f, d - f) block edges when lo == hi.
-An original edge uv joins its two externals x_u and x_v in one of three
-ways, each read back from a perfect matching as stated:
-
-- both ends copy form: a bridge x_u x_v; uv is in H iff it is unmatched
-  (both externals then sit with copies);
-- both ends slack form: a bridge x_u x_v; uv is in H iff it is matched;
-- mixed: one subdivision vertex joined to x_u and x_v; uv is in H iff it
-  is matched to the slack-form end's external, which frees the copy-form
-  end's external for a copy.
+An original edge uv joins its two externals x_u and x_v by a bridge x_u x_v
+when both ends take the same form, and otherwise (a mixed edge) through one
+subdivision vertex joined to both.  Readback: uv is in H iff x_u is matched
+into u's own block exactly when u takes the copy form.  In a perfect
+matching, a copy-form x_u is matched either to one of u's copies, and then
+uv is in H, or across the edge: to x_v on a copy-copy bridge, or to the
+subdivision vertex of a mixed edge; both leave uv out.  A slack-form x_u is
+matched either to one of u's slack vertices, and then uv is not in H, or
+across the edge, and both cross cases put uv in H: the slack-slack bridge
+is matched, or the subdivision vertex takes the slack end's external and
+frees the copy end's external for a copy.  So either endpoint decides.
 
 With q > 0 optional slack vertices, a pairing path of 2q + e vertices comes
 last, e = sum(lo) mod 2, and optional vertex k is joined to its vertices 2k
@@ -78,18 +80,15 @@ class GadgetGraph:
     external copies of edges vu, u in increasing order, then its copy
     vertices, or its mandatory and then its optional slack vertices.  The
     subdivision vertices of mixed edges follow, in edge order, and the
-    pairing path, if any, comes last.  ``bridges`` maps each original edge
-    (u, v) with u < v to (i, j, in_if_matched): the edge is in H iff
-    ``(mate[i] == j) == in_if_matched``.  That is (x_u, x_v, False) for a
-    copy-copy bridge, (x_u, x_v, True) for a slack-slack bridge, and
-    (subdivision vertex, slack-form end's external, True) for a mixed edge.
-    Vertex v's externals and block are the ids from ``starts[v]`` up to
-    ``starts[v + 1]``, and ``copy_form[v]`` says which form its block takes.
+    pairing path, if any, comes last.  The layout is ``starts`` plus
+    ``copy_form``, and no per-edge table is kept: vertex v's externals and
+    block are the ids from ``starts[v]`` up to ``starts[v + 1]``, its
+    external for its k-th neighbour is ``starts[v] + k``, and
+    ``copy_form[v]`` says which form its block takes.
     """
 
     size: int
     adj: list[list[int]]
-    bridges: dict[tuple[int, int], tuple[int, int, bool]]
     starts: list[int]
     copy_form: list[bool]
 
@@ -100,7 +99,6 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     lo(v) <= d(v); a bound hi(v) above d(v) counts as d(v).  Vertex v takes
     the copy form iff lo(v) == hi(v) and either 2 lo(v) < d(v) or
     lo(v) > d(v); the parity lemma there counts the vertices."""
-    ext_id: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = []
     optional: list[int] = []
     copy_form = [False] * g.n
@@ -113,11 +111,8 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         copy_form[v] = lo[v] == hi[v] and (2 * lo[v] < d or lo[v] > d)
         if lo[v] > d and not copy_form[v]:
             raise ValueError(f"lower bound {lo[v]} exceeds degree {d} at vertex {v}")
-        externals = []
-        for u in g.adj[v]:
-            ext_id[(v, u)] = len(adj)
-            externals.append(len(adj))
-            adj.append([])
+        externals = range(len(adj), len(adj) + d)
+        adj.extend([] for _ in externals)
         # a list, not a range: the block's entries then share one int
         # object per block vertex instead of allocating their own
         block = list(range(len(adj), len(adj) + (lo[v] if copy_form[v] else d - lo[v])))
@@ -129,19 +124,19 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         if not copy_form[v]:
             optional.extend(block[d - min(hi[v], d):])
     starts.append(len(adj))
-    bridges = {}
+    nxt = starts[:-1]  # v's next unwired external: g.edges() meets v's neighbours in order
     for u, v in g.edges():
-        i, j = ext_id[(u, v)], ext_id[(v, u)]
+        i, j = nxt[u], nxt[v]
+        nxt[u] += 1
+        nxt[v] += 1
         if copy_form[u] == copy_form[v]:
             adj[i].append(j)
             adj[j].append(i)
-            bridges[(u, v)] = (i, j, not copy_form[u])
         else:
             sub = len(adj)
             adj.append([i, j])
             adj[i].append(sub)
             adj[j].append(sub)
-            bridges[(u, v)] = (sub, j if copy_form[u] else i, True)
     if optional:
         # the pairing path: optional vertex k is joined to path vertices 2k and 2k + 1
         path = range(len(adj), len(adj) + 2 * len(optional) + sum(lo) % 2)
@@ -150,17 +145,15 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
             for p in path[2 * k:2 * k + 2]:
                 adj[i].append(p)
                 adj[p].append(i)
-    return GadgetGraph(len(adj), adj, bridges, starts, copy_form)
+    return GadgetGraph(len(adj), adj, starts, copy_form)
 
 
-def _blossom_matching(
-    n: int, adj: list[list[int]], labels: list[str] | None = None
-) -> list[int]:
-    """Maximum matching by blossom contraction; returns the mate array
-    (mate[v] == -1 for exposed vertices).  A ``labels`` list of length n
-    receives the Gallai-Edmonds class of each vertex, as the module
-    docstring explains: "D" if some maximum matching misses it, "A" if it
-    is a neighbour of D outside D, and is left as given for the rest.
+def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str]]:
+    """Maximum matching by blossom contraction; returns (mate, labels):
+    mate[v] == -1 for exposed vertices, and labels[v] is the Gallai-Edmonds
+    class of v, as the module docstring explains: "D" if some maximum
+    matching misses it, "A" if it is a neighbour of D outside D, and "" for
+    the rest.  Only failed searches write labels.
 
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
@@ -168,6 +161,7 @@ def _blossom_matching(
     a failed search's tree are marked dead and later searches skip them, as
     the module docstring explains."""
     mate = [-1] * n
+    labels = [""] * n
     # greedy initialization in index order
     for v in range(n):
         if mate[v] == -1:
@@ -267,7 +261,7 @@ def _blossom_matching(
         if mate[v] == -1 and not dead[v]:
             tree: list[int] = []
             found = augment_from(v, tree)
-            if not found and labels is not None:
+            if not found:
                 for i in tree:
                     labels[i] = "D" if in_queue[i] else "A"
             for i in tree:
@@ -275,7 +269,7 @@ def _blossom_matching(
                 base[i] = i
                 in_queue[i] = False
                 dead[i] = not found
-    return mate
+    return mate, labels
 
 
 def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgraph | None:
@@ -285,15 +279,18 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
         raise ValueError("degree spec length mismatch")
     if any(low > min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
         return None
+    if sum(lo) % 2 and all(low == min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
+        return None  # no optional slack: the degrees are lo(v) and sum to 2|H|
     gadget = tutte_gadget(g, lo, hi)
-    mate = _blossom_matching(gadget.size, gadget.adj)
-    if any(m == -1 for m in mate):
+    mate, _ = _blossom_matching(gadget.size, gadget.adj)
+    if -1 in mate:
         return None
-    edges = tuple(
-        edge for edge, (i, j, in_if_matched) in sorted(gadget.bridges.items())
-        if (mate[i] == j) == in_if_matched
-    )
-    return FactorSubgraph(edges)
+    starts, copy_form = gadget.starts, gadget.copy_form
+    # the readback of the module docstring, read at the smaller end u
+    return FactorSubgraph(tuple(
+        (u, v) for u in range(g.n) for k, v in enumerate(g.adj[u])
+        if u < v and (starts[u] <= mate[starts[u] + k] < starts[u + 1]) == copy_form[u]
+    ))
 
 
 def find_f_factor(g: Graph, f: DegreeSpec) -> FactorSubgraph | None:

@@ -119,8 +119,7 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     clamped = [fv if fv <= len(nbrs) + 2 else len(nbrs) + 2 - (fv - len(nbrs)) % 2
                for fv, nbrs in zip(fvals, g.adj)]
     gadget = tutte_gadget(g, clamped, clamped)
-    labels = [""] * gadget.size
-    mate = _blossom_matching(gadget.size, gadget.adj, labels)
+    mate, labels = _blossom_matching(gadget.size, gadget.adj)
     # each unit of f removed by the clamp is one more exposed copy
     exposed = mate.count(-1) + f.total() - sum(clamped)
     if not exposed:

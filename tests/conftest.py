@@ -208,7 +208,7 @@ def brute_gallai_edmonds(g: Graph) -> tuple[set[int], set[int]]:
 def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
     """Maximum-cardinality matching from the solver's blossom matcher, as a
     sorted tuple of (u, v) edges."""
-    mate = _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj])
+    mate, _ = _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj])
     return tuple(
         (v, mate[v]) for v in range(h.n) if mate[v] > v
     )

@@ -428,6 +428,21 @@ class TestRecheckTheoremVerdicts:
         assert code == 1
         assert all(key in err for key in ("hypotheses_met", "prediction", "confirmation"))
 
+    def test_theorem_against_parameters(self, tmp_path):
+        """The K4 ``ab_factor`` report relabelled as ``main``, with a
+        prediction of that shape, no longer rechecks."""
+        g = complete_graph(4)
+        inst, out = tmp_path / "k4.inst", tmp_path / "k4.json"
+        inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+        assert run(["verify-theorem", "ab_factor", str(inst), "--a", "1", "--b", "2",
+                    "--confirm", "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert self.recheck(tmp_path, doc)[0] == 0
+        doc["verdicts"].update(theorem="main", prediction="[1,9]-factor exists")
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1
+        assert "verdicts.theorem='main' does not match parameters.name='ab_factor'" in err
+
     def test_unmet_report_rechecks(self, tmp_path, k6):
         """A consistent report whose hypotheses fail, with no confirmation
         and no factor, still rechecks."""

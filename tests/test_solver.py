@@ -83,8 +83,9 @@ class TestGadget:
         g = complete_graph(2)
         gadget = tutte_gadget(g, (1,) * g.n, (1,) * g.n)
         assert gadget.size == 2
-        assert len(gadget.bridges) == 1
-        assert gadget.size == 2 * len(gadget.bridges)
+        # one copy-copy bridge joins the two externals and there are no blocks
+        assert sum(map(len, gadget.adj)) // 2 == 1
+        assert gadget.adj == [[1], [0]]
 
     def test_c4_two_factor_all_bridges(self):
         g = cycle(4)
@@ -109,7 +110,7 @@ class TestGadget:
         assert gadget.starts == [0, 5, 10, 15, 20]
         assert gadget.size == 8 + 4 * 3
         assert sum(map(len, gadget.adj)) // 2 == 4 + 4 * 6
-        mate = _blossom_matching(gadget.size, gadget.adj)
+        mate, _ = _blossom_matching(gadget.size, gadget.adj)
         assert mate.count(-1) == 4
         with pytest.raises(ValueError, match="exceeds degree"):
             tutte_gadget(g, (3,) * g.n, (4,) * g.n)
@@ -197,7 +198,7 @@ class TestGadget:
                     adj.append([2 * k, 2 * k + 1])
                     adj[2 * k].append(len(adj) - 1)
                     adj[2 * k + 1].append(len(adj) - 1)
-                mate = _blossom_matching(len(adj), adj)
+                mate, _ = _blossom_matching(len(adj), adj)
                 assert (-1 not in mate) == (len(chosen) % 2 == e), (q, chosen)
 
     def test_linear_in_optional_slack(self):
@@ -207,6 +208,41 @@ class TestGadget:
         gadget = tutte_gadget(cycle(n), [1] * n, [2] * n)
         assert gadget.size == 2 * n + n + 2 * n
         assert sum(map(len, gadget.adj)) // 2 < 8 * n
+
+    def test_readback_either_end(self):
+        """In a perfect matching of the gadget, "x_u is matched into u's own
+        block exactly when u takes the copy form" picks the same edges read
+        at u as read at v, and those are find_factor's factor."""
+        rng = random.Random(89)
+        matched = 0
+        kinds: Counter = Counter()
+        in_h: Counter = Counter()
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng.randrange(10**6))
+            keep = [e for e in g.edges() if rng.random() < 0.5]
+            lo = [sum(v in e for e in keep) for v in range(n)]  # a planted factor
+            hi = lo[:] if rng.random() < 0.5 else [x + rng.randint(0, 3) for x in lo]
+            lo = [max(0, x - rng.randint(0, 1)) if x < h else x for x, h in zip(lo, hi)]
+            gadget = tutte_gadget(g, lo, hi)
+            mate, _ = _blossom_matching(gadget.size, gadget.adj)
+            if -1 in mate:
+                continue
+            matched += 1
+            starts, copy_form = gadget.starts, gadget.copy_form
+
+            def read_at(u, v):
+                x = starts[u] + g.adj[u].index(v)
+                return (starts[u] <= mate[x] < starts[u + 1]) == copy_form[u]
+
+            at_u = {(u, v) for u, v in g.edges() if read_at(u, v)}
+            assert at_u == {(u, v) for u, v in g.edges() if read_at(v, u)}, (g, lo, hi)
+            assert at_u == set(find_factor(g, lo, hi).edges), (g, lo, hi)
+            kinds += _gadget_edge_kinds(g, lo, hi)
+            in_h += Counter((u, v) in at_u for u, v in g.edges())
+        assert matched >= 300, matched
+        assert min(kinds[k] for k in ("copy", "slack", "mixed")) >= 50, kinds
+        assert min(in_h[True], in_h[False]) >= 300, in_h
 
     def test_lower_above_upper_rejected(self):
         g = cycle(4)
@@ -249,7 +285,7 @@ class TestMaximumMatching:
         corpus = _matcher_corpus()
         exposed = 0
         for g in corpus:
-            mate = _blossom_matching(g.n, [list(nbrs) for nbrs in g.adj])
+            mate, _ = _blossom_matching(g.n, [list(nbrs) for nbrs in g.adj])
             for v, u in enumerate(mate):
                 assert u == -1 or (mate[u] == v and g.has_edge(u, v)), (g, mate)
             size = brute_maximum_matching_size(g)
@@ -273,8 +309,7 @@ class TestMaximumMatching:
                 gadgets.append(build_graph(gadget.size, edges))
         nontrivial = 0
         for h in _matcher_corpus() + gadgets:
-            labels = [""] * h.n
-            _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj], labels)
+            _, labels = _blossom_matching(h.n, [list(nbrs) for nbrs in h.adj])
             d, a = brute_gallai_edmonds(h)
             assert {v for v in range(h.n) if labels[v] == "D"} == d, h
             assert {v for v in range(h.n) if labels[v] == "A"} == a, h
@@ -291,6 +326,25 @@ class TestFindFFactor:
     def test_parity_guard(self):
         g = complete_graph(3)
         assert find_f_factor(g, constant_spec(g, 1)) is None
+
+    def test_odd_sum_answers_without_gadget(self, monkeypatch):
+        """With no optional slack, lo(v) = min(hi(v), d(v)) everywhere, an
+        odd sum(lo) answers None before any gadget is built."""
+        g = random_connected_graph(200, 0.3, 1)
+        f = list(random_degree_spec(g, 1, 3, 2).values)
+        f[0] += 1  # an odd f(X)
+        k3 = complete_graph(3)
+
+        def no_gadget(*args):
+            raise AssertionError("the gadget was built")
+
+        monkeypatch.setattr("ffactors.solver.tutte_gadget", no_gadget)
+        assert find_f_factor(g, DegreeSpec(tuple(f))) is None
+        assert find_factor(k3, [2, 2, 1], [9, 9, 1]) is None  # hi above d, lo = d
+        monkeypatch.undo()
+        # optional slack leaves the parity open: K3 has [1, 2]-factors
+        factor = find_factor(k3, [1] * 3, [2] * 3)
+        assert factor is not None and verify_factor(k3, [1] * 3, [2] * 3, factor)
 
     def test_target_above_degree(self):
         g = cycle(4)

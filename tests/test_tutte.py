@@ -155,7 +155,7 @@ class TestFindViolatingPair:
             assert 60 <= g.n <= 200
             rep = find_violating_pair(g, f)
             gadget = tutte_gadget(g, f.values, f.values)
-            mate = _blossom_matching(gadget.size, gadget.adj)
+            mate, _ = _blossom_matching(gadget.size, gadget.adj)
             assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
             doc = build_report("audit", {}, None, (g, f), {"violating_pair_found": True},
                                [violating_pair_certificate(rep)])
