@@ -83,7 +83,7 @@ class TestGadget:
         g = complete_graph(2)
         gadget = tutte_gadget(g, (1,) * g.n, (1,) * g.n)
         assert gadget.size == 2
-        # one copy-copy bridge joins the two externals and there are no blocks
+        # d = f = 1 takes the slack form with no slack: one slack-slack bridge
         assert sum(map(len, gadget.adj)) // 2 == 1
         assert gadget.adj == [[1], [0]]
 
