@@ -37,10 +37,10 @@ f = DegreeSpec((2, 2, 2, 4))
 assert find_f_factor(g, f) is None
 rep = find_violating_pair(g, f)
 print(f"\nC_4 with f = (2,2,2,4): no factor")
-print(f"  certificate S={rep.pair.s} T={rep.pair.t} delta={rep.delta}")
+print(f"  certificate S={rep.s} T={rep.t} delta={rep.delta}")
 
 # rechecking is just re-evaluating the deficiency at the named pair
-again = deficiency(g, rep.pair, f)
+again = deficiency(g, rep.s, rep.t, f)
 print(f"  recheck: delta = {again.delta} "
       f"(f(S)={again.f_s} f(T)={again.f_t} "
       f"deg={again.degree_term} h={again.h})")

@@ -31,8 +31,8 @@ print(f"  cutset of size {k} gives ratio {ratio} < 1/{a}, "
       f"so odd-toughness fails: "
       f"{not is_t_odd_tough(g, f, Fraction(1, a))}")
 
-pair, d = built.witness_pair, built.witness_deficiency
-print(f"  witness pair S={pair.s} T={pair.t} has delta = {d.delta}")
+pair = built.witness_pair
+print(f"  witness pair S={pair.s} T={pair.t} has delta = {pair.delta}")
 print(f"  solver agrees, no factor: {find_f_factor(g, f) is None}")
 
 built = build_g1(1, 3, 2, 5, 2)
@@ -40,5 +40,5 @@ g = built.graph
 print(f"\ng1(a=1, b=3, r=2, delta=5, alpha=2): n={g.n} m={g.m}")
 print(f"  alpha = {built.expected_alpha} exceeds the "
       f"threshold {built.extras['threshold']}")
-print(f"  witness pair delta = {built.witness_deficiency.delta}")
+print(f"  witness pair delta = {built.witness_pair.delta}")
 print(f"  no factor: {find_f_factor(g, built.spec) is None}")

@@ -37,7 +37,6 @@ from .invariants import (
 )
 from .tutte import (
     DeficiencyReport,
-    SubsetPair,
     deficiency,
     find_violating_pair,
 )

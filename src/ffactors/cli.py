@@ -115,7 +115,7 @@ def _cmd_gen(args) -> int:
         else:
             built = constructions.build_g1(args.a, args.b, args.r, args.delta, args.alpha)
         g, f, report_dict = built.graph, built.spec, built.to_dict()
-        witness = built.witness_deficiency
+        witness = built.witness_pair
         certs = [] if witness is None else [reports.violating_pair_certificate(witness)]
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:

@@ -30,7 +30,7 @@ from .graph import (
     disjoint_union,
     join,
 )
-from .tutte import DeficiencyReport, SubsetPair, deficiency
+from .tutte import DeficiencyReport, deficiency
 
 
 @dataclass
@@ -53,8 +53,7 @@ class ConstructionReport:
     f_total_even: bool
     expected_existence: bool | None
     nonexistence_reason: str | None
-    witness_pair: SubsetPair | None
-    witness_deficiency: DeficiencyReport | None
+    witness_pair: DeficiencyReport | None
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -84,11 +83,11 @@ def stability_bound(a: int, b: int, delta: int) -> Fraction:
 
 def _report(
     family: str, g: Graph, f: DegreeSpec, params: dict[str, int], alpha: int,
-    delta: int, pair: SubsetPair, forced: bool, extras: dict,
+    delta: int, pair: tuple, forced: bool, extras: dict,
 ) -> ConstructionReport:
     """The report both families end in.  An odd f(X) rules a factor out by
     parity; otherwise ``forced`` (the family's deficiency inequality) makes
-    ``pair`` the witness, and without it the family predicts nothing."""
+    ``pair`` (S, T) the witness, and without it the family predicts nothing."""
     f_total = f.total()
     even = f_total % 2 == 0
     reason = "parity" if not even else "deficiency" if forced else None
@@ -97,8 +96,7 @@ def _report(
         family, g, f, params, alpha, delta, f_total, even,
         expected_existence=None if reason is None else False,
         nonexistence_reason=reason,
-        witness_pair=pair if witnessed else None,
-        witness_deficiency=deficiency(g, pair, f) if witnessed else None,
+        witness_pair=deficiency(g, *pair, f) if witnessed else None,
         extras=extras,
     )
 
@@ -139,7 +137,7 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     bound = stability_bound(a, b, delta)
     return _report(
         "g0", g, f, {"a": a, "b": b, "k": k, "delta": delta, "p": p},
-        alpha=p, delta=delta, pair=SubsetPair(tuple(range(k)), ()), forced=p > a * k,
+        alpha=p, delta=delta, pair=(range(k), ()), forced=p > a * k,
         extras={"stability_bound": bound, "stability_hypothesis_met": p <= bound,
                 "cutset_ratio": Fraction(k, p)},
     )
@@ -177,7 +175,7 @@ def build_g1(a: int, b: int, r: int, delta: int, alpha: int) -> ConstructionRepo
     return _report(
         "g1", g, f, {"a": a, "b": b, "r": r, "delta": delta, "alpha": alpha},
         alpha=alpha, delta=delta,
-        pair=SubsetPair(tuple(range(a_size)), tuple(range(a_size, g.n))),
+        pair=(range(a_size), range(a_size, g.n)),
         forced=alpha > threshold,
         extras={"threshold": threshold, "strict_chain": alpha > delta > b > r},
     )

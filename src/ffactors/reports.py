@@ -17,7 +17,7 @@ from .graph import DegreeSpec, Graph
 from .instances import instance_digest, parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
 from .theorems import THEOREMS
-from .tutte import SubsetPair, deficiency
+from .tutte import deficiency
 
 
 def factor_certificate(factor: FactorSubgraph) -> dict:
@@ -178,7 +178,7 @@ def recheck_report(doc: dict) -> list[str]:
                     and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):
                 raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
                                  f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
-            rep = deficiency(g, SubsetPair.of(g, cert["s"], cert["t"]), f).to_dict()
+            rep = deficiency(g, cert["s"], cert["t"], f).to_dict()
             for key in _PAIR_TERMS:
                 if rep[key] != cert[key]:
                     failures.append(

@@ -7,7 +7,8 @@ For disjoint vertex sets S, T the deficiency is
 where h(S, T) counts the odd components of G - (S u T): components C with
 f(C) + e(C, T) odd.  Nonnegativity of delta over all disjoint pairs is
 equivalent to f-factor existence, so a pair with delta < 0 is a
-machine-checkable certificate of nonexistence.
+machine-checkable certificate of nonexistence.  Every term is evaluated
+over the adjacency lists in O(n + m).
 
 The component parity f(C) + e(C, T) is the classical one; it is the unique
 choice under which delta always has the parity of f(X) (see the parity
@@ -24,39 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    DegreeSpec,
-    Graph,
-    _bits_of,
-    _mask_of,
-    _odd_count,
-    as_vertex_set,
-    components_masks,
-)
+from .graph import DegreeSpec, Graph, as_vertex_set
 from .solver import _blossom_matching, tutte_gadget
-
-
-@dataclass(frozen=True)
-class SubsetPair:
-    """A disjoint ordered pair (S, T) of vertex sets."""
-
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-
-    @staticmethod
-    def of(g: Graph, s, t) -> "SubsetPair":
-        s_tup = as_vertex_set(s, g.n)
-        t_tup = as_vertex_set(t, g.n)
-        if set(s_tup) & set(t_tup):
-            raise ValueError("S and T must be disjoint")
-        return SubsetPair(s_tup, t_tup)
 
 
 @dataclass
 class DeficiencyReport:
-    """Full term-by-term breakdown of delta(S, T)."""
+    """A disjoint pair (S, T), as sorted vertex tuples, with every term of
+    delta(S, T)."""
 
-    pair: SubsetPair
+    s: tuple[int, ...]
+    t: tuple[int, ...]
     f_s: int
     f_t: int
     degree_term: int
@@ -64,36 +43,47 @@ class DeficiencyReport:
     delta: int
 
     def to_dict(self) -> dict:
-        return {
-            "s": list(self.pair.s),
-            "t": list(self.pair.t),
-            "f_s": self.f_s,
-            "f_t": self.f_t,
-            "degree_term": self.degree_term,
-            "h": self.h,
-            "delta": self.delta,
-        }
+        return dict(vars(self), s=list(self.s), t=list(self.t))
 
 
-def _evaluate(g: Graph, s_mask: int, t_mask: int, fvals) -> tuple[int, int, int, int, int]:
-    """Return (f_s, f_t, degree_term, h, delta) for the pair of bitmasks."""
-    masks = g.adj_masks
-    t_bits = _bits_of(t_mask)
-    f_s = sum(fvals[v] for v in _bits_of(s_mask))
-    f_t = sum(fvals[v] for v in t_bits)
-    degree_term = sum((masks[v] & ~s_mask).bit_count() for v in t_bits)
-    rest = g.full_mask & ~s_mask & ~t_mask
-    h = _odd_count(components_masks(g, rest),
-                   [fv + (nbrs & t_mask).bit_count() for fv, nbrs in zip(fvals, masks)])
+def _evaluate(g: Graph, s, t, fvals) -> tuple[int, int, int, int, int]:
+    """Return (f_s, f_t, degree_term, h, delta) for the disjoint vertex lists
+    s and t, in O(n + m): one BFS of G - (S u T) sums f(C) + e(C, T) per
+    component C."""
+    adj = g.adj
+    side = bytearray(g.n)  # 1 in S, 2 in T, 3 once reached in G - (S u T)
+    for v in s:
+        side[v] = 1
+    for v in t:
+        side[v] = 2
+    f_s = sum(fvals[v] for v in s)
+    f_t = sum(fvals[v] for v in t)
+    degree_term = sum(side[u] != 1 for v in t for u in adj[v])
+    h = 0
+    for root in range(g.n):
+        if side[root]:
+            continue
+        side[root] = 3
+        queue, parity = [root], 0
+        for v in queue:
+            parity += fvals[v]
+            for u in adj[v]:
+                if not side[u]:
+                    side[u] = 3
+                    queue.append(u)
+                elif side[u] == 2:
+                    parity += 1
+        h += parity & 1
     return f_s, f_t, degree_term, h, f_s - f_t + degree_term - h
 
 
-def deficiency(g: Graph, pair: SubsetPair, f: DegreeSpec) -> DeficiencyReport:
-    """Evaluate every term of delta(S, T) exactly."""
-    s_mask = _mask_of(pair.s)
-    t_mask = _mask_of(pair.t)
-    f_s, f_t, degree_term, h, delta = _evaluate(g, s_mask, t_mask, f.values)
-    return DeficiencyReport(pair, f_s, f_t, degree_term, h, delta)
+def deficiency(g: Graph, s, t, f: DegreeSpec) -> DeficiencyReport:
+    """Evaluate every term of delta(S, T) exactly.  Raises ValueError unless
+    S and T are disjoint sets of vertices of g."""
+    s, t = as_vertex_set(s, g.n), as_vertex_set(t, g.n)
+    if not set(s).isdisjoint(t):
+        raise ValueError("S and T must be disjoint")
+    return DeficiencyReport(s, t, *_evaluate(g, s, t, f.values))
 
 
 def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
@@ -124,20 +114,20 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     exposed = mate.count(-1) + f.total() - sum(clamped)
     if not exposed:
         return None
-    s_mask = t_mask = 0
+    s, t = [], []
     starts = gadget.starts
     for v in range(g.n):
         externals = range(starts[v], starts[v] + g.degree(v))
         block = range(externals.stop, starts[v + 1])
         first, second = (block, externals) if gadget.copy_form[v] else (externals, block)
         if all(labels[i] == "A" for i in first):
-            s_mask |= 1 << v
+            s.append(v)
         elif all(labels[i] == "A" for i in second):
-            t_mask |= 1 << v
-    res = _evaluate(g, s_mask, t_mask, fvals)
+            t.append(v)
+    res = _evaluate(g, s, t, fvals)
     if res[4] != -exposed:
         raise ValueError(
             f"derived pair has delta {res[4]}, but the gadget leaves {exposed} "
             "vertices exposed"
         )
-    return DeficiencyReport(SubsetPair(_bits_of(s_mask), _bits_of(t_mask)), *res)
+    return DeficiencyReport(tuple(s), tuple(t), *res)

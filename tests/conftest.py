@@ -6,8 +6,8 @@ exact witnesses, by the branch and bound without its cover bound), vertex separa
 search (of the whole graph, and between one pair of vertices),
 (odd-)toughness by a full scan of all subsets, matchings by
 vertex-subset recursion, degree-bounded factors by edge-subset recursion
-and minimum-deficiency pairs by all 3^n disjoint pairs.  They are the
-ground truth the fast paths are checked against.
+and minimum-deficiency pairs by all 3^n disjoint pairs, each evaluated on
+bitmasks.  They are the ground truth the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ffactors.instances import random_connected_graph
 from ffactors.invariants import TOUGHNESS_MAX_N
 from ffactors.solver import FactorSubgraph, _blossom_matching
 from ffactors.theorems import THEOREMS, HypothesisReport
-from ffactors.tutte import DeficiencyReport, SubsetPair, _evaluate
+from ffactors.tutte import DeficiencyReport
 
 ORACLE_MAX_M = 24
 
@@ -214,30 +214,51 @@ def maximum_matching(h: Graph) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _all_pairs(full: int):
-    """All 3^n disjoint (S, T) mask pairs."""
-    for s_mask in range(full + 1):
-        rest = full & ~s_mask
-        t_mask = rest
+def oracle_deficiencies(g: Graph, f: DegreeSpec):
+    """(S, T, (f_s, f_t, degree_term, h, delta)) for all 3^n disjoint pairs,
+    S and T as masks, evaluated on neighbour bitmasks without
+    ``tutte._evaluate``.  Pairs are grouped by U = S u T: the components of
+    G - U are found once per U, with, as bitmasks over them, the components
+    of odd f-sum and, for each v in U, those that v has an odd number of
+    edges into.  Then for every T within U, with S = U - T, h counts the
+    components left odd by f(C) + e(C, T)."""
+    fvals, masks, full = f.values, g.adj_masks, g.full_mask
+    for u_mask in range(full + 1):
+        comps = components_masks(g, full & ~u_mask)
+        f_u = sum(fvals[v] for v in _bits_of(u_mask))
+        odd_f = sum((sum(fvals[v] for v in _bits_of(comp)) & 1) << i
+                    for i, comp in enumerate(comps))
+        odd_e = {v: sum(((masks[v] & comp).bit_count() & 1) << i
+                        for i, comp in enumerate(comps))
+                 for v in _bits_of(u_mask)}
+        t_mask = u_mask
         while True:
-            yield s_mask, t_mask
-            if t_mask == 0:
+            s_mask = u_mask & ~t_mask
+            t_bits = _bits_of(t_mask)
+            f_t = sum(fvals[v] for v in t_bits)
+            f_s = f_u - f_t
+            degree_term = sum((masks[v] & ~s_mask).bit_count() for v in t_bits)
+            odd = odd_f
+            for v in t_bits:
+                odd ^= odd_e[v]
+            h = odd.bit_count()
+            yield s_mask, t_mask, (f_s, f_t, degree_term, h, f_s - f_t + degree_term - h)
+            if not t_mask:
                 break
-            t_mask = (t_mask - 1) & rest
+            t_mask = (t_mask - 1) & u_mask
 
 
 def brute_min_deficiency(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     """The pair with delta < 0 that is least under (delta, |S|+|T|, S, T)
     over all 3^n disjoint pairs, or None when no pair violates."""
     best_key = best = None
-    for s_mask, t_mask in _all_pairs(g.full_mask):
-        res = _evaluate(g, s_mask, t_mask, f.values)
+    for s_mask, t_mask, res in oracle_deficiencies(g, f):
         if res[4] < 0:
             key = (res[4], s_mask.bit_count() + t_mask.bit_count(),
                    _bits_of(s_mask), _bits_of(t_mask))
             if best_key is None or key < best_key:
                 best_key = key
-                best = DeficiencyReport(SubsetPair(key[2], key[3]), *res)
+                best = DeficiencyReport(key[2], key[3], *res)
     return best
 
 

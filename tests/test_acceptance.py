@@ -48,7 +48,7 @@ from ffactors.invariants import (
 )
 from ffactors.reports import recheck_report, strip_timing
 from ffactors.solver import find_f_factor, verify_f_factor
-from ffactors.tutte import SubsetPair, deficiency, find_violating_pair
+from ffactors.tutte import deficiency, find_violating_pair
 
 
 def _all_even_specs(n: int, lo: int = 0, hi: int = 3):
@@ -134,7 +134,7 @@ def test_criterion_2_parity_lemma():
                 while True:
                     s = _bits_of(s_mask)
                     t = _bits_of(t_mask)
-                    rep = deficiency(g, SubsetPair(s, t), f)
+                    rep = deficiency(g, s, t, f)
                     checked += 1
                     if rep.delta % 2 != parity:
                         violations += 1
@@ -154,7 +154,7 @@ def test_criterion_2_parity_lemma():
                 s.append(v)
             elif r < 0.5:
                 t.append(v)
-        rep = deficiency(g, SubsetPair.of(g, s, t), f)
+        rep = deficiency(g, s, t, f)
         checked += 1
         if rep.delta % 2 != f.total() % 2:
             violations += 1
@@ -246,7 +246,7 @@ def test_criterion_6_g1_tightness_instance():
     assert g.m == 24
     assert brute_force_f_factor(g, f) is None
     audit = find_violating_pair(g, f)
-    assert audit.pair == SubsetPair(tuple(range(4)), tuple(range(4, 8)))
+    assert (audit.s, audit.t) == (tuple(range(4)), tuple(range(4, 8)))
     assert audit.delta == -4
     print("ACCEPTANCE 6 PASS: join-family tightness instance "
           "(n=8, alpha=2, delta=5, f(X)=16, witness delta=-4)")
@@ -264,7 +264,7 @@ def test_criterion_7_g0_refutation_instance():
     assert find_f_factor(g, f) is None
     audit = find_violating_pair(g, f)
     assert audit is not None
-    assert audit.pair.s == tuple(range(k)) and audit.pair.t == ()
+    assert audit.s == tuple(range(k)) and audit.t == ()
     assert audit.delta == a * k - p < 0
     # odd-toughness sits below 1/a: the cutset S has h' = p odd components,
     # so odd-toughness <= k/p < 1/a, and the only failing main-theorem

@@ -95,7 +95,7 @@ class TestBuildG0:
         # stability hypothesis not met at this scale: 3 > 9/4
         assert built.extras["stability_hypothesis_met"] is False
         assert built.nonexistence_reason == "deficiency"
-        assert built.witness_deficiency.delta == 1 * 1 - 3
+        assert built.witness_pair.delta == 1 * 1 - 3
 
     def test_desk_instance_meets_stability_hypothesis(self):
         built = g0_desk_instance()
@@ -103,7 +103,8 @@ class TestBuildG0:
         assert built.extras["stability_hypothesis_met"] is True
         assert p > a * k
         assert built.f_total_even
-        rep = deficiency(built.graph, built.witness_pair, built.spec)
+        pair = built.witness_pair
+        rep = deficiency(built.graph, pair.s, pair.t, built.spec)
         assert rep.delta == a * k - p < 0
 
     def test_deterministic(self):
@@ -125,7 +126,7 @@ class TestG0PaperPreset:
         assert built.extras["stability_hypothesis_met"] is True
         assert built.expected_existence is False
         assert built.nonexistence_reason == "deficiency"
-        assert built.witness_deficiency.delta < 0
+        assert built.witness_pair.delta < 0
 
 
 class TestBuildG1:
@@ -144,7 +145,7 @@ class TestBuildG1:
         assert built.f_total == 16 and built.f_total_even
         assert built.extras["threshold"] == 1
         assert built.expected_existence is False
-        assert built.witness_deficiency.delta == -4
+        assert built.witness_pair.delta == -4
         assert find_f_factor(g, built.spec) is None
         assert brute_force_f_factor(g, built.spec) is None
 

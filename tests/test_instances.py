@@ -22,7 +22,7 @@ from ffactors.reports import (
     violating_pair_certificate,
 )
 from ffactors.solver import find_f_factor
-from ffactors.tutte import SubsetPair, deficiency
+from ffactors.tutte import deficiency
 from ffactors.graph import complete_graph
 
 
@@ -142,7 +142,7 @@ class TestReports:
     def test_pair_certificate_rechecks(self):
         g = cycle(4)
         f = DegreeSpec((2, 2, 2, 4))
-        rep = deficiency(g, SubsetPair.of(g, [], [3]), f)
+        rep = deficiency(g, [], [3], f)
         assert rep.delta < 0
         doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
                            [violating_pair_certificate(rep)])
@@ -151,7 +151,7 @@ class TestReports:
     def test_tampered_pair_fails(self):
         g = cycle(4)
         f = DegreeSpec((2, 2, 2, 4))
-        rep = deficiency(g, SubsetPair.of(g, [], [3]), f)
+        rep = deficiency(g, [], [3], f)
         doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
                            [violating_pair_certificate(rep)])
         doc["certificates"][0]["delta"] = -99

@@ -42,7 +42,7 @@ from ffactors.invariants import (
     vertex_connectivity,
 )
 from ffactors.constructions import g0_desk_instance
-from ffactors.tutte import SubsetPair, deficiency
+from ffactors.tutte import deficiency
 
 
 class TestStabilityNumber:
@@ -306,8 +306,7 @@ class TestOddComponentCount:
         for g in seeded_corpus(40, 2, 9, seed=23):
             f = DegreeSpec(tuple(rng.randrange(4) for _ in range(g.n)))
             s = [v for v in range(g.n) if rng.random() < 0.3]
-            pair = SubsetPair.of(g, s, ())
-            assert odd_component_count(g, s, f) == deficiency(g, pair, f).h
+            assert odd_component_count(g, s, f) == deficiency(g, s, (), f).h
 
 
 class TestOddToughness:

@@ -19,7 +19,6 @@ from ffactors.reports import build_report, recheck_report, violating_pair_certif
 from ffactors import tutte
 from ffactors.solver import _blossom_matching, tutte_gadget
 from ffactors.tutte import (
-    SubsetPair,
     deficiency,
     find_violating_pair,
 )
@@ -63,53 +62,52 @@ def random_pair(g, rng):
             s.append(v)
         elif r < 0.5:
             t.append(v)
-    return SubsetPair.of(g, s, t)
-
-
-class TestSubsetPair:
-    def test_disjointness_enforced(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError, match="disjoint"):
-            SubsetPair.of(g, [0, 1], [1, 2])
+    return s, t
 
 
 class TestOddComponentsST:
     def test_k2_even(self):
         g = complete_graph(2)
-        assert deficiency(g, SubsetPair.of(g, [], []), constant_spec(g, 1)).h == 0
+        assert deficiency(g, [], [], constant_spec(g, 1)).h == 0
 
     def test_k4_single_even_component(self):
         g = complete_graph(4)
         # K3 component: f(C) + e(C,T) = 3 + 3 = 6, even
-        assert deficiency(g, SubsetPair.of(g, [], [3]), constant_spec(g, 1)).h == 0
+        assert deficiency(g, [], [3], constant_spec(g, 1)).h == 0
 
     def test_g1_everything_removed(self):
         built = build_g1(1, 3, 2, 5, 2)
         pair = built.witness_pair
-        assert deficiency(built.graph, pair, built.spec).h == 0
+        assert deficiency(built.graph, pair.s, pair.t, built.spec).h == 0
 
 
 class TestDeficiency:
+    def test_disjointness_enforced(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError, match="disjoint"):
+            deficiency(g, [0, 1], [1, 2], constant_spec(g, 1))
+
     def test_k2_zero(self):
         g = complete_graph(2)
-        assert deficiency(g, SubsetPair.of(g, [], []), constant_spec(g, 1)).delta == 0
+        assert deficiency(g, [], [], constant_spec(g, 1)).delta == 0
 
     def test_k4_hand_evaluation(self):
         g = complete_graph(4)
-        rep = deficiency(g, SubsetPair.of(g, [], [3]), constant_spec(g, 1))
+        rep = deficiency(g, [], [3], constant_spec(g, 1))
         assert (rep.f_s, rep.f_t, rep.degree_term, rep.h) == (0, 1, 3, 0)
         assert rep.delta == 2
 
     def test_g1_witness_terms(self):
         built = build_g1(1, 3, 2, 5, 2)
-        rep = deficiency(built.graph, built.witness_pair, built.spec)
+        pair = built.witness_pair
+        rep = deficiency(built.graph, pair.s, pair.t, built.spec)
         assert (rep.f_s, rep.f_t, rep.degree_term, rep.h) == (4, 12, 4, 0)
         assert rep.delta == -4
 
     def test_empty_pair_is_minus_h(self):
         for g in seeded_corpus(10, 3, 7, seed=5):
             f = DegreeSpec(tuple(v % 3 for v in range(g.n)))
-            rep = deficiency(g, SubsetPair.of(g, [], []), f)
+            rep = deficiency(g, [], [], f)
             assert rep.delta == -rep.h
             if f.total() % 2 == 0:
                 assert rep.h == 0 or rep.h % 2 == 0
@@ -121,7 +119,7 @@ class TestDeficiency:
             g = random_graph(n, rng.random(), rng.randrange(10**6))
             f = DegreeSpec(tuple(rng.randint(0, 4) for _ in range(n)))
             pair = random_pair(g, rng)
-            rep = deficiency(g, pair, f)
+            rep = deficiency(g, *pair, f)
             assert rep.delta % 2 == f.total() % 2
 
 
@@ -134,14 +132,14 @@ class TestFindViolatingPair:
         built = build_g1(1, 3, 2, 5, 2)
         rep = find_violating_pair(built.graph, built.spec)
         assert rep.delta == -4
-        assert rep.pair == built.witness_pair
+        assert rep == built.witness_pair
 
     def test_g0_desk_clique_cut(self):
         built = g0_desk_instance()
         rep = find_violating_pair(built.graph, built.spec)
         a, k, p = (built.params[x] for x in ("a", "k", "p"))
         assert rep is not None
-        assert rep.pair.s == tuple(range(k)) and rep.pair.t == ()
+        assert rep.s == tuple(range(k)) and rep.t == ()
         assert rep.delta == a * k - p
 
     def test_barriers_and_planted_at_scale(self):
@@ -178,7 +176,7 @@ class TestOracle:
         assert (derived is None) == (oracle is None), (g.edges(), f.values)
         if derived is not None:
             assert derived.delta == oracle.delta, (g.edges(), f.values)
-            assert deficiency(g, derived.pair, f).delta == derived.delta
+            assert deficiency(g, derived.s, derived.t, f).delta == derived.delta
         kinds["odd f(X)"] += f.total() % 2
         kinds["f > d"] += any(f.values[v] > g.degree(v) for v in range(g.n))
         kinds["isolated"] += any(g.degree(v) == 0 for v in range(g.n))
@@ -250,6 +248,6 @@ class TestEmptyTLemma:
             checked += 1
             for s_mask in range(1 << g.n):
                 s = [v for v in range(g.n) if s_mask >> v & 1]
-                rep = deficiency(g, SubsetPair.of(g, s, []), f)
+                rep = deficiency(g, s, [], f)
                 assert rep.delta >= 0, (g.edges(), f.values, s)
         assert checked > 0
