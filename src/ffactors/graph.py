@@ -9,6 +9,7 @@ are kept sorted for deterministic iteration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -79,7 +80,8 @@ class Graph:
         return tuple((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
+        i = bisect_left(self.adj[u], v)
+        return self.adj[u][i:i + 1] == (v,)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

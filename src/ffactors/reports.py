@@ -94,23 +94,21 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
     return FactorSubgraph(tuple(tuple(e) for e in edges))
 
 
-def _claimed_bounds(doc: dict, params: dict, g: Graph, f: DegreeSpec):
-    """The degree bounds (lo, hi) that a report's factor must meet: those of
-    the factor its theorem predicts for ``verify-theorem``, else f."""
-    if doc.get("command") != "verify-theorem":
-        return f.values, f.values
+def _theorem(params: dict):
+    """The theorem that a ``verify-theorem`` report's parameters name."""
     name = params.get("name")
     theorem = THEOREMS.get(name) if isinstance(name, str) else None
     if theorem is None:
         raise ValueError("the report's 'name' must be a theorem id")
-    return theorem.bounds(g.n, f, SimpleNamespace(**params))
+    return theorem
 
 
-def _theorem_verdict_failures(verdicts: dict, name: object) -> list[str]:
+def _theorem_verdict_failures(verdicts: dict, params: dict) -> list[str]:
     """A ``verify-theorem`` report's verdicts must name its theorem and follow
     from its hypothesis rows, as ``Theorem.run`` derives them: the hypotheses
     are met iff every row is satisfied, a prediction is made iff they are
-    met, and only a met prediction is confirmed or refuted."""
+    met, a met prediction is the theorem's conclusion, and only a met
+    prediction is confirmed or refuted."""
     rows = verdicts.get("hypotheses")
     if not (isinstance(rows, list) and all(
             isinstance(row, dict) and isinstance(row.get("satisfied"), bool) for row in rows)):
@@ -118,7 +116,7 @@ def _theorem_verdict_failures(verdicts: dict, name: object) -> list[str]:
                          "boolean 'satisfied'")
     met = all(row["satisfied"] for row in rows)
     failures = []
-    theorem = verdicts.get("theorem")
+    theorem, name = verdicts.get("theorem"), params.get("name")
     if theorem != name:
         failures.append(f"verdicts.theorem={theorem!r} does not match parameters.name={name!r}")
     got = verdicts.get("hypotheses_met")
@@ -127,6 +125,9 @@ def _theorem_verdict_failures(verdicts: dict, name: object) -> list[str]:
     prediction = verdicts.get("prediction")
     if (prediction == "no prediction") == met:
         failures.append(f"verdicts.prediction={prediction!r} does not match the hypothesis rows")
+    elif met and prediction != (
+            expected := _theorem(params).conclusion(SimpleNamespace(**params))):
+        failures.append(f"verdicts.prediction={prediction!r} is not the conclusion {expected!r}")
     if verdicts.get("confirmation") is not None and not met:
         failures.append("verdicts.confirmation is set, but not every hypothesis row is satisfied")
     return failures
@@ -170,7 +171,8 @@ def recheck_report(doc: dict) -> list[str]:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
         if kind == "factor":
-            lo, hi = _claimed_bounds(doc, params, g, f)
+            lo, hi = (_theorem(params).bounds(g.n, f, SimpleNamespace(**params))
+                      if doc.get("command") == "verify-theorem" else (f.values, f.values))
             if not verify_factor(g, lo, hi, _factor_of(cert, i)):
                 failures.append(f"certificate {i}: edge set is not the claimed factor")
         elif kind == "violating_pair":
@@ -178,17 +180,13 @@ def recheck_report(doc: dict) -> list[str]:
                     and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):
                 raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
                                  f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
-            rep = deficiency(g, cert["s"], cert["t"], f).to_dict()
+            rep = deficiency(g, cert["s"], cert["t"], f)
             for key in _PAIR_TERMS:
-                if rep[key] != cert[key]:
-                    failures.append(
-                        f"certificate {i}: recomputed {key}="
-                        f"{rep[key]} != recorded {cert[key]}"
-                    )
-            if rep["delta"] >= 0:
-                failures.append(
-                    f"certificate {i}: recorded pair has nonnegative deficiency"
-                )
+                if getattr(rep, key) != cert[key]:
+                    failures.append(f"certificate {i}: recomputed {key}="
+                                    f"{getattr(rep, key)} != recorded {cert[key]}")
+            if rep.delta >= 0:
+                failures.append(f"certificate {i}: recorded pair has nonnegative deficiency")
         else:
             failures.append(f"certificate {i}: unknown type {kind!r}")
     command = doc.get("command")
@@ -202,5 +200,5 @@ def recheck_report(doc: dict) -> list[str]:
         if claimed != any(cert.get("type") in kinds for cert in certificates):
             failures.append(f"{section}.{key}={got!r} does not match the certificates")
         if command == "verify-theorem":
-            failures += _theorem_verdict_failures(claims, params.get("name"))
+            failures += _theorem_verdict_failures(claims, params)
     return failures

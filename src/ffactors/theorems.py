@@ -66,6 +66,12 @@ class HypothesisReport:
         }
 
 
+def conclusion_of(factor: str, lo: int | None = None, hi: int | None = None) -> str:
+    """What a met prediction of ``Theorem.factor`` with bounds lo, hi says."""
+    return {"f": "f-factor exists", "r": f"{lo}-factor exists",
+            "ab": f"[{lo},{hi}]-factor exists"}[factor]
+
+
 def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
     """Add the rows a <= f <= b and f(X) even."""
     report.add("f_range", f"a={a} <= f <= b={b}", all(a <= fv <= b for fv in f.values))
@@ -110,7 +116,7 @@ def check_main_theorem(
 ) -> HypothesisReport:
     """Connected, delta >= b >= 2, a <= f <= b with a >= 1, f(X) even,
     alpha <= 4a(delta-b)/(b+1)^2, odd-toughness >= 1/a."""
-    report = HypothesisReport("main", "f-factor exists")
+    report = HypothesisReport("main", conclusion_of("f"))
     delta = _check_graph_and_f(report, g, f, a, b)
     if delta is None:
         _not_evaluated(report, "stability", "odd_toughness")
@@ -129,7 +135,7 @@ def check_corollary_kappa(g: Graph, f: DegreeSpec, a: int, b: int) -> Hypothesis
     c)) = bound = min(bound, a*kappa) and the row reads the same, while no
     flow pushes past c paths.
     """
-    report = HypothesisReport("kappa_corollary", "f-factor exists")
+    report = HypothesisReport("kappa_corollary", conclusion_of("f"))
     delta = _check_graph_and_f(report, g, f, a, b)
     if delta is None:
         _not_evaluated(report, "stability")
@@ -146,7 +152,7 @@ def check_theorem_min_degree(g: Graph, f: DegreeSpec, a: int, b: int) -> Hypothe
     f(X) even."""
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
-    report = HypothesisReport("min_degree", "f-factor exists")
+    report = HypothesisReport("min_degree", conclusion_of("f"))
     n = g.n
     delta = min_degree(g)
     report.add(
@@ -165,7 +171,7 @@ def check_theorem_regular_connectivity(g: Graph, r: int) -> HypothesisReport:
     gives an r-factor."""
     if r < 1 or r % 2 == 0:
         raise ValueError("need odd r >= 1")
-    report = HypothesisReport("regular_connectivity", f"{r}-factor exists")
+    report = HypothesisReport("regular_connectivity", conclusion_of("r", r, r))
     report.add("even_order", f"|X|={g.n}", g.n % 2 == 0)
     kappa = vertex_connectivity(g)
     kappa_bound = Fraction((r + 1) ** 2, 2)
@@ -179,7 +185,7 @@ def check_theorem_ab_factor(g: Graph, a: int, b: int) -> HypothesisReport:
     depends on the parity of a."""
     if not 1 <= a < b:
         raise ValueError("need 1 <= a < b")
-    report = HypothesisReport("ab_factor", f"[{a},{b}]-factor exists")
+    report = HypothesisReport("ab_factor", conclusion_of("ab", a, b))
     delta = min_degree(g)
     if a % 2 == 1:
         bound = Fraction(4 * b * (delta - a + 1), (a + 1) ** 2)
@@ -199,7 +205,7 @@ def check_theorem_claw_free(
     n = star_order
     if not 1 <= n - 1 <= a <= b:
         raise ValueError("need 1 <= n-1 <= a <= b")
-    report = HypothesisReport("claw_free", "f-factor exists")
+    report = HypothesisReport("claw_free", conclusion_of("f"))
     report.add("connected", f"n={g.n}", is_connected(g) and g.n > 0)
     report.add("star_free", f"no induced K_(1,{n})", is_star_free(g, n))
     _check_f(report, f, a, b)
@@ -217,7 +223,7 @@ def check_stability_conjecture(
     Not a theorem: the g0 family meets all of these hypotheses while having
     no f-factor, so "refuted" is an expected confirmation value here.
     """
-    report = HypothesisReport("stability_conjecture", "f-factor exists")
+    report = HypothesisReport("stability_conjecture", conclusion_of("f"))
     delta = _check_graph_and_f(report, g, f, a, b)
     # unlike the two theorems above, alpha also waits for the f rows
     if report.hypotheses_met:
@@ -245,16 +251,22 @@ class Theorem:
     factor: str = "f"
     skip_invalid: bool = False
 
-    def bounds(self, n: int, f: DegreeSpec | None, params) -> tuple[tuple[int, ...], ...]:
-        """The degree bounds (lo, hi) of the predicted factor on n vertices;
-        an r, a or b read from ``params`` must be an integer."""
-        if self.factor == "f":
-            return f.values, f.values
-        keys = ("r", "r") if self.factor == "r" else ("a", "b")
+    def _degrees(self, params) -> tuple[int, ...]:
+        """The predicted factor's (lo, hi) read from ``params``: () for "f",
+        (r, r) for "r", (a, b) for "ab"; each must be an integer."""
+        keys = {"f": (), "r": ("r", "r"), "ab": ("a", "b")}[self.factor]
         for key in keys:
             if not isinstance(getattr(params, key, None), int):
                 raise ValueError(f"parameter {key!r} must be an integer")
-        return tuple((getattr(params, key),) * n for key in keys)
+        return tuple(getattr(params, key) for key in keys)
+
+    def bounds(self, n: int, f: DegreeSpec | None, params) -> tuple[tuple[int, ...], ...]:
+        """The degree bounds (lo, hi) of the predicted factor on n vertices."""
+        return tuple((d,) * n for d in self._degrees(params)) or (f.values, f.values)
+
+    def conclusion(self, params) -> str:
+        """What a met prediction says, as the checker's report states it."""
+        return conclusion_of(self.factor, *self._degrees(params))
 
     def run(self, g: Graph, f: DegreeSpec | None, params) -> HypothesisReport:
         """Run the checker; with ``params.confirm``, check a met prediction

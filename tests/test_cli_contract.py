@@ -10,6 +10,7 @@ import io
 import inspect
 import json
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -144,6 +145,27 @@ def test_kappa_of_a_3000_vertex_path(tmp_path):
     inst.write_text(serialize_instance(g, constant_spec(g, 1)))
     assert run(["invariants", str(inst), "--kappa", "--out", str(out)])[0] == 0
     assert json.loads(out.read_text())["verdicts"]["kappa"] == 1
+
+
+# runs the CLI in a fresh interpreter, then prints its exit code and its
+# peak resident set in MB (ru_maxrss counts kilobytes on Linux)
+_PEAK = ("import resource, sys; from ffactors.cli import main; code = main(sys.argv[1:]); "
+         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)")
+
+
+@pytest.mark.parametrize("n, value, command", [(100_000, 2, "solve"), (99_999, 1, "audit")])
+def test_report_and_recheck_in_linear_memory(tmp_path, n, value, command):
+    """A cycle near ``instances.MAX_N``: solve with f = 2, or audit of the
+    odd cycle with f = 1, then recheck of the report, each peak below 250 MB.
+    n-bit neighbour masks would take about 700 MB here."""
+    g = cycle(n)
+    inst, out = tmp_path / "c.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, value)))
+    for argv in ([command, str(inst), "--out", str(out)], ["recheck", str(out)]):
+        proc = subprocess.run([sys.executable, "-c", _PEAK, *argv],
+                              capture_output=True, text=True, check=True)
+        code, peak_mb = map(int, proc.stdout.split()[-2:])
+        assert code == 0 and peak_mb < 250, (argv[0], peak_mb)
 
 
 def _alpha_verdicts(tmp_path, g) -> dict:
@@ -427,6 +449,30 @@ class TestRecheckTheoremVerdicts:
         code, err = self.recheck(tmp_path, k6)
         assert code == 1
         assert all(key in err for key in ("hypotheses_met", "prediction", "confirmation"))
+
+    def test_prediction_against_theorem(self, tmp_path, k6):
+        """A met ``main`` prediction is an f-factor, whatever the rows say."""
+        k6["verdicts"]["prediction"] = "5-factor exists"
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and "is not the conclusion 'f-factor exists'" in err
+
+    def test_prediction_against_bounds(self, tmp_path):
+        """An unconfirmed K4 ``ab_factor`` report carries no factor, yet its
+        prediction must name the [a,b]-factor of its parameters, and
+        unreadable bounds make it malformed."""
+        g = complete_graph(4)
+        inst, out = tmp_path / "k4.inst", tmp_path / "k4.json"
+        inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+        assert run(["verify-theorem", "ab_factor", str(inst), "--a", "1", "--b", "2",
+                    "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdicts"]["prediction"] == "[1,2]-factor exists"
+        assert doc["certificates"] == [] and self.recheck(tmp_path, doc)[0] == 0
+        doc["parameters"]["b"] = 3
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and "is not the conclusion '[1,3]-factor exists'" in err
+        doc["parameters"]["b"] = "2"
+        assert_one_line_error(*self.recheck(tmp_path, doc))
 
     def test_theorem_against_parameters(self, tmp_path):
         """The K4 ``ab_factor`` report relabelled as ``main``, with a

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_min_deficiency, seeded_corpus
+from conftest import brute_min_deficiency, oracle_deficiencies, seeded_corpus
 from ffactors.graph import (
     DegreeSpec,
+    _bits_of,
     build_graph,
     complete_graph,
     constant_spec,
@@ -86,6 +87,11 @@ class TestDeficiency:
         g = complete_graph(3)
         with pytest.raises(ValueError, match="disjoint"):
             deficiency(g, [0, 1], [1, 2], constant_spec(g, 1))
+        # and each side is a set of vertices of g
+        with pytest.raises(ValueError, match="out of range"):
+            deficiency(g, [], [3], constant_spec(g, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            deficiency(g, [1, 1], [], constant_spec(g, 1))
 
     def test_k2_zero(self):
         g = complete_graph(2)
@@ -121,6 +127,27 @@ class TestDeficiency:
             pair = random_pair(g, rng)
             rep = deficiency(g, *pair, f)
             assert rep.delta % 2 == f.total() % 2
+
+
+class TestEvaluateAgainstOracle:
+    """``_evaluate`` over adjacency lists against the oracle's own bitmask
+    evaluation, term by term, on every disjoint pair."""
+
+    @staticmethod
+    def _check(g, f) -> None:
+        for s_mask, t_mask, terms in oracle_deficiencies(g, f):
+            s, t = _bits_of(s_mask), _bits_of(t_mask)
+            assert tutte._evaluate(g, s, t, f.values) == terms, (g.edges(), f.values, s, t)
+
+    def test_atlas(self, small_atlas):
+        rng = random.Random(109)
+        for g in small_atlas:
+            self._check(g, DegreeSpec(tuple(rng.randint(0, 3) for _ in range(g.n))))
+
+    def test_seeded_up_to_nine(self):
+        rng = random.Random(113)
+        for g in seeded_corpus(12, 7, 9, seed=113):
+            self._check(g, DegreeSpec(tuple(rng.randint(0, 4) for _ in range(g.n))))
 
 
 class TestFindViolatingPair:
