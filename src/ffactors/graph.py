@@ -63,6 +63,20 @@ class Graph:
         return tuple(_mask_of(nbrs) for nbrs in self.adj)
 
     @cached_property
+    def union_tables(self) -> tuple[list[int], ...]:
+        """For each byte of vertex indices (8k to 8k+7), the union of the
+        neighbour masks of every subset of that byte, indexed by the
+        subset's bits."""
+        masks, tables = self.adj_masks, []
+        for lo in range(0, self.n, 8):
+            table = [0] * (1 << min(8, self.n - lo))
+            for i in range(1, len(table)):
+                low = i & -i
+                table[i] = table[i ^ low] | masks[lo + low.bit_length() - 1]
+            tables.append(table)
+        return tuple(tables)
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -121,29 +135,34 @@ def constant_spec(graph: Graph, value: int) -> DegreeSpec:
     return DegreeSpec((value,) * graph.n)
 
 
+def _reach(unions: tuple[list[int], ...], mask: int) -> int:
+    """The component of the lowest vertex in the subgraph induced on the
+    non-empty ``mask``: a BFS that reads one ``Graph.union_tables`` entry
+    per non-empty byte of each frontier, and stops once it covers ``mask``."""
+    reached = frontier = mask & -mask
+    while frontier:
+        nbrs = 0
+        while frontier:
+            shift = ((frontier & -frontier).bit_length() - 1) & ~7
+            byte = frontier >> shift & 255
+            nbrs |= unions[shift >> 3][byte]
+            frontier ^= byte << shift
+        frontier = nbrs & mask & ~reached
+        reached |= frontier
+        if reached == mask:
+            break
+    return reached
+
+
 def components_masks(g: Graph, mask: int) -> list[int]:
     """Connected components of the subgraph induced on ``mask``, as bitmasks.
 
     Ordered by smallest contained vertex index.
     """
-    masks = g.adj_masks
-    out = []
-    remaining = mask
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= masks[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        out.append(comp)
-        remaining &= ~comp
+    unions, out = g.union_tables, []
+    while mask:
+        out.append(_reach(unions, mask))
+        mask &= ~out[-1]
     return out
 
 
@@ -161,10 +180,18 @@ def _odd_count(comps: list[int], fvals: Sequence[int]) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """True for connected graphs; a single vertex counts as connected."""
-    if g.n == 0:
-        return True
-    return len(components_masks(g, g.full_mask)) == 1
+    """True for connected graphs, by one BFS over the adjacency lists; a
+    single vertex counts as connected, the null graph does not."""
+    if not g.n:
+        return False
+    seen, queue = bytearray(g.n), [0]
+    seen[0] = 1
+    for v in queue:
+        for u in g.adj[v]:
+            if not seen[u]:
+                seen[u] = 1
+                queue.append(u)
+    return len(queue) == g.n
 
 
 def min_degree(g: Graph) -> int:

@@ -141,7 +141,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     attempts."""
     for attempt in range(CONNECTED_TRIES):
         g = random_graph(n, p, seed + attempt * 7919)
-        if is_connected(g) and g.n > 0:
+        if is_connected(g):
             return g
     raise ValueError(
         f"no connected sample in {CONNECTED_TRIES} tries for n={n}, p={p}"

@@ -18,12 +18,12 @@ from .graph import (
     DegreeSpec,
     Graph,
     _bits_of,
-    _mask_of,
     _odd_count,
-    as_vertex_set,
+    _reach,
     components_masks,
     is_connected,
 )
+from .tutte import deficiency
 
 TOUGHNESS_MAX_N = 20
 SMALL_CUTSET_MAX = 3
@@ -197,43 +197,8 @@ def _vertex_disjoint_paths(masks: tuple[int, ...], s: int, t: int, cap: int) -> 
 
 def odd_component_count(g: Graph, s, f: DegreeSpec) -> int:
     """Number of components C of G-S with f(C) odd; f is read at original
-    vertex indices."""
-    s_mask = _mask_of(as_vertex_set(s, g.n))
-    return _odd_count(components_masks(g, g.full_mask & ~s_mask), f.values)
-
-
-def _union_tables(g: Graph) -> list[list[int]]:
-    """For each byte of vertex indices (8k to 8k+7), the union of the
-    neighbour masks of every subset of that byte, indexed by the subset's
-    bits."""
-    masks = g.adj_masks
-    tables = []
-    for lo in range(0, g.n, 8):
-        width = min(8, g.n - lo)
-        table = [0] * (1 << width)
-        for i in range(1, 1 << width):
-            low = i & -i
-            table[i] = table[i ^ low] | masks[lo + low.bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _connected(unions: list[list[int]], mask: int) -> bool:
-    """True iff the subgraph induced on the non-empty ``mask`` is connected:
-    a BFS from its lowest vertex that reads one ``_union_tables`` entry per
-    non-empty byte of each frontier."""
-    reached = frontier = mask & -mask
-    while frontier:
-        nbrs = 0
-        while frontier:
-            shift = ((frontier & -frontier).bit_length() - 1) & ~7
-            nbrs |= unions[shift >> 3][(frontier >> shift) & 255]
-            frontier &= ~(255 << shift)
-        frontier = nbrs & mask & ~reached
-        reached |= frontier
-        if reached == mask:
-            return True
-    return False
+    vertex indices.  This is h(S, {}) of ``tutte.deficiency``."""
+    return deficiency(g, s, (), f).h
 
 
 def _cutset_scan(g: Graph, weight, max_n: int, top):
@@ -247,16 +212,15 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
     first, so kappa is computed capped at the first window top plus one: no
     flow runs past the window, and a kappa above it scans nothing.  The cap
     bounds work, not n: the scan is refused past 2^max_n subsets, the cost
-    of a full scan at n = max_n.  Each subset is screened by ``_connected``
-    before its components are counted, so ``components_masks`` runs on
-    cutsets only.
+    of a full scan at n = max_n.  Each subset is screened by ``_reach``,
+    which stops once it covers G-S, before its components are counted, so
+    ``components_masks`` runs on cutsets only.
     """
-    if not is_connected(g) or g.n == 0:
+    if not is_connected(g):
         raise ValueError("toughness is defined for connected graphs only")
     alpha, _ = stability_number(g)
     kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)
     bits, full, budget = [1 << v for v in range(g.n)], g.full_mask, 1 << max_n
-    unions = None
     for size in range(kappa, g.n - 1):
         last = min(top(alpha), g.n - 2)
         if size > last:
@@ -268,12 +232,11 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
                 f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
                 f"(cap {max_n}); raise max_n to override"
             )
-        if unions is None:
-            unions = _union_tables(g)
+        unions = g.union_tables
         for combo in combinations(bits, size):
             s_mask = sum(combo)
             rest = full & ~s_mask
-            if _connected(unions, rest):
+            if _reach(unions, rest) == rest:
                 continue
             comps = components_masks(g, rest)
             w = weight(comps)

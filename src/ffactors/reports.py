@@ -83,7 +83,7 @@ _CLAIMS = {
 
 
 def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def _factor_of(cert: dict, i: int) -> FactorSubgraph:
@@ -177,7 +177,7 @@ def recheck_report(doc: dict) -> list[str]:
                 failures.append(f"certificate {i}: edge set is not the claimed factor")
         elif kind == "violating_pair":
             if not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
-                    and all(isinstance(cert.get(key), int) for key in _PAIR_TERMS)):
+                    and all(type(cert.get(key)) is int for key in _PAIR_TERMS)):
                 raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
                                  f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
             rep = deficiency(g, cert["s"], cert["t"], f)

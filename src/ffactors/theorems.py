@@ -88,7 +88,7 @@ def _check_graph_and_f(
     Returns delta when the graph-side ones (all but the f rows) hold, else
     None.
     """
-    connected = is_connected(g) and g.n > 0
+    connected = is_connected(g)
     report.add("connected", f"n={g.n}", connected)
     report.add("b_at_least_2", f"b={b}", b >= 2)
     report.add("a_at_least_1", f"a={a}", a >= 1)
@@ -206,7 +206,7 @@ def check_theorem_claw_free(
     if not 1 <= n - 1 <= a <= b:
         raise ValueError("need 1 <= n-1 <= a <= b")
     report = HypothesisReport("claw_free", conclusion_of("f"))
-    report.add("connected", f"n={g.n}", is_connected(g) and g.n > 0)
+    report.add("connected", f"n={g.n}", is_connected(g))
     report.add("star_free", f"no induced K_(1,{n})", is_star_free(g, n))
     _check_f(report, f, a, b)
     delta = min_degree(g)
@@ -253,10 +253,10 @@ class Theorem:
 
     def _degrees(self, params) -> tuple[int, ...]:
         """The predicted factor's (lo, hi) read from ``params``: () for "f",
-        (r, r) for "r", (a, b) for "ab"; each must be an integer."""
+        (r, r) for "r", (a, b) for "ab"; each must be an int, not a bool."""
         keys = {"f": (), "r": ("r", "r"), "ab": ("a", "b")}[self.factor]
         for key in keys:
-            if not isinstance(getattr(params, key, None), int):
+            if type(getattr(params, key, None)) is not int:
                 raise ValueError(f"parameter {key!r} must be an integer")
         return tuple(getattr(params, key) for key in keys)
 

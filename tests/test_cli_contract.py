@@ -153,15 +153,17 @@ _PEAK = ("import resource, sys; from ffactors.cli import main; code = main(sys.a
          "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)")
 
 
-@pytest.mark.parametrize("n, value, command", [(100_000, 2, "solve"), (99_999, 1, "audit")])
+@pytest.mark.parametrize("n, value, command", [
+    (100_000, 2, "solve"), (99_999, 1, "audit"), (100_000, 2, "verify-theorem main --a 1 --b 3")])
 def test_report_and_recheck_in_linear_memory(tmp_path, n, value, command):
-    """A cycle near ``instances.MAX_N``: solve with f = 2, or audit of the
-    odd cycle with f = 1, then recheck of the report, each peak below 250 MB.
-    n-bit neighbour masks would take about 700 MB here."""
+    """A cycle near ``instances.MAX_N``: solve with f = 2, audit of the odd
+    cycle with f = 1, or the main theorem with b = 3 above delta = 2, so
+    that only its prologue rows run; then recheck of the report.  Each step
+    peaks below 250 MB, where n-bit neighbour masks would take about 700 MB."""
     g = cycle(n)
     inst, out = tmp_path / "c.inst", tmp_path / "report.json"
     inst.write_text(serialize_instance(g, constant_spec(g, value)))
-    for argv in ([command, str(inst), "--out", str(out)], ["recheck", str(out)]):
+    for argv in ([*command.split(), str(inst), "--out", str(out)], ["recheck", str(out)]):
         proc = subprocess.run([sys.executable, "-c", _PEAK, *argv],
                               capture_output=True, text=True, check=True)
         code, peak_mb = map(int, proc.stdout.split()[-2:])
@@ -288,6 +290,49 @@ class TestRecheckMalformed:
         doc["certificates"] = [{"type": "factor", "edges": [[0, 1], [1, 0]]}]
         code, err = self.recheck(tmp_path, doc)
         assert code == 1 and "not the claimed factor" in err
+
+    def test_boolean_vertex_exits_2(self, tmp_path):
+        """JSON true is not the vertex 1: the one edge of K2, f = 1, written
+        as [true, 0]."""
+        k2 = complete_graph(2)
+        inst, out = tmp_path / "k2.inst", tmp_path / "solve.json"
+        inst.write_text(serialize_instance(k2, constant_spec(k2, 1)))
+        assert run(["solve", str(inst), "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert self.recheck(tmp_path, doc)[0] == 0
+        doc["certificates"][0]["edges"] = [[True, 0]]
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'edges'" in err
+
+    def test_boolean_r_exits_2(self, tmp_path, reports):
+        """JSON true is not r = 1, even where the prediction is worded from it."""
+        doc = reports["rc"]
+        assert (doc["parameters"]["r"], doc["verdicts"]["prediction"]) == (1, "1-factor exists")
+        doc["parameters"]["r"] = True
+        doc["verdicts"]["prediction"] = "True-factor exists"
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'r'" in err
+
+    def test_boolean_pair_term_exits_2(self, tmp_path, reports):
+        cert = reports["audit"]["certificates"][0]
+        key = next(key for key in ("f_s", "f_t", "degree_term", "h") if cert[key] in (0, 1))
+        cert[key] = bool(cert[key])
+        code, err = self.recheck(tmp_path, reports["audit"])
+        assert_one_line_error(code, err)
+        assert repr(key) in err
+
+    def test_tampered_digest_exits_1(self, tmp_path, reports):
+        reports["solve"]["instance_digest"] = "0" * 64
+        code, err = self.recheck(tmp_path, reports["solve"])
+        assert code == 1 and "instance digest does not match embedded instance" in err
+
+    def test_instance_not_a_string(self, tmp_path, reports):
+        reports["solve"]["instance"] = 5
+        code, err = self.recheck(tmp_path, reports["solve"])
+        assert_one_line_error(code, err)
+        assert "embedded instance" in err
 
     def test_no_embedded_instance_exits_1(self, tmp_path, reports):
         reports["solve"]["instance"] = None

@@ -13,6 +13,8 @@ from ffactors.graph import (
     build_graph,
     complete_graph,
     components_masks,
+    constant_spec,
+    cycle,
     disjoint_union,
     empty_graph,
     is_connected,
@@ -22,6 +24,11 @@ from ffactors.graph import (
     petersen_graph,
     star,
 )
+from ffactors.instances import random_connected_graph, random_degree_spec
+from ffactors.invariants import odd_component_count
+from ffactors.solver import find_f_factor
+from ffactors.theorems import check_main_theorem
+from ffactors.tutte import deficiency, find_violating_pair
 
 
 @st.composite
@@ -116,6 +123,32 @@ class TestDegreeHelpers:
 
     def test_single_vertex_connected(self):
         assert is_connected(empty_graph(1))
+
+
+class TestAdjacencyListsOnly:
+    """The polynomial routines, and a theorem prologue whose exponential
+    rows are not evaluated, never build the n-bit ``Graph.adj_masks``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g, f: is_connected(g),
+        lambda g, f: odd_component_count(g, [0, 1], f),
+        lambda g, f: deficiency(g, [0], [2, 3], f),
+        lambda g, f: find_f_factor(g, f),
+        lambda g, f: find_violating_pair(g, f),
+    ], ids=["is_connected", "odd_component_count", "deficiency", "find_f_factor",
+            "find_violating_pair"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_polynomial_routines(self, call, seed):
+        # seeds 1 and 2 have no f-factor, the 2-factor of cycle(30) exists
+        g = random_connected_graph(30, 0.15, seed) if seed else cycle(30)
+        call(g, random_degree_spec(g, 1, 3, seed) if seed else constant_spec(g, 2))
+        assert "adj_masks" not in vars(g)
+
+    def test_main_theorem_prologue(self):
+        g = cycle(100)  # delta = 2 < b = 3
+        report = check_main_theorem(g, constant_spec(g, 2), 1, 3)
+        assert [h.satisfied for h in report.hypotheses][:4] == [True, True, True, False]
+        assert "adj_masks" not in vars(g)
 
 
 class TestStarFree:

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -18,6 +19,7 @@ from conftest import (
 from ffactors import invariants
 from ffactors.graph import (
     DegreeSpec,
+    _bits_of,
     _max_independent,
     build_graph,
     complete_graph,
@@ -25,14 +27,14 @@ from ffactors.graph import (
     constant_spec,
     cycle,
     disjoint_union,
+    empty_graph,
+    is_connected,
     min_degree,
     petersen_graph,
     star,
 )
 from ffactors.instances import random_connected_graph, random_degree_spec
 from ffactors.invariants import (
-    _connected,
-    _union_tables,
     _vertex_disjoint_paths,
     is_t_odd_tough,
     odd_component_count,
@@ -260,21 +262,40 @@ class TestVertexConnectivity:
         assert caps and max(caps) <= ceil(t * alpha)
 
 
-class TestConnectivityScreen:
+class TestComponentsAgainstNetworkx:
+    """The one bitmask component search, and the adjacency-list BFS of
+    ``is_connected``, against networkx."""
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 53])
-    def test_matches_components(self, n):
+    def test_components_masks(self, n):
+        # these sizes straddle the byte boundaries of the union tables
         rng = random.Random(n)
         g = build_graph(n, [e for e in combinations(range(n), 2)
                             if rng.random() < min(1.0, 3 / n)])
-        unions = _union_tables(g)
+        nx_graph = nx.Graph(g.edges())
+        nx_graph.add_nodes_from(range(n))
         seen = set()
         for _ in range(2000):
             density = rng.random()
             mask = sum(1 << v for v in range(n) if rng.random() < density) or 1 << rng.randrange(n)
-            connected = len(components_masks(g, mask)) == 1
-            assert _connected(unions, mask) == connected
-            seen.add(connected)
+            comps = components_masks(g, mask)
+            expected = nx.connected_components(nx_graph.subgraph(_bits_of(mask)))
+            assert sorted(map(_bits_of, comps)) == sorted(tuple(sorted(c)) for c in expected)
+            assert comps == sorted(comps, key=lambda c: c & -c)
+            seen.add(len(comps) == 1)
         assert seen == ({True} if n == 1 else {True, False})
+
+    def test_is_connected(self, small_atlas):
+        kinds = set()
+        for g in small_atlas:
+            nx_graph = nx.Graph(g.edges())
+            nx_graph.add_nodes_from(range(g.n))
+            kinds.add(is_connected(g))
+            assert is_connected(g) == nx.is_connected(nx_graph), g.edges()
+        assert kinds == {True, False}
+
+    def test_null_graph_is_not_connected(self):
+        assert not is_connected(empty_graph(0))
 
 
 class TestOddComponentCount:
