@@ -25,11 +25,6 @@ import time
 from . import constructions, instances, invariants, reports, solver, theorems, tutte
 
 
-# The audit pair is a minimum at every n; the label only splits n at this
-# size because bench/checks.py still demands that split (ROADMAP item 1).
-AUDIT_EXACT_MAX_N = 15
-
-
 def _read_instance(path: str):
     if path == "-":
         return instances.parse_instance(sys.stdin.read())
@@ -55,24 +50,14 @@ def _emit(args, parameters: dict, seed: int | None, instance, verdicts: dict,
 
 def _cmd_solve(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     factor = solver.find_f_factor(g, f)
-    verdicts = {"factor_exists": factor is not None}
     certs = [] if factor is None else [reports.factor_certificate(factor)]
-    return (0 if factor is not None else 1), {}, verdicts, certs
+    return int(factor is None), {}, reports.verdicts_of("solve", g.n, {}, certs), certs
 
 
 def _cmd_audit(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     found = tutte.find_violating_pair(g, f)
-    verdicts = {
-        "mode": "exact" if g.n <= AUDIT_EXACT_MAX_N else "heuristic",
-        "violating_pair_found": found is not None,
-    }
-    if found is None:
-        verdicts["conclusion"] = "no violating pair exists"
-        certs = []
-    else:
-        verdicts["conclusion"] = "f-factor does not exist"
-        certs = [reports.violating_pair_certificate(found)]
-    return 0, {}, verdicts, certs
+    certs = [] if found is None else [reports.violating_pair_certificate(found)]
+    return 0, {}, reports.verdicts_of("audit", g.n, {}, certs), certs
 
 
 def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
@@ -120,7 +105,8 @@ def _cmd_gen(args) -> int:
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:
         seed = args.seed if args.family == "random" else None
-        _emit(args, report_dict, seed, (g, f), {"generated": True}, certs, None, args.report)
+        _emit(args, report_dict, seed, (g, f), reports.verdicts_of("gen", g.n, report_dict, certs),
+              certs, None, args.report)
     return 0
 
 

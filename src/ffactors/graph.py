@@ -77,6 +77,21 @@ class Graph:
         return tuple(tables)
 
     @cached_property
+    def connected(self) -> bool:
+        """True for connected graphs, by one BFS over the adjacency lists; a
+        single vertex counts as connected, the null graph does not."""
+        if not self.n:
+            return False
+        seen, queue = bytearray(self.n), [0]
+        seen[0] = 1
+        for v in queue:
+            for u in self.adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    queue.append(u)
+        return len(queue) == self.n
+
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -180,18 +195,8 @@ def _odd_count(comps: list[int], fvals: Sequence[int]) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """True for connected graphs, by one BFS over the adjacency lists; a
-    single vertex counts as connected, the null graph does not."""
-    if not g.n:
-        return False
-    seen, queue = bytearray(g.n), [0]
-    seen[0] = 1
-    for v in queue:
-        for u in g.adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                queue.append(u)
-    return len(queue) == g.n
+    """True for connected graphs; ``g.connected``, searched once per graph."""
+    return g.connected
 
 
 def min_degree(g: Graph) -> int:

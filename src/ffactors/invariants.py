@@ -79,14 +79,10 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     is at most |S|.
     """
     n = g.n
-    if n <= 1:
-        return 0
     if not is_connected(g):
         return 0
     if cap is None:
         cap = n
-    if g.m == n * (n - 1) // 2:
-        return min(n - 1, cap)
     v = min(range(n), key=g.degree)
     nbrs = g.adj[v]
     best = min(len(nbrs), cap)

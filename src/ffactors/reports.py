@@ -3,8 +3,10 @@
 A report is a JSON document with a stable field order: command, parameters,
 seed, instance digest, the embedded normalized instance, verdicts, a list
 of certificates, and timing.  Every embedded certificate can be re-verified
-from the report alone, without rerunning any search; comparisons between
-reports ignore the timing block.
+from the report alone, without rerunning any search, and the verdicts of
+a ``solve``, ``audit``, ``gen`` or ``verify-theorem`` report are
+re-derived by ``verdicts_of``, the same function that writes them;
+comparisons between reports ignore the timing block.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from types import SimpleNamespace
 from .graph import DegreeSpec, Graph
 from .instances import instance_digest, parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
-from .theorems import THEOREMS
+from .theorems import THEOREMS, Hypothesis, HypothesisReport
 from .tutte import deficiency
 
 
@@ -70,16 +72,11 @@ def strip_timing(doc: dict) -> dict:
 
 
 _PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
+_ROW_KEYS = {"name", "observed", "satisfied"}
 
-# per command, the claim that its certificates stand for: the report's
-# section must hold (key, value) iff it carries a certificate of one of these
-# types
-_CLAIMS = {
-    "solve": ("verdicts", "factor_exists", True, ("factor",)),
-    "audit": ("verdicts", "violating_pair_found", True, ("violating_pair",)),
-    "verify-theorem": ("verdicts", "confirmation", "confirmed", ("factor",)),
-    "gen": ("parameters", "nonexistence_reason", "deficiency", ("violating_pair",)),
-}
+# The audit pair is a minimum at every n; the label only splits n at this
+# size because bench/checks.py still demands that split (ROADMAP item 1).
+AUDIT_EXACT_MAX_N = 15
 
 
 def _is_int_list(value) -> bool:
@@ -103,58 +100,64 @@ def _theorem(params: dict):
     return theorem
 
 
-def _theorem_verdict_failures(verdicts: dict, params: dict) -> list[str]:
-    """A ``verify-theorem`` report's verdicts must name its theorem and follow
-    from its hypothesis rows, as ``Theorem.run`` derives them: the hypotheses
-    are met iff every row is satisfied, a prediction is made iff they are
-    met, a met prediction is the theorem's conclusion, and only a met
-    prediction is confirmed or refuted."""
-    rows = verdicts.get("hypotheses")
+def verdicts_of(command: str, n: int, params: dict, certs: list[dict],
+                rows: list | None = None) -> dict:
+    """The verdicts that a ``solve``, ``audit``, ``gen`` or ``verify-theorem``
+    report on n vertices with these parameters and certificates must carry.
+
+    A factor or a pair is claimed exactly when a certificate carries it.  A
+    ``verify-theorem`` report's verdicts follow from its hypothesis rows as
+    ``Theorem.run`` derives them: the theorem named in its parameters, a
+    prediction only when every row is satisfied, and with ``confirm`` a met
+    prediction confirmed iff a factor certificate is present.  Rows that
+    are not objects with exactly a name, an observation and a boolean
+    'satisfied' raise ValueError.
+    """
+    kinds = [cert.get("type") for cert in certs]
+    if command == "solve":
+        return {"factor_exists": "factor" in kinds}
+    if command == "audit":
+        found = "violating_pair" in kinds
+        return {"mode": "exact" if n <= AUDIT_EXACT_MAX_N else "heuristic",
+                "violating_pair_found": found,
+                "conclusion": "f-factor does not exist" if found else "no violating pair exists"}
+    if command == "gen":
+        return {"generated": True}
     if not (isinstance(rows, list) and all(
-            isinstance(row, dict) and isinstance(row.get("satisfied"), bool) for row in rows)):
+            isinstance(row, dict) and row.keys() == _ROW_KEYS
+            and isinstance(row["satisfied"], bool) for row in rows)):
         raise ValueError("the report's 'hypotheses' must be a list of rows with a "
-                         "boolean 'satisfied'")
-    met = all(row["satisfied"] for row in rows)
-    failures = []
-    theorem, name = verdicts.get("theorem"), params.get("name")
-    if theorem != name:
-        failures.append(f"verdicts.theorem={theorem!r} does not match parameters.name={name!r}")
-    got = verdicts.get("hypotheses_met")
-    if not (isinstance(got, bool) and got == met):
-        failures.append(f"verdicts.hypotheses_met={got!r} does not match the hypothesis rows")
-    prediction = verdicts.get("prediction")
-    if (prediction == "no prediction") == met:
-        failures.append(f"verdicts.prediction={prediction!r} does not match the hypothesis rows")
-    elif met and prediction != (
-            expected := _theorem(params).conclusion(SimpleNamespace(**params))):
-        failures.append(f"verdicts.prediction={prediction!r} is not the conclusion {expected!r}")
-    if verdicts.get("confirmation") is not None and not met:
-        failures.append("verdicts.confirmation is set, but not every hypothesis row is satisfied")
-    return failures
+                         "'name', an 'observed' and a boolean 'satisfied'")
+    conclusion = _theorem(params).conclusion(SimpleNamespace(**params))
+    report = HypothesisReport(params["name"], conclusion, [Hypothesis(**row) for row in rows])
+    if params.get("confirm") is True and report.hypotheses_met:
+        report.confirmation = "confirmed" if "factor" in kinds else "refuted"
+    return report.to_dict()
 
 
 def recheck_report(doc: dict) -> list[str]:
-    """Re-verify every certificate embedded in a report, and that the
-    report claims a factor or a violating pair exactly when it carries a
-    certificate for one: in its verdicts, or for ``gen`` in its
-    parameters' nonexistence reason.
-
-    A ``verify-theorem`` report's verdicts must also name its theorem and
-    agree with its hypothesis rows.
+    """Re-verify every certificate embedded in a report, and re-derive the
+    verdicts of a ``solve``, ``audit``, ``gen`` or ``verify-theorem`` report
+    with ``verdicts_of``: each key of the recorded verdict object must equal
+    the derived one, JSON type included.  A ``gen`` report must also give
+    "deficiency" as its parameters' nonexistence reason exactly when it
+    carries a violating pair.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a certificate with a missing or
-    mistyped field, a factor whose claimed bounds cannot be read, a claim
-    section that is not an object, or hypothesis rows without a boolean
-    'satisfied') raises ValueError instead.
+    mistyped field, a factor whose claimed bounds cannot be read, verdicts
+    or parameters that are not objects, or malformed hypothesis rows)
+    raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
         raise ValueError("report is not an object with a list of certificates")
     failures: list[str] = []
-    params = doc.get("parameters")
-    if not isinstance(params, dict):
-        params = {}
+    command, params, verdicts = doc.get("command"), doc.get("parameters"), doc.get("verdicts")
+    derived = command in ("solve", "audit", "gen", "verify-theorem")
+    for section, value in (("parameters", params), ("verdicts", verdicts)):
+        if derived and not isinstance(value, dict):
+            raise ValueError(f"the report's {section!r} must be an object")
     instance_text = doc.get("instance")
     g = f = None
     if instance_text:
@@ -172,7 +175,7 @@ def recheck_report(doc: dict) -> list[str]:
             continue
         if kind == "factor":
             lo, hi = (_theorem(params).bounds(g.n, f, SimpleNamespace(**params))
-                      if doc.get("command") == "verify-theorem" else (f.values, f.values))
+                      if command == "verify-theorem" else (f.values, f.values))
             if not verify_factor(g, lo, hi, _factor_of(cert, i)):
                 failures.append(f"certificate {i}: edge set is not the claimed factor")
         elif kind == "violating_pair":
@@ -189,16 +192,21 @@ def recheck_report(doc: dict) -> list[str]:
                 failures.append(f"certificate {i}: recorded pair has nonnegative deficiency")
         else:
             failures.append(f"certificate {i}: unknown type {kind!r}")
-    command = doc.get("command")
-    if isinstance(command, str) and command in _CLAIMS:
-        section, key, value, kinds = _CLAIMS[command]
-        claims = doc.get(section)
-        if not isinstance(claims, dict):
-            raise ValueError(f"the report's {section!r} must be an object")
-        got = claims.get(key)
-        claimed = type(got) is type(value) and got == value
-        if claimed != any(cert.get("type") in kinds for cert in certificates):
-            failures.append(f"{section}.{key}={got!r} does not match the certificates")
-        if command == "verify-theorem":
-            failures += _theorem_verdict_failures(claims, params)
+    if not derived:
+        return failures
+    if g is None:
+        return failures + ["verdicts: no embedded instance to check against"]
+    want = verdicts_of(command, g.n, params, certificates, verdicts.get("hypotheses"))
+    for key in {**want, **verdicts}:
+        # compared as JSON text: 1 matches neither true nor 1.0, and the
+        # order of an object's keys does not count
+        got, expected = (json.dumps(side[key], sort_keys=True) if key in side else "(absent)"
+                         for side in (verdicts, want))
+        if got != expected:
+            failures.append(f"verdicts.{key}={got} does not match {expected}")
+    reason = params.get("nonexistence_reason")
+    if command == "gen" and (reason == "deficiency") != any(
+            cert.get("type") == "violating_pair" for cert in certificates):
+        failures.append(f"parameters.nonexistence_reason={reason!r} does not match "
+                        "the certificates")
     return failures

@@ -499,7 +499,8 @@ class TestRecheckTheoremVerdicts:
         """A met ``main`` prediction is an f-factor, whatever the rows say."""
         k6["verdicts"]["prediction"] = "5-factor exists"
         code, err = self.recheck(tmp_path, k6)
-        assert code == 1 and "is not the conclusion 'f-factor exists'" in err
+        assert code == 1
+        assert 'verdicts.prediction="5-factor exists" does not match "f-factor exists"' in err
 
     def test_prediction_against_bounds(self, tmp_path):
         """An unconfirmed K4 ``ab_factor`` report carries no factor, yet its
@@ -515,7 +516,9 @@ class TestRecheckTheoremVerdicts:
         assert doc["certificates"] == [] and self.recheck(tmp_path, doc)[0] == 0
         doc["parameters"]["b"] = 3
         code, err = self.recheck(tmp_path, doc)
-        assert code == 1 and "is not the conclusion '[1,3]-factor exists'" in err
+        assert code == 1
+        assert ('verdicts.prediction="[1,2]-factor exists" does not match '
+                '"[1,3]-factor exists"') in err
         doc["parameters"]["b"] = "2"
         assert_one_line_error(*self.recheck(tmp_path, doc))
 
@@ -532,7 +535,12 @@ class TestRecheckTheoremVerdicts:
         doc["verdicts"].update(theorem="main", prediction="[1,9]-factor exists")
         code, err = self.recheck(tmp_path, doc)
         assert code == 1
-        assert "verdicts.theorem='main' does not match parameters.name='ab_factor'" in err
+        assert 'verdicts.theorem="main" does not match "ab_factor"' in err
+
+    def test_row_key_order_is_free(self, tmp_path, k6):
+        row = k6["verdicts"]["hypotheses"][0]
+        k6["verdicts"]["hypotheses"][0] = dict(reversed(row.items()))
+        assert self.recheck(tmp_path, k6)[0] == 0
 
     def test_unmet_report_rechecks(self, tmp_path, k6):
         """A consistent report whose hypotheses fail, with no confirmation
@@ -543,7 +551,10 @@ class TestRecheckTheoremVerdicts:
         k6["certificates"] = []
         assert self.recheck(tmp_path, k6)[0] == 0
 
-    @pytest.mark.parametrize("rows", [None, "rows", [1], [{"satisfied": 1}], [{}]])
+    @pytest.mark.parametrize("rows", [
+        None, "rows", [1], [{"satisfied": 1}], [{}],
+        [{"name": "connected", "observed": "n=6", "satisfied": True, "note": "x"}],
+    ])
     def test_malformed_rows(self, tmp_path, k6, rows):
         if rows is None:
             del k6["verdicts"]["hypotheses"]
@@ -552,6 +563,75 @@ class TestRecheckTheoremVerdicts:
         code, err = self.recheck(tmp_path, k6)
         assert_one_line_error(code, err)
         assert "'hypotheses'" in err
+
+    def test_confirm_parameter(self, tmp_path, k6):
+        """Only a report run with --confirm states a confirmation."""
+        k6["parameters"]["confirm"] = False
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1
+        assert 'verdicts.confirmation="confirmed" does not match null' in err
+
+    def test_met_prediction_left_unconfirmed(self, tmp_path, k6):
+        """With --confirm, a met prediction without a factor is refuted."""
+        k6["verdicts"]["confirmation"] = None
+        k6["certificates"] = []
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and 'verdicts.confirmation=null does not match "refuted"' in err
+
+
+class TestRecheckDerivesVerdicts:
+    """``recheck`` re-derives a report's whole verdict object, so changing
+    any one verdict key, or the parameter that decides a confirmation, fails
+    the report."""
+
+    VALUES = [None, True, False, 0, 1, "x", [], {}]
+
+    @staticmethod
+    def _targets() -> list[tuple[str, str, str]]:
+        out = []
+        for name, doc in _base_reports().items():
+            out += [(name, "verdicts", key) for key in doc["verdicts"] if key != "hypotheses"]
+            if doc["command"] == "verify-theorem":
+                out.append((name, "parameters", "confirm"))
+        return out
+
+    @pytest.mark.parametrize("name, section, key", _targets())
+    def test_single_key_tamper_fails(self, tmp_path, reports, name, section, key):
+        doc, path = reports[name], tmp_path / "doc.json"
+        own = json.dumps(doc[section][key])
+        for value in self.VALUES:
+            if json.dumps(value) == own:
+                continue
+            doc[section][key] = value
+            path.write_text(json.dumps(doc))
+            code, err = run(["recheck", str(path)])
+            assert code == 1 or (code == 2 and err.count("\n") == 1), (value, code, err)
+
+    def k4_audit(self, tmp_path) -> tuple[Path, dict]:
+        """K4 with f = 1 has a perfect matching, so its audit finds no pair."""
+        g = complete_graph(4)
+        inst, out = tmp_path / "k4.inst", tmp_path / "audit.json"
+        inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+        assert run(["audit", str(inst), "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert doc["certificates"] == [] and run(["recheck", str(out)])[0] == 0
+        return out, doc
+
+    @pytest.mark.parametrize("key, value", [("conclusion", "f-factor does not exist"),
+                                            ("violating_pair_found", 0)])
+    def test_audit_claim_without_pair(self, tmp_path, key, value):
+        out, doc = self.k4_audit(tmp_path)
+        doc["verdicts"][key] = value
+        out.write_text(json.dumps(doc))
+        code, err = run(["recheck", str(out)])
+        assert code == 1 and err.count("\n") == 1 and f"verdicts.{key}={json.dumps(value)}" in err
+
+    def test_verdicts_need_an_instance(self, tmp_path):
+        out, doc = self.k4_audit(tmp_path)
+        doc["instance"] = None
+        out.write_text(json.dumps(doc))
+        code, err = run(["recheck", str(out)])
+        assert code == 1 and "no embedded instance" in err
 
 
 def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:

@@ -19,6 +19,7 @@ from ffactors.reports import (
     factor_certificate,
     recheck_report,
     strip_timing,
+    verdicts_of,
     violating_pair_certificate,
 )
 from ffactors.solver import find_f_factor
@@ -144,18 +145,20 @@ class TestReports:
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, [], [3], f)
         assert rep.delta < 0
-        doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
-                           [violating_pair_certificate(rep)])
+        certs = [violating_pair_certificate(rep)]
+        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g.n, {}, certs), certs)
         assert recheck_report(doc) == []
 
     def test_tampered_pair_fails(self):
         g = cycle(4)
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, [], [3], f)
-        doc = build_report("audit", {}, 0, (g, f), {"violating_pair_found": True},
-                           [violating_pair_certificate(rep)])
+        certs = [violating_pair_certificate(rep)]
+        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g.n, {}, certs), certs)
         doc["certificates"][0]["delta"] = -99
-        assert recheck_report(doc)
+        # the tamper is the only failure
+        assert recheck_report(doc) == [
+            f"certificate 0: recomputed delta={rep.delta} != recorded -99"]
 
     def test_strip_timing(self):
         doc = build_report("solve", {}, None, None, {}, [])

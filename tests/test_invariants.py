@@ -139,6 +139,15 @@ class TestVertexConnectivity:
     def test_cycle(self):
         assert vertex_connectivity(cycle(6)) == 2
 
+    @pytest.mark.parametrize("cap", [None, 0, 1, 3, 10])
+    def test_complete_graphs_and_the_null_graph(self, cap):
+        """K_n has no non-adjacent pair, so kappa is min(n - 1, cap) without a
+        flow; K_1 gives 0, and the null graph is not connected."""
+        for n in range(1, 9):
+            want = n - 1 if cap is None else min(n - 1, cap)
+            assert vertex_connectivity(complete_graph(n), cap) == want
+        assert vertex_connectivity(empty_graph(0), cap) == 0
+
     def test_star_cutvertex(self):
         assert vertex_connectivity(star(3)) == 1
 

@@ -9,6 +9,7 @@ from conftest import brute_vertex_connectivity, run_confirmed, seeded_corpus
 from ffactors import invariants
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
+    Graph,
     build_graph,
     complete_graph,
     constant_spec,
@@ -84,6 +85,25 @@ class TestMainTheorem:
         assert hypothesis_named(report, "stability").satisfied
         assert not hypothesis_named(report, "odd_toughness").satisfied
         assert len(calls) == 1
+
+    def test_connectivity_searched_once(self, monkeypatch):
+        """The connected row, the cutset scan and its kappa share one BFS."""
+        base = random_connected_graph(16, 0.8, 1)
+        f = random_degree_spec(base, 1, 2, 2)
+        g = build_graph(base.n, base.edges())
+        searches = []
+        prop = Graph.__dict__["connected"]
+        search = prop.func
+
+        def counting(graph):
+            searches.append(graph)
+            return search(graph)
+
+        monkeypatch.setattr(prop, "func", counting)
+        report = check_main_theorem(g, f, 1, 2)
+        assert hypothesis_named(report, "connected").satisfied
+        assert not hypothesis_named(report, "odd_toughness").observed.startswith("not evaluated")
+        assert searches == [g]
 
     def test_dense_n100_within_budget(self):
         """kappa = 39 is far above the window (alpha = 9, t = 1), so its

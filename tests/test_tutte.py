@@ -16,7 +16,9 @@ from ffactors.graph import (
 )
 from ffactors.instances import random_connected_graph, random_graph
 from ffactors.invariants import is_t_odd_tough
-from ffactors.reports import build_report, recheck_report, violating_pair_certificate
+from ffactors.reports import (
+    build_report, recheck_report, verdicts_of, violating_pair_certificate,
+)
 from ffactors import tutte
 from ffactors.solver import _blossom_matching, tutte_gadget
 from ffactors.tutte import (
@@ -182,8 +184,9 @@ class TestFindViolatingPair:
             gadget = tutte_gadget(g, f.values, f.values)
             mate, _ = _blossom_matching(gadget.size, gadget.adj)
             assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
-            doc = build_report("audit", {}, None, (g, f), {"violating_pair_found": True},
-                               [violating_pair_certificate(rep)])
+            certs = [violating_pair_certificate(rep)]
+            doc = build_report("audit", {}, None, (g, f), verdicts_of("audit", g.n, {}, certs),
+                               certs)
             assert recheck_report(doc) == []
         for _ in range(4):
             n = rng.randint(60, 200)
