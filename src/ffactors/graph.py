@@ -63,20 +63,6 @@ class Graph:
         return tuple(_mask_of(nbrs) for nbrs in self.adj)
 
     @cached_property
-    def union_tables(self) -> tuple[list[int], ...]:
-        """For each byte of vertex indices (8k to 8k+7), the union of the
-        neighbour masks of every subset of that byte, indexed by the
-        subset's bits."""
-        masks, tables = self.adj_masks, []
-        for lo in range(0, self.n, 8):
-            table = [0] * (1 << min(8, self.n - lo))
-            for i in range(1, len(table)):
-                low = i & -i
-                table[i] = table[i ^ low] | masks[lo + low.bit_length() - 1]
-            tables.append(table)
-        return tuple(tables)
-
-    @cached_property
     def connected(self) -> bool:
         """True for connected graphs, by one BFS over the adjacency lists; a
         single vertex counts as connected, the null graph does not."""
@@ -150,18 +136,18 @@ def constant_spec(graph: Graph, value: int) -> DegreeSpec:
     return DegreeSpec((value,) * graph.n)
 
 
-def _reach(unions: tuple[list[int], ...], mask: int) -> int:
+def _reach(masks: tuple[int, ...], mask: int) -> int:
     """The component of the lowest vertex in the subgraph induced on the
-    non-empty ``mask``: a BFS that reads one ``Graph.union_tables`` entry
-    per non-empty byte of each frontier, and stops once it covers ``mask``."""
+    non-empty ``mask``: a BFS that ORs the neighbour masks ``masks`` (a
+    graph's ``adj_masks``) of each frontier vertex, and stops once it covers
+    ``mask``."""
     reached = frontier = mask & -mask
     while frontier:
         nbrs = 0
         while frontier:
-            shift = ((frontier & -frontier).bit_length() - 1) & ~7
-            byte = frontier >> shift & 255
-            nbrs |= unions[shift >> 3][byte]
-            frontier ^= byte << shift
+            low = frontier & -frontier
+            nbrs |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = nbrs & mask & ~reached
         reached |= frontier
         if reached == mask:
@@ -170,28 +156,16 @@ def _reach(unions: tuple[list[int], ...], mask: int) -> int:
 
 
 def components_masks(g: Graph, mask: int) -> list[int]:
-    """Connected components of the subgraph induced on ``mask``, as bitmasks.
+    """Connected components of the subgraph induced on ``mask``, as bitmasks,
+    by one ``_reach`` over ``g.adj_masks`` per component.
 
     Ordered by smallest contained vertex index.
     """
-    unions, out = g.union_tables, []
+    masks, out = g.adj_masks, []
     while mask:
-        out.append(_reach(unions, mask))
+        out.append(_reach(masks, mask))
         mask &= ~out[-1]
     return out
-
-
-def _odd_count(comps: list[int], fvals: Sequence[int]) -> int:
-    """How many of the component masks have an odd sum of ``fvals``."""
-    h = 0
-    for comp in comps:
-        tot = 0
-        while comp:
-            low = comp & -comp
-            tot += fvals[low.bit_length() - 1]
-            comp ^= low
-        h += tot & 1
-    return h
 
 
 def is_connected(g: Graph) -> bool:

@@ -18,7 +18,6 @@ from .graph import (
     DegreeSpec,
     Graph,
     _bits_of,
-    _odd_count,
     _reach,
     components_masks,
     is_connected,
@@ -210,13 +209,14 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
     bounds work, not n: the scan is refused past 2^max_n subsets, the cost
     of a full scan at n = max_n.  Each subset is screened by ``_reach``,
     which stops once it covers G-S, before its components are counted, so
-    ``components_masks`` runs on cutsets only.
+    ``components_masks`` runs on cutsets only.  Both are BFS over ``g.adj_masks`` alone.
     """
     if not is_connected(g):
         raise ValueError("toughness is defined for connected graphs only")
     alpha, _ = stability_number(g)
     kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)
-    bits, full, budget = [1 << v for v in range(g.n)], g.full_mask, 1 << max_n
+    masks, full, budget = g.adj_masks, g.full_mask, 1 << max_n
+    bits = [1 << v for v in range(g.n)]
     for size in range(kappa, g.n - 1):
         last = min(top(alpha), g.n - 2)
         if size > last:
@@ -228,11 +228,10 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
                 f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
                 f"(cap {max_n}); raise max_n to override"
             )
-        unions = g.union_tables
         for combo in combinations(bits, size):
             s_mask = sum(combo)
             rest = full & ~s_mask
-            if _reach(unions, rest) == rest:
+            if _reach(masks, rest) == rest:
                 continue
             comps = components_masks(g, rest)
             w = weight(comps)
@@ -253,13 +252,20 @@ def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
     return ToughnessValue(best, None if best is None else _bits_of(witness))
 
 
+def _odd_weight(f: DegreeSpec):
+    """h'(G-S) from the component masks of G-S: a component's f-sum is odd
+    iff it holds an odd number of the odd-f vertices, one mask per call."""
+    odd = sum(1 << v for v, fv in enumerate(f.values) if fv & 1)
+    return lambda comps: sum((comp & odd).bit_count() & 1 for comp in comps)
+
+
 def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
     """Exact minimum of |S| / h'(G-S) over cutsets S with h'(G-S) >= 1.
 
     h'(G-S) counts components of G-S whose f-sum is odd.  Infinity when no
     qualifying cutset exists (complete graphs, or no odd component ever).
     """
-    return _min_ratio(g, lambda comps: _odd_count(comps, f.values), max_n)
+    return _min_ratio(g, _odd_weight(f), max_n)
 
 
 def toughness(g: Graph, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
@@ -276,7 +282,7 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f.values), g.n,
+    scan = _cutset_scan(g, _odd_weight(f), g.n,
                         lambda alpha: SMALL_CUTSET_MAX)
     return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
@@ -295,6 +301,6 @@ def is_t_odd_tough(
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    scan = _cutset_scan(g, lambda comps: _odd_count(comps, f.values), max_n,
+    scan = _cutset_scan(g, _odd_weight(f), max_n,
                         lambda alpha: ceil(t * alpha) - 1)
     return all(ratio >= t for _, ratio in scan)
