@@ -209,7 +209,8 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
     bounds work, not n: the scan is refused past 2^max_n subsets, the cost
     of a full scan at n = max_n.  Each subset is screened by ``_reach``,
     which stops once it covers G-S, before its components are counted, so
-    ``components_masks`` runs on cutsets only.  Both are BFS over ``g.adj_masks`` alone.
+    ``components_masks`` runs on cutsets only.  Both are BFS over
+    ``g.adj_masks`` alone.
     """
     if not is_connected(g):
         raise ValueError("toughness is defined for connected graphs only")
@@ -226,7 +227,7 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
             raise ValueError(
                 f"exact toughness scan refused for n={g.n}: the window "
                 f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
-                f"(cap {max_n}); raise max_n to override"
+                f"(cap {max_n}); raise the cap (--toughness-max-n) to override"
             )
         for combo in combinations(bits, size):
             s_mask = sum(combo)
@@ -253,8 +254,9 @@ def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
 
 
 def _odd_weight(f: DegreeSpec):
-    """h'(G-S) from the component masks of G-S: a component's f-sum is odd
-    iff it holds an odd number of the odd-f vertices, one mask per call."""
+    """h'(G-S) as a weight on the component masks of G-S: a component's
+    f-sum is odd iff it holds an odd number of odd-f vertices, whose mask is
+    built once per call."""
     odd = sum(1 << v for v, fv in enumerate(f.values) if fv & 1)
     return lambda comps: sum((comp & odd).bit_count() & 1 for comp in comps)
 
@@ -282,8 +284,7 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    scan = _cutset_scan(g, _odd_weight(f), g.n,
-                        lambda alpha: SMALL_CUTSET_MAX)
+    scan = _cutset_scan(g, _odd_weight(f), g.n, lambda alpha: SMALL_CUTSET_MAX)
     return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
 
@@ -301,6 +302,5 @@ def is_t_odd_tough(
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    scan = _cutset_scan(g, _odd_weight(f), max_n,
-                        lambda alpha: ceil(t * alpha) - 1)
+    scan = _cutset_scan(g, _odd_weight(f), max_n, lambda alpha: ceil(t * alpha) - 1)
     return all(ratio >= t for _, ratio in scan)

@@ -74,6 +74,11 @@ def strip_timing(doc: dict) -> dict:
 _PAIR_TERMS = ("f_s", "f_t", "degree_term", "h", "delta")
 _ROW_KEYS = {"name", "observed", "satisfied"}
 
+# The one certificate kind a report of each command may carry, at most once;
+# a command outside this table makes the report malformed.
+_CERT_KIND = {"solve": "factor", "verify-theorem": "factor", "audit": "violating_pair",
+              "gen": "violating_pair", "invariants": None, "fuzz": None}
+
 # The audit pair is a minimum at every n; the label only splits n at this
 # size because bench/checks.py still demands that split (ROADMAP item 1).
 AUDIT_EXACT_MAX_N = 15
@@ -139,22 +144,26 @@ def recheck_report(doc: dict) -> list[str]:
     """Re-verify every certificate embedded in a report, and re-derive the
     verdicts of a ``solve``, ``audit``, ``gen`` or ``verify-theorem`` report
     with ``verdicts_of``: each key of the recorded verdict object must equal
-    the derived one, JSON type included.  A ``gen`` report must also give
-    "deficiency" as its parameters' nonexistence reason exactly when it
-    carries a violating pair.
+    the derived one, JSON type included.  A report carries at most one
+    certificate, of the kind ``_CERT_KIND`` gives its command.  A ``gen``
+    report must also give "deficiency" as its parameters' nonexistence
+    reason exactly when it carries a violating pair.
 
     Returns a list of failure descriptions; empty means everything checks.
-    A malformed report (not an object, a certificate with a missing or
-    mistyped field, a factor whose claimed bounds cannot be read, verdicts
-    or parameters that are not objects, or malformed hypothesis rows)
-    raises ValueError instead.
+    A malformed report (not an object, a command outside ``_CERT_KIND``, a
+    certificate with a missing or mistyped field, a factor whose claimed
+    bounds cannot be read, verdicts or parameters that are not objects, or
+    malformed hypothesis rows) raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
         raise ValueError("report is not an object with a list of certificates")
-    failures: list[str] = []
     command, params, verdicts = doc.get("command"), doc.get("parameters"), doc.get("verdicts")
-    derived = command in ("solve", "audit", "gen", "verify-theorem")
+    if not (isinstance(command, str) and command in _CERT_KIND):
+        raise ValueError(f"the report's 'command' must be one of {', '.join(_CERT_KIND)}")
+    failures = ([f"certificates: {command} reports carry at most one, "
+                 f"got {len(certificates)}"] if len(certificates) > 1 else [])
+    derived = _CERT_KIND[command] is not None
     for section, value in (("parameters", params), ("verdicts", verdicts)):
         if derived and not isinstance(value, dict):
             raise ValueError(f"the report's {section!r} must be an object")
@@ -170,6 +179,9 @@ def recheck_report(doc: dict) -> list[str]:
         if not isinstance(cert, dict):
             raise ValueError(f"certificate {i}: not an object")
         kind = cert.get("type")
+        if kind != _CERT_KIND[command]:
+            failures.append(f"certificate {i}: type {kind!r} is foreign to {command} reports")
+            continue
         if g is None:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
@@ -178,11 +190,11 @@ def recheck_report(doc: dict) -> list[str]:
                       if command == "verify-theorem" else (f.values, f.values))
             if not verify_factor(g, lo, hi, _factor_of(cert, i)):
                 failures.append(f"certificate {i}: edge set is not the claimed factor")
-        elif kind == "violating_pair":
-            if not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
-                    and all(type(cert.get(key)) is int for key in _PAIR_TERMS)):
-                raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
-                                 f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
+        elif not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
+                  and all(type(cert.get(key)) is int for key in _PAIR_TERMS)):
+            raise ValueError(f"certificate {i}: needs vertex lists 's' and 't' "
+                             f"and integers {', '.join(map(repr, _PAIR_TERMS))}")
+        else:
             rep = deficiency(g, cert["s"], cert["t"], f)
             for key in _PAIR_TERMS:
                 if getattr(rep, key) != cert[key]:
@@ -190,8 +202,6 @@ def recheck_report(doc: dict) -> list[str]:
                                     f"{getattr(rep, key)} != recorded {cert[key]}")
             if rep.delta >= 0:
                 failures.append(f"certificate {i}: recorded pair has nonnegative deficiency")
-        else:
-            failures.append(f"certificate {i}: unknown type {kind!r}")
     if not derived:
         return failures
     if g is None:

@@ -55,7 +55,7 @@ class TestToughnessCap:
         for command in (argv, ["invariants", str(inst), "--odd-toughness"]):
             code, err = run([*command, "--toughness-max-n", "8"])
             assert_one_line_error(code, err)
-            assert "cap 8" in err
+            assert "cap 8" in err and "--toughness-max-n" in err
 
     def test_negative_cap(self, tmp_path):
         g = cycle(6)
@@ -632,6 +632,58 @@ class TestRecheckDerivesVerdicts:
         out.write_text(json.dumps(doc))
         code, err = run(["recheck", str(out)])
         assert code == 1 and "no embedded instance" in err
+
+
+class TestRecheckCertificateKinds:
+    """A report carries at most one certificate, of the one kind its command
+    may carry: a factor for solve and verify-theorem, a pair for audit and
+    gen, none for invariants and fuzz.  Any other command is malformed."""
+
+    def recheck(self, tmp_path, doc) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])
+
+    def k4_solve(self, tmp_path) -> dict:
+        """K4 with f = 1: a solve report carrying a perfect matching."""
+        g = complete_graph(4)
+        inst, out = tmp_path / "k4.inst", tmp_path / "solve.json"
+        inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+        assert run(["solve", str(inst), "--out", str(out)])[0] == 0
+        return json.loads(out.read_text())
+
+    def test_relabelled_report_fails(self, tmp_path):
+        doc = self.k4_solve(tmp_path)
+        doc["command"] = "invariants"
+        doc["verdicts"]["factor_exists"] = False
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and "'factor'" in err
+
+    @pytest.mark.parametrize("command", ["solve-g1", None, ["solve"], 1])
+    def test_command_outside_the_table(self, tmp_path, command):
+        doc = self.k4_solve(tmp_path)
+        doc["command"] = command
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'command'" in err
+
+    @pytest.mark.parametrize("name", ["solve", "audit"])
+    def test_repeated_certificate_fails(self, tmp_path, reports, name):
+        doc = reports[name]
+        doc["certificates"] *= 2
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and "at most one" in err
+
+    def test_foreign_pair_in_a_theorem_report(self, tmp_path, reports):
+        claw = tmp_path / "claw.inst"
+        claw.write_text(serialize_instance(star(3), constant_spec(star(3), 1)))
+        out = tmp_path / "main.json"
+        assert run(["verify-theorem", "main", str(claw), "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert doc["certificates"] == [] and self.recheck(tmp_path, doc)[0] == 0
+        doc["certificates"] += reports["audit"]["certificates"]
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and "'violating_pair'" in err
 
 
 def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:

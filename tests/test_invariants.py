@@ -277,10 +277,14 @@ class TestComponentsAgainstNetworkx:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 53])
     def test_components_masks(self, n):
-        # these sizes straddle the byte boundaries of the union tables
+        """Components, their order, and the odd-toughness weight h' (the
+        number of components with an odd f-sum) on random masks of sparse
+        graphs with 1 to 53 vertices and a random f."""
         rng = random.Random(n)
         g = build_graph(n, [e for e in combinations(range(n), 2)
                             if rng.random() < min(1.0, 3 / n)])
+        f = DegreeSpec(tuple(rng.randint(0, 3) for _ in range(n)))
+        odd_weight = invariants._odd_weight(f)
         nx_graph = nx.Graph(g.edges())
         nx_graph.add_nodes_from(range(n))
         seen = set()
@@ -288,9 +292,10 @@ class TestComponentsAgainstNetworkx:
             density = rng.random()
             mask = sum(1 << v for v in range(n) if rng.random() < density) or 1 << rng.randrange(n)
             comps = components_masks(g, mask)
-            expected = nx.connected_components(nx_graph.subgraph(_bits_of(mask)))
+            expected = list(nx.connected_components(nx_graph.subgraph(_bits_of(mask))))
             assert sorted(map(_bits_of, comps)) == sorted(tuple(sorted(c)) for c in expected)
             assert comps == sorted(comps, key=lambda c: c & -c)
+            assert odd_weight(comps) == sum(sum(f.values[v] for v in c) % 2 for c in expected)
             seen.add(len(comps) == 1)
         assert seen == ({True} if n == 1 else {True, False})
 

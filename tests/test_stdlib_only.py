@@ -47,3 +47,32 @@ def test_src_imports_nothing_unused():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.name, name) for name in imported - used}
     assert not unused
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level names that one top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {node.id for target in targets if target is not None
+            for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_src_defines_no_unreferenced_private_name():
+    """Every module-level private name defined in ``src/`` is referenced
+    somewhere in ``src/`` outside its own definition, so a deletion leaves
+    no dead helper behind."""
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _defined_names(stmt)
+            defined |= {(path.name, name) for name in own
+                        if name.startswith("_") and not name.startswith("__")}
+            used |= {
+                node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute)
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            } - own
+    assert defined
+    assert not {(module, name) for module, name in defined if name not in used}
