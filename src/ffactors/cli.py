@@ -51,13 +51,13 @@ def _emit(args, parameters: dict, seed: int | None, instance, verdicts: dict,
 def _cmd_solve(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     factor = solver.find_f_factor(g, f)
     certs = [] if factor is None else [reports.factor_certificate(factor)]
-    return int(factor is None), {}, reports.verdicts_of("solve", g.n, {}, certs), certs
+    return int(factor is None), {}, reports.verdicts_of("solve", g, f, {}, certs), certs
 
 
 def _cmd_audit(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     found = tutte.find_violating_pair(g, f)
     certs = [] if found is None else [reports.violating_pair_certificate(found)]
-    return 0, {}, reports.verdicts_of("audit", g.n, {}, certs), certs
+    return 0, {}, reports.verdicts_of("audit", g, f, {}, certs), certs
 
 
 def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
@@ -105,8 +105,8 @@ def _cmd_gen(args) -> int:
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:
         seed = args.seed if args.family == "random" else None
-        _emit(args, report_dict, seed, (g, f), reports.verdicts_of("gen", g.n, report_dict, certs),
-              certs, None, args.report)
+        verdicts = reports.verdicts_of("gen", g, f, report_dict, certs)
+        _emit(args, report_dict, seed, (g, f), verdicts, certs, None, args.report)
     return 0
 
 
@@ -151,6 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "sufficient conditions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # verify-theorem and fuzz list every theorem id with its summary
+    listing = "".join(f"\n  {name:22} {t.summary}" for name, t in theorems.THEOREMS.items())
+    theorem_ids = dict(epilog=f"theorem ids:{listing}",
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
 
     p = sub.add_parser("solve", help="find an f-factor; exit 0 found, 1 none")
     p.add_argument("instance", help="instance file, or - for stdin")
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("verify-theorem", help="run a hypothesis checker")
+    p = sub.add_parser("verify-theorem", help="run a hypothesis checker", **theorem_ids)
     p.add_argument("name", choices=theorems.THEOREMS)
     p.add_argument("instance")
     p.add_argument("--a", type=int, default=1)
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fuzz", help="empirical validation campaign; "
-                                    "nonzero exit on any discrepancy")
+                                    "nonzero exit on any discrepancy", **theorem_ids)
     p.add_argument("theorem", choices=theorems.THEOREMS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

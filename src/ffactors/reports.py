@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from .graph import DegreeSpec, Graph
 from .instances import instance_digest, parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
-from .theorems import THEOREMS, Hypothesis, HypothesisReport
+from .theorems import THEOREMS
 from .tutte import deficiency
 
 
@@ -97,44 +97,48 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
 
 
 def _theorem(params: dict):
-    """The theorem that a ``verify-theorem`` report's parameters name."""
+    """The theorem that a ``verify-theorem`` report's parameters name, and
+    the parameters as a namespace; a, b, r and star_order must be integers."""
     name = params.get("name")
     theorem = THEOREMS.get(name) if isinstance(name, str) else None
     if theorem is None:
         raise ValueError("the report's 'name' must be a theorem id")
-    return theorem
+    for key in ("a", "b", "r", "star_order"):
+        if type(params.get(key)) is not int:
+            raise ValueError(f"parameter {key!r} must be an integer")
+    return theorem, SimpleNamespace(**params)
 
 
-def verdicts_of(command: str, n: int, params: dict, certs: list[dict],
+def verdicts_of(command: str, g: Graph, f: DegreeSpec, params: dict, certs: list[dict],
                 rows: list | None = None) -> dict:
     """The verdicts that a ``solve``, ``audit``, ``gen`` or ``verify-theorem``
-    report on n vertices with these parameters and certificates must carry.
+    report on (g, f) with these parameters and certificates must carry.
 
     A factor or a pair is claimed exactly when a certificate carries it.  A
-    ``verify-theorem`` report's verdicts follow from its hypothesis rows as
-    ``Theorem.run`` derives them: the theorem named in its parameters, a
-    prediction only when every row is satisfied, and with ``confirm`` a met
-    prediction confirmed iff a factor certificate is present.  Rows that
-    are not objects with exactly a name, an observation and a boolean
-    'satisfied' raise ValueError.
+    ``verify-theorem`` report's rows are ``Theorem.check``'s for the theorem
+    its parameters name, with each exponential row that passes the gate
+    taken from ``rows`` by name; with ``confirm``, a met prediction is
+    confirmed iff a factor certificate is present.  Malformed ``rows``
+    raise ValueError.
     """
     kinds = [cert.get("type") for cert in certs]
     if command == "solve":
         return {"factor_exists": "factor" in kinds}
     if command == "audit":
         found = "violating_pair" in kinds
-        return {"mode": "exact" if n <= AUDIT_EXACT_MAX_N else "heuristic",
+        return {"mode": "exact" if g.n <= AUDIT_EXACT_MAX_N else "heuristic",
                 "violating_pair_found": found,
                 "conclusion": "f-factor does not exist" if found else "no violating pair exists"}
     if command == "gen":
         return {"generated": True}
     if not (isinstance(rows, list) and all(
-            isinstance(row, dict) and row.keys() == _ROW_KEYS
-            and isinstance(row["satisfied"], bool) for row in rows)):
-        raise ValueError("the report's 'hypotheses' must be a list of rows with a "
-                         "'name', an 'observed' and a boolean 'satisfied'")
-    conclusion = _theorem(params).conclusion(SimpleNamespace(**params))
-    report = HypothesisReport(params["name"], conclusion, [Hypothesis(**row) for row in rows])
+            isinstance(row, dict) and row.keys() == _ROW_KEYS and isinstance(row["name"], str)
+            and isinstance(row["observed"], str) and isinstance(row["satisfied"], bool)
+            for row in rows)):
+        raise ValueError("the report's 'hypotheses' must be a list of rows with a string "
+                         "'name' and 'observed' and a boolean 'satisfied'")
+    theorem, namespace = _theorem(params)
+    report = theorem.check(g, f, namespace, rows)
     if params.get("confirm") is True and report.hypotheses_met:
         report.confirmation = "confirmed" if "factor" in kinds else "refuted"
     return report.to_dict()
@@ -147,13 +151,14 @@ def recheck_report(doc: dict) -> list[str]:
     the derived one, JSON type included.  A report carries at most one
     certificate, of the kind ``_CERT_KIND`` gives its command.  A ``gen``
     report must also give "deficiency" as its parameters' nonexistence
-    reason exactly when it carries a violating pair.
+    reason exactly when it carries a violating pair, and a ``verify-theorem``
+    report's parameters must lie in its theorem's domain.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a command outside ``_CERT_KIND``, a
-    certificate with a missing or mistyped field, a factor whose claimed
-    bounds cannot be read, verdicts or parameters that are not objects, or
-    malformed hypothesis rows) raises ValueError instead.
+    certificate with a missing or mistyped field, verdicts or parameters
+    that are not objects, a theorem id, a, b, r or star_order of the wrong
+    type, or malformed hypothesis rows) raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -167,6 +172,7 @@ def recheck_report(doc: dict) -> list[str]:
     for section, value in (("parameters", params), ("verdicts", verdicts)):
         if derived and not isinstance(value, dict):
             raise ValueError(f"the report's {section!r} must be an object")
+    theorem, namespace = _theorem(params) if command == "verify-theorem" else (None, None)
     instance_text = doc.get("instance")
     g = f = None
     if instance_text:
@@ -186,8 +192,7 @@ def recheck_report(doc: dict) -> list[str]:
             failures.append(f"certificate {i}: no embedded instance to check against")
             continue
         if kind == "factor":
-            lo, hi = (_theorem(params).bounds(g.n, f, SimpleNamespace(**params))
-                      if command == "verify-theorem" else (f.values, f.values))
+            lo, hi = theorem.bounds(g.n, f, namespace) if theorem else (f.values, f.values)
             if not verify_factor(g, lo, hi, _factor_of(cert, i)):
                 failures.append(f"certificate {i}: edge set is not the claimed factor")
         elif not (_is_int_list(cert.get("s")) and _is_int_list(cert.get("t"))
@@ -206,7 +211,9 @@ def recheck_report(doc: dict) -> list[str]:
         return failures
     if g is None:
         return failures + ["verdicts: no embedded instance to check against"]
-    want = verdicts_of(command, g.n, params, certificates, verdicts.get("hypotheses"))
+    if theorem and (need := theorem.outside(namespace)):
+        return failures + [f"parameters: {need}"]
+    want = verdicts_of(command, g, f, params, certificates, verdicts.get("hypotheses"))
     for key in {**want, **verdicts}:
         # compared as JSON text: 1 matches neither true nor 1.0, and the
         # order of an object's keys does not count

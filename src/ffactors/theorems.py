@@ -1,12 +1,12 @@
 """Hypothesis checkers for the sufficient conditions, plus the empirical
 validation campaign driver.
 
-Each checker evaluates every hypothesis of its condition with exact
-arithmetic and returns a HypothesisReport; a sufficient condition predicts
-a factor only when all hypotheses hold, and says nothing otherwise.
-``THEOREMS`` maps each theorem id to its checker and to the factor it
-predicts; ``Theorem.run`` with ``confirm`` checks a met prediction against
-the constructive solver, and any disagreement is flagged as a refutation
+``THEOREMS`` holds each sufficient condition as a table of hypothesis rows.
+``Theorem.check`` walks the rows with exact arithmetic and returns a
+HypothesisReport; a condition predicts a factor only when every row holds,
+and says nothing otherwise.  ``recheck`` walks the same table.
+``Theorem.run`` with ``confirm`` checks a met prediction against the
+constructive solver, and any disagreement is flagged as a refutation
 (which the test suite treats as fatal).
 """
 
@@ -15,17 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 from types import SimpleNamespace
 from typing import Callable
 
 from .graph import DegreeSpec, Graph, is_connected, is_star_free, min_degree
-from .invariants import (
-    TOUGHNESS_MAX_N,
-    is_t_odd_tough,
-    stability_number,
-    vertex_connectivity,
-)
+from .invariants import TOUGHNESS_MAX_N, is_t_odd_tough, stability_number, vertex_connectivity
 from .constructions import stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
 from .solver import FactorSubgraph, find_factor, verify_factor
@@ -53,211 +49,124 @@ class HypothesisReport:
     def prediction(self) -> str:
         return self.conclusion if self.hypotheses_met else "no prediction"
 
-    def add(self, name: str, observed: str, satisfied: bool) -> None:
-        self.hypotheses.append(Hypothesis(name, observed, bool(satisfied)))
-
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "hypotheses": [asdict(h) for h in self.hypotheses],
-            "hypotheses_met": self.hypotheses_met,
-            "prediction": self.prediction,
-            "confirmation": self.confirmation,
-        }
+        return {"theorem": self.theorem, "hypotheses": [asdict(h) for h in self.hypotheses],
+                "hypotheses_met": self.hypotheses_met, "prediction": self.prediction,
+                "confirmation": self.confirmation}
 
 
-def conclusion_of(factor: str, lo: int | None = None, hi: int | None = None) -> str:
-    """What a met prediction of ``Theorem.factor`` with bounds lo, hi says."""
-    return {"f": "f-factor exists", "r": f"{lo}-factor exists",
-            "ab": f"[{lo},{hi}]-factor exists"}[factor]
+class _Facts:
+    """What one check's rows read: g, f, delta and the uncapped kappa, each
+    computed at most once; any other attribute is a parameter."""
+
+    def __init__(self, g: Graph, f: DegreeSpec | None, params) -> None:
+        self.g, self.f, self.params = g, f, params
+
+    def __getattr__(self, key: str):
+        return getattr(self.params, key)
+
+    delta = cached_property(lambda self: min_degree(self.g))
+    kappa = cached_property(lambda self: vertex_connectivity(self.g))
 
 
-def _check_f(report: HypothesisReport, f: DegreeSpec, a: int, b: int) -> None:
-    """Add the rows a <= f <= b and f(X) even."""
-    report.add("f_range", f"a={a} <= f <= b={b}", all(a <= fv <= b for fv in f.values))
-    total = f.total()
-    report.add("f_total_even", f"f(X) = {total}", total % 2 == 0)
+def _alpha_row(x: _Facts, bound: Fraction, shown: str | None = None) -> tuple[str, bool]:
+    """The row alpha <= bound, with the bound worded as ``shown`` if given."""
+    alpha, _ = stability_number(x.g)
+    return f"alpha={alpha} <= {shown or bound}", alpha <= bound
 
 
-def _check_graph_and_f(
-    report: HypothesisReport, g: Graph, f: DegreeSpec, a: int, b: int
-) -> int | None:
-    """Add the hypotheses shared by the stability-bound conditions:
-    connected, b >= 2, a >= 1, delta >= b, a <= f <= b and f(X) even.
-
-    Returns delta when the graph-side ones (all but the f rows) hold, else
-    None.
-    """
-    connected = is_connected(g)
-    report.add("connected", f"n={g.n}", connected)
-    report.add("b_at_least_2", f"b={b}", b >= 2)
-    report.add("a_at_least_1", f"a={a}", a >= 1)
-    delta = min_degree(g)
-    report.add("min_degree", f"delta={delta} >= b={b}", delta >= b)
-    _check_f(report, f, a, b)
-    return delta if connected and b >= 2 and a >= 1 and delta >= b else None
+def _kappa_stability(x: _Facts) -> tuple[str, bool]:
+    """alpha <= min(bound, a*kappa), with kappa capped at c = ceil(bound / a),
+    which is >= 0 as delta >= b: if kappa >= c then a*c >= bound, so the row
+    reads as with the uncapped kappa, while no flow pushes past c paths."""
+    stab = stability_bound(x.a, x.b, x.delta)
+    bound = min(stab, Fraction(x.a * vertex_connectivity(x.g, ceil(stab / x.a))))
+    return _alpha_row(x, bound, f"min(bound, a*kappa)={bound}")
 
 
-def _stability(
-    report: HypothesisReport, g: Graph, bound: Fraction, shown: str | None = None
-) -> None:
-    """Add the row alpha <= bound, with the bound worded as ``shown`` if given."""
-    alpha, _ = stability_number(g)
-    report.add("stability", f"alpha={alpha} <= {shown or bound}", alpha <= bound)
+def _ab_stability(x: _Facts) -> tuple[str, bool]:
+    """The [a,b]-factor bound, which depends on the parity of a."""
+    odd = x.a % 2 == 1
+    bound = Fraction(4 * x.b * (x.delta - x.a + 1), (x.a + 1) ** 2 if odd else x.a * (x.a + 2))
+    return _alpha_row(x, bound, f"{bound} ({'odd' if odd else 'even'}-a bound)")
 
 
-def _not_evaluated(report: HypothesisReport, *names: str) -> None:
-    for name in names:
-        report.add(name, "not evaluated (prior hypothesis failed)", False)
+# A row is (name, exponential, evaluate), and evaluate maps a check's facts
+# to (observed, satisfied).  The exponential rows are those of alpha and
+# odd-toughness; recheck recomputes every other row.  (The alias names
+# _Facts as a string: typing caches Callable[[_Facts], ...] for good, and
+# the class would keep this module alive past a re-import.)
+Row = tuple[str, bool, Callable[["_Facts"], tuple[str, bool]]]
 
-
-def check_main_theorem(
-    g: Graph, f: DegreeSpec, a: int, b: int, toughness_max_n: int = TOUGHNESS_MAX_N
-) -> HypothesisReport:
-    """Connected, delta >= b >= 2, a <= f <= b with a >= 1, f(X) even,
-    alpha <= 4a(delta-b)/(b+1)^2, odd-toughness >= 1/a."""
-    report = HypothesisReport("main", conclusion_of("f"))
-    delta = _check_graph_and_f(report, g, f, a, b)
-    if delta is None:
-        _not_evaluated(report, "stability", "odd_toughness")
-    else:
-        _stability(report, g, stability_bound(a, b, delta))
-        tough = is_t_odd_tough(g, f, Fraction(1, a), max_n=toughness_max_n)
-        report.add("odd_toughness", f"odd-toughness >= 1/{a}", tough)
-    return report
-
-
-def check_corollary_kappa(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
-    """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa).
-
-    kappa is computed capped at c = ceil(bound / a), which is >= 0 since
-    delta >= b: if kappa >= c then a*c >= bound, so min(bound, a*min(kappa,
-    c)) = bound = min(bound, a*kappa) and the row reads the same, while no
-    flow pushes past c paths.
-    """
-    report = HypothesisReport("kappa_corollary", conclusion_of("f"))
-    delta = _check_graph_and_f(report, g, f, a, b)
-    if delta is None:
-        _not_evaluated(report, "stability")
-    else:
-        stab = stability_bound(a, b, delta)
-        kappa = vertex_connectivity(g, ceil(stab / a))
-        bound = min(stab, Fraction(a * kappa))
-        _stability(report, g, bound, f"min(bound, a*kappa)={bound}")
-    return report
-
-
-def check_theorem_min_degree(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
-    """delta >= b|X|/(a+b) and |X| > (a+b)(a+b-3)/a, with a <= f <= b and
-    f(X) even."""
-    if not 1 <= a <= b:
-        raise ValueError("need 1 <= a <= b")
-    report = HypothesisReport("min_degree", conclusion_of("f"))
-    n = g.n
-    delta = min_degree(g)
-    report.add(
-        "min_degree",
-        f"delta={delta} >= b|X|/(a+b)={Fraction(b * n, a + b)}",
-        delta >= Fraction(b * n, a + b),
-    )
-    order_bound = Fraction((a + b) * (a + b - 3), a)
-    report.add("order", f"|X|={n} > {order_bound}", n > order_bound)
-    _check_f(report, f, a, b)
-    return report
-
-
-def check_theorem_regular_connectivity(g: Graph, r: int) -> HypothesisReport:
-    """r odd: |X| even, kappa >= (r+1)^2/2, alpha <= 4r*kappa/(r+1)^2
-    gives an r-factor."""
-    if r < 1 or r % 2 == 0:
-        raise ValueError("need odd r >= 1")
-    report = HypothesisReport("regular_connectivity", conclusion_of("r", r, r))
-    report.add("even_order", f"|X|={g.n}", g.n % 2 == 0)
-    kappa = vertex_connectivity(g)
-    kappa_bound = Fraction((r + 1) ** 2, 2)
-    report.add("connectivity", f"kappa={kappa} >= {kappa_bound}", kappa >= kappa_bound)
-    _stability(report, g, Fraction(4 * r * kappa, (r + 1) ** 2))
-    return report
-
-
-def check_theorem_ab_factor(g: Graph, a: int, b: int) -> HypothesisReport:
-    """Stability vs minimum degree condition for an [a,b]-factor; the bound
-    depends on the parity of a."""
-    if not 1 <= a < b:
-        raise ValueError("need 1 <= a < b")
-    report = HypothesisReport("ab_factor", conclusion_of("ab", a, b))
-    delta = min_degree(g)
-    if a % 2 == 1:
-        bound = Fraction(4 * b * (delta - a + 1), (a + 1) ** 2)
-        which = "odd-a bound"
-    else:
-        bound = Fraction(4 * b * (delta - a + 1), a * (a + 2))
-        which = "even-a bound"
-    _stability(report, g, bound, f"{bound} ({which})")
-    return report
-
-
-def check_theorem_claw_free(
-    g: Graph, f: DegreeSpec, a: int, b: int, star_order: int
-) -> HypothesisReport:
-    """K_{1,n}-free condition with n = star_order: connected, star-free,
-    delta >= b+n-1, alpha <= 4a(delta-b-n+1)/((n-1)(b+1)^2)."""
-    n = star_order
-    if not 1 <= n - 1 <= a <= b:
-        raise ValueError("need 1 <= n-1 <= a <= b")
-    report = HypothesisReport("claw_free", conclusion_of("f"))
-    report.add("connected", f"n={g.n}", is_connected(g))
-    report.add("star_free", f"no induced K_(1,{n})", is_star_free(g, n))
-    _check_f(report, f, a, b)
-    delta = min_degree(g)
-    report.add("min_degree", f"delta={delta} >= b+n-1={b + n - 1}", delta >= b + n - 1)
-    _stability(report, g, Fraction(4 * a * (delta - b - n + 1), (n - 1) * (b + 1) ** 2))
-    return report
-
-
-def check_stability_conjecture(
-    g: Graph, f: DegreeSpec, a: int, b: int
-) -> HypothesisReport:
-    """The stability bound alone, without any toughness hypothesis.
-
-    Not a theorem: the g0 family meets all of these hypotheses while having
-    no f-factor, so "refuted" is an expected confirmation value here.
-    """
-    report = HypothesisReport("stability_conjecture", conclusion_of("f"))
-    delta = _check_graph_and_f(report, g, f, a, b)
-    # unlike the two theorems above, alpha also waits for the f rows
-    if report.hypotheses_met:
-        _stability(report, g, stability_bound(a, b, delta))
-    else:
-        _not_evaluated(report, "stability")
-    return report
+_CONNECTED: Row = ("connected", False, lambda x: (f"n={x.g.n}", is_connected(x.g)))
+_F_ROWS: tuple[Row, ...] = (
+    ("f_range", False, lambda x: (f"a={x.a} <= f <= b={x.b}",
+                                  all(x.a <= fv <= x.b for fv in x.f.values))),
+    ("f_total_even", False, lambda x: (f"f(X) = {x.f.total()}", x.f.total() % 2 == 0)),
+)
+# connected, b >= 2, a >= 1 and delta >= b gate the stability-bound rows
+_GRAPH_AND_F: tuple[Row, ...] = (
+    _CONNECTED,
+    ("b_at_least_2", False, lambda x: (f"b={x.b}", x.b >= 2)),
+    ("a_at_least_1", False, lambda x: (f"a={x.a}", x.a >= 1)),
+    ("min_degree", False, lambda x: (f"delta={x.delta} >= b={x.b}", x.delta >= x.b)),
+    *_F_ROWS,
+)
+_STABILITY: Row = ("stability", True,
+                   lambda x: _alpha_row(x, stability_bound(x.a, x.b, x.delta)))
 
 
 @dataclass(frozen=True)
 class Theorem:
-    """One checker, and the factor that its conclusion predicts.
-
-    ``check(g, f, params)`` calls the checker; ``params`` carries a, b, r,
-    star_order, confirm and toughness_max_n (the CLI's argparse namespace
-    is one such object).  ``factor`` is the predicted factor: "f" an
-    f-factor, "r" an r-factor, "ab" an [a, b]-factor.  A campaign trial
-    draws by it after (a, b): a random f in [a, b], or an odd r, or b raised
-    to a + 1; the last two take the lower bound as f.  With
-    ``skip_invalid`` a campaign skips a trial whose parameters the checker
-    rejects.
+    """One sufficient condition: its ordered hypothesis rows; ``gate``, the
+    number of leading rows that must hold before an exponential row runs;
+    ``domain``, the wording and test of the parameters it is defined for;
+    and ``factor``, the predicted factor ("f", "r" or "ab" for an f-, r- or
+    [a, b]-factor).  A campaign trial draws by ``factor`` after (a, b): a
+    random f in [a, b], or an odd r, or b raised to a + 1, and the last two
+    take the lower bound as f.  ``run`` calls the public function
+    ``checker`` with ``args``: f, and a, b, r, star_order or toughness_max_n
+    read from ``params``, which also carries confirm (the CLI's argparse
+    namespace is one such object).
     """
 
-    check: Callable[[Graph, DegreeSpec | None, object], HypothesisReport]
+    name: str
+    summary: str
+    checker: str
+    rows: tuple[Row, ...]
+    gate: int = 0
+    args: tuple[str, ...] = ("f", "a", "b")
     factor: str = "f"
-    skip_invalid: bool = False
+    domain: tuple[str, Callable[[object], bool]] = ("", lambda p: True)
+
+    def outside(self, params) -> str | None:
+        """Why ``params`` lie outside the domain, or None."""
+        return None if self.domain[1](params) else f"need {self.domain[0]}"
+
+    def check(self, g: Graph, f: DegreeSpec | None, params,
+              recorded: list[dict] | None = None) -> HypothesisReport:
+        """Walk the rows on (g, f).  With ``recorded``, a report's rows, an
+        exponential row past the gate is taken from it by name, and reads
+        "(absent)" when it is missing, instead of being evaluated."""
+        if need := self.outside(params):
+            raise ValueError(need)
+        facts, given = _Facts(g, f, params), {row["name"]: row for row in recorded or ()}
+        report = HypothesisReport(self.name, self.conclusion(params))
+        rows = report.hypotheses
+        for name, exponential, evaluate in self.rows:
+            if exponential and not all(h.satisfied for h in rows[:self.gate]):
+                observed, satisfied = "not evaluated (prior hypothesis failed)", False
+            elif exponential and recorded is not None:
+                row = given.get(name, {"observed": "(absent)", "satisfied": False})
+                observed, satisfied = row["observed"], row["satisfied"]
+            else:
+                observed, satisfied = evaluate(facts)
+            rows.append(Hypothesis(name, observed, bool(satisfied)))
+        return report
 
     def _degrees(self, params) -> tuple[int, ...]:
-        """The predicted factor's (lo, hi) read from ``params``: () for "f",
-        (r, r) for "r", (a, b) for "ab"; each must be an int, not a bool."""
+        """The predicted factor's (lo, hi) from ``params``: (), (r, r) or (a, b)."""
         keys = {"f": (), "r": ("r", "r"), "ab": ("a", "b")}[self.factor]
-        for key in keys:
-            if type(getattr(params, key, None)) is not int:
-                raise ValueError(f"parameter {key!r} must be an integer")
         return tuple(getattr(params, key) for key in keys)
 
     def bounds(self, n: int, f: DegreeSpec | None, params) -> tuple[tuple[int, ...], ...]:
@@ -265,45 +174,113 @@ class Theorem:
         return tuple((d,) * n for d in self._degrees(params)) or (f.values, f.values)
 
     def conclusion(self, params) -> str:
-        """What a met prediction says, as the checker's report states it."""
-        return conclusion_of(self.factor, *self._degrees(params))
+        """What a met prediction says."""
+        return {"f": "f-factor exists", "r": "{}-factor exists",
+                "ab": "[{},{}]-factor exists"}[self.factor].format(*self._degrees(params))
 
     def run(self, g: Graph, f: DegreeSpec | None, params) -> HypothesisReport:
-        """Run the checker; with ``params.confirm``, check a met prediction
-        against the solver: a factor within ``bounds`` must exist."""
-        report = self.check(g, f, params)
+        """Run the public checker, looked up per call so that a rebound name
+        runs; with ``params.confirm``, check a met prediction against the
+        solver: a factor within ``bounds`` must exist."""
+        report = globals()[self.checker](
+            g, *(f if key == "f" else getattr(params, key) for key in self.args))
         if params.confirm and report.hypotheses_met:
             lo, hi = self.bounds(g.n, f, params)
             factor = find_factor(g, lo, hi)
             if factor is not None and verify_factor(g, lo, hi, factor):
-                report.confirmation = "confirmed"
-                report.factor = factor
+                report.confirmation, report.factor = "confirmed", factor
             else:
                 report.confirmation = "refuted"
         return report
 
 
-# each lambda looks its checker up at call time, so a rebound name runs
-THEOREMS: dict[str, Theorem] = {
-    # stability bound + odd-toughness >= 1/a
-    "main": Theorem(lambda g, f, p: check_main_theorem(
-        g, f, p.a, p.b, toughness_max_n=p.toughness_max_n)),
-    # stability bound strengthened by min(. , a*kappa)
-    "kappa_corollary": Theorem(lambda g, f, p: check_corollary_kappa(g, f, p.a, p.b)),
-    # minimum-degree condition delta >= b|X|/(a+b)
-    "min_degree": Theorem(lambda g, f, p: check_theorem_min_degree(g, f, p.a, p.b)),
-    # r-factor via connectivity and stability
-    "regular_connectivity": Theorem(
-        lambda g, f, p: check_theorem_regular_connectivity(g, p.r), factor="r"),
-    # [a,b]-factor via stability and minimum degree
-    "ab_factor": Theorem(lambda g, f, p: check_theorem_ab_factor(g, p.a, p.b), factor="ab"),
-    # K_{1,n}-free condition
-    "claw_free": Theorem(lambda g, f, p: check_theorem_claw_free(
-        g, f, p.a, p.b, p.star_order), skip_invalid=True),
-    # the stability bound alone (refuted by g0)
-    "stability_conjecture": Theorem(
-        lambda g, f, p: check_stability_conjecture(g, f, p.a, p.b)),
-}
+THEOREMS: dict[str, Theorem] = {theorem.name: theorem for theorem in (
+    Theorem("main", "stability bound + odd-toughness >= 1/a", "check_main_theorem", (
+        *_GRAPH_AND_F, _STABILITY,
+        ("odd_toughness", True, lambda x: (f"odd-toughness >= 1/{x.a}", is_t_odd_tough(
+            x.g, x.f, Fraction(1, x.a), max_n=x.toughness_max_n)))),
+        gate=4, args=("f", "a", "b", "toughness_max_n")),
+    Theorem("kappa_corollary", "stability bound strengthened by min(. , a*kappa)",
+            "check_corollary_kappa", (*_GRAPH_AND_F, ("stability", True, _kappa_stability)),
+            gate=4),
+    Theorem("min_degree", "minimum-degree condition delta >= b|X|/(a+b)",
+            "check_theorem_min_degree", (
+                ("min_degree", False, lambda x: (
+                    f"delta={x.delta} >= b|X|/(a+b)={Fraction(x.b * x.g.n, x.a + x.b)}",
+                    x.delta >= Fraction(x.b * x.g.n, x.a + x.b))),
+                ("order", False, lambda x: (
+                    f"|X|={x.g.n} > {Fraction((x.a + x.b) * (x.a + x.b - 3), x.a)}",
+                    x.g.n > Fraction((x.a + x.b) * (x.a + x.b - 3), x.a))),
+                *_F_ROWS),
+            domain=("1 <= a <= b", lambda p: 1 <= p.a <= p.b)),
+    Theorem("regular_connectivity", "r-factor via connectivity and stability",
+            "check_theorem_regular_connectivity", (
+                ("even_order", False, lambda x: (f"|X|={x.g.n}", x.g.n % 2 == 0)),
+                ("connectivity", False, lambda x: (
+                    f"kappa={x.kappa} >= {Fraction((x.r + 1) ** 2, 2)}",
+                    x.kappa >= Fraction((x.r + 1) ** 2, 2))),
+                ("stability", True, lambda x: _alpha_row(
+                    x, Fraction(4 * x.r * x.kappa, (x.r + 1) ** 2)))),
+            args=("r",), factor="r", domain=("odd r >= 1", lambda p: p.r >= 1 and p.r % 2)),
+    Theorem("ab_factor", "[a,b]-factor via stability and minimum degree",
+            "check_theorem_ab_factor", (("stability", True, _ab_stability),),
+            args=("a", "b"), factor="ab", domain=("1 <= a < b", lambda p: 1 <= p.a < p.b)),
+    Theorem("claw_free", "K_{1,n}-free condition", "check_theorem_claw_free", (
+        _CONNECTED,
+        ("star_free", False, lambda x: (f"no induced K_(1,{x.star_order})",
+                                        is_star_free(x.g, x.star_order))),
+        *_F_ROWS,
+        ("min_degree", False, lambda x: (f"delta={x.delta} >= b+n-1={x.b + x.star_order - 1}",
+                                         x.delta >= x.b + x.star_order - 1)),
+        ("stability", True, lambda x: _alpha_row(x, Fraction(
+            4 * x.a * (x.delta - x.b - x.star_order + 1), (x.star_order - 1) * (x.b + 1) ** 2)))),
+        args=("f", "a", "b", "star_order"),
+        domain=("1 <= n-1 <= a <= b", lambda p: 1 <= p.star_order - 1 <= p.a <= p.b)),
+    # unlike main and kappa_corollary, alpha also waits for the f rows
+    Theorem("stability_conjecture", "the stability bound alone (refuted by g0)",
+            "check_stability_conjecture", (*_GRAPH_AND_F, _STABILITY), gate=6),
+)}
+
+
+def _checked(name: str, g: Graph, f: DegreeSpec | None, **params) -> HypothesisReport:
+    return THEOREMS[name].check(g, f, SimpleNamespace(**params))
+
+
+def check_main_theorem(g: Graph, f: DegreeSpec, a: int, b: int,
+                       toughness_max_n: int = TOUGHNESS_MAX_N) -> HypothesisReport:
+    """The stability bound and odd-toughness >= 1/a give an f-factor."""
+    return _checked("main", g, f, a=a, b=b, toughness_max_n=toughness_max_n)
+
+
+def check_corollary_kappa(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
+    """Variant with alpha <= min(4a(delta-b)/(b+1)^2, a*kappa)."""
+    return _checked("kappa_corollary", g, f, a=a, b=b)
+
+
+def check_theorem_min_degree(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
+    """delta >= b|X|/(a+b) and |X| > (a+b)(a+b-3)/a, a <= f <= b, f(X) even."""
+    return _checked("min_degree", g, f, a=a, b=b)
+
+
+def check_theorem_regular_connectivity(g: Graph, r: int) -> HypothesisReport:
+    """r odd: |X| even, kappa >= (r+1)^2/2, alpha <= 4r*kappa/(r+1)^2."""
+    return _checked("regular_connectivity", g, None, r=r)
+
+
+def check_theorem_ab_factor(g: Graph, a: int, b: int) -> HypothesisReport:
+    """Stability vs minimum degree condition for an [a,b]-factor."""
+    return _checked("ab_factor", g, None, a=a, b=b)
+
+
+def check_theorem_claw_free(g: Graph, f: DegreeSpec, a: int, b: int,
+                            star_order: int) -> HypothesisReport:
+    """The K_{1,n}-free condition with n = star_order."""
+    return _checked("claw_free", g, f, a=a, b=b, star_order=star_order)
+
+
+def check_stability_conjecture(g: Graph, f: DegreeSpec, a: int, b: int) -> HypothesisReport:
+    """The stability bound alone: g0 refutes it, so "refuted" is expected."""
+    return _checked("stability_conjecture", g, f, a=a, b=b)
 
 
 # Empirical validation campaign
@@ -358,16 +335,8 @@ R_CHOICES = (1, 3)
 STAR_ORDER = 3
 
 
-def _trial_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
-
-
-def empirical_validate(
-    theorem: str,
-    trials: int,
-    seed: int,
-    n_range: tuple[int, int] = (8, 12),
-) -> CampaignReport:
+def empirical_validate(theorem: str, trials: int, seed: int,
+                       n_range: tuple[int, int] = (8, 12)) -> CampaignReport:
     """Sample random connected instances, run the named checker, and confirm
     every met prediction against the solver.
 
@@ -389,7 +358,7 @@ def empirical_validate(
          "r_choices": R_CHOICES, "star_order": STAR_ORDER},
     )
     for index in range(trials):
-        tseed = _trial_seed(seed, index)
+        tseed = seed * 1_000_003 + index
         rng = random.Random(tseed)
         n = rng.randint(*n_range)
         prob = rng.choice(EDGE_PROBS)
@@ -408,11 +377,6 @@ def empirical_validate(
             else:
                 params.b = max(b, a + 1)
             f = DegreeSpec(entry.bounds(g.n, None, params)[0])
-        try:
-            check = entry.run(g, f, params)
-        except ValueError:
-            if entry.skip_invalid:
-                continue
-            raise
-        report.tally(index, tseed, check, g, f)
+        if not entry.outside(params):
+            report.tally(index, tseed, entry.run(g, f, params), g, f)
     return report

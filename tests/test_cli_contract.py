@@ -212,9 +212,10 @@ def test_alpha_search_does_not_recurse():
 @functools.cache
 def _base_reports() -> dict[str, dict]:
     """A solve report with a factor certificate, an audit report with a
-    violating pair, a confirmed [1,2]-factor report, and a confirmed
-    1-factor report of ``regular_connectivity``; the last two are rechecked
-    against the bounds (a and b, or r) in the report's parameters."""
+    violating pair, a confirmed [1,2]-factor report, a confirmed 1-factor
+    report of ``regular_connectivity``, and a confirmed ``main`` report on
+    K6, whose exponential rows pass their gate; the ``ab`` and ``rc`` ones
+    are rechecked against the bounds (a and b, or r) in their parameters."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         c4 = tmp / "c4.inst"
@@ -232,8 +233,10 @@ def _base_reports() -> dict[str, dict]:
                     "--confirm", "--out", str(tmp / "ab.json")])[0] == 0
         assert run(["verify-theorem", "regular_connectivity", str(k6), "--r", "1",
                     "--confirm", "--out", str(tmp / "rc.json")])[0] == 0
+        assert run(["verify-theorem", "main", str(k6), "--a", "1", "--b", "2",
+                    "--confirm", "--out", str(tmp / "main.json")])[0] == 0
         return {name: json.loads((tmp / f"{name}.json").read_text())
-                for name in ("solve", "audit", "ab", "rc")}
+                for name in ("solve", "audit", "ab", "rc", "main")}
 
 
 @pytest.fixture
@@ -544,16 +547,50 @@ class TestRecheckTheoremVerdicts:
 
     def test_unmet_report_rechecks(self, tmp_path, k6):
         """A consistent report whose hypotheses fail, with no confirmation
-        and no factor, still rechecks."""
+        and no factor, still rechecks.  The failed row is the exponential
+        stability row, which recheck takes from the report."""
         verdicts = k6["verdicts"]
-        verdicts["hypotheses"][0]["satisfied"] = False
+        stability = next(row for row in verdicts["hypotheses"] if row["name"] == "stability")
+        stability["satisfied"] = False
         verdicts.update(hypotheses_met=False, prediction="no prediction", confirmation=None)
         k6["certificates"] = []
         assert self.recheck(tmp_path, k6)[0] == 0
 
+    @pytest.mark.parametrize("tamper", ["no rows", "connected dropped", "observed rewritten"])
+    def test_rows_against_the_table(self, tmp_path, k6, tamper):
+        """The rows are the theorem's own: none may be missing, and what a
+        polynomial row observes is recomputed."""
+        rows = k6["verdicts"]["hypotheses"]
+        if tamper == "no rows":
+            rows.clear()
+        elif tamper == "connected dropped":
+            rows.remove(next(row for row in rows if row["name"] == "connected"))
+        else:
+            for row in rows:
+                row["observed"] = "alpha=0 <= 9"
+        code, err = self.recheck(tmp_path, k6)
+        assert code == 1 and "verdicts.hypotheses=" in err
+
+    def test_parameter_outside_the_domain(self, tmp_path, reports):
+        """A report outside its theorem's domain, which verify-theorem
+        refuses, fails the recheck with one line naming the domain."""
+        reports["rc"]["parameters"]["r"] = 2
+        code, err = self.recheck(tmp_path, reports["rc"])
+        assert code == 1 and "parameters: need odd r >= 1" in err
+
+    @pytest.mark.parametrize("key, value", [("star_order", "3"), ("a", None), ("b", False)])
+    def test_mistyped_parameter(self, tmp_path, k6, key, value):
+        """a, b, r and star_order must be integers for every theorem."""
+        k6["parameters"][key] = value
+        code, err = self.recheck(tmp_path, k6)
+        assert_one_line_error(code, err)
+        assert repr(key) in err
+
     @pytest.mark.parametrize("rows", [
         None, "rows", [1], [{"satisfied": 1}], [{}],
         [{"name": "connected", "observed": "n=6", "satisfied": True, "note": "x"}],
+        [{"name": ["connected"], "observed": "n=6", "satisfied": True}],
+        [{"name": "connected", "observed": 6, "satisfied": True}],
     ])
     def test_malformed_rows(self, tmp_path, k6, rows):
         if rows is None:
@@ -752,6 +789,18 @@ def test_gen_family_report_has_no_seed(tmp_path):
     assert strip_timing(doc0) == strip_timing(doc5)
 
 
+@pytest.mark.parametrize("command", ["verify-theorem", "fuzz"])
+def test_help_lists_every_theorem(command, capsys):
+    """Both commands that take a theorem id list each id with its summary."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(theorems.THEOREMS) == 7
+    for name, theorem in theorems.THEOREMS.items():
+        assert any(line.split() == [name, *theorem.summary.split()] for line in lines), name
+
+
 def test_fuzz_discrepancy_exits_1(tmp_path, monkeypatch):
     """A met prediction that the solver refutes is a discrepancy: fuzz
     exits 1 and records the trial's seed and a reproducible instance."""
@@ -856,7 +905,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_reports(draw):
-    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(["solve", "audit", "ab", "rc"]))])
+    doc = copy.deepcopy(_base_reports()[draw(st.sampled_from(sorted(_base_reports())))])
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         value = draw(JSON_VALUES)

@@ -20,8 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from types import SimpleNamespace
+
 from ffactors import cli
 from ffactors.reports import dumps_report, recheck_report, strip_timing
+from ffactors.theorems import THEOREMS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -128,6 +131,57 @@ def test_golden_certificates_recheck():
             assert recheck_report(report) == [], case
             checked.append(case)
     assert set(CASES) - set(checked) == {"verify-claw_free-r12"}
+
+
+def _agreeing(doc: dict) -> dict:
+    """``doc`` with its verdicts derived from its rows as if every row were
+    true: the hypotheses are met iff all rows hold, only a met prediction
+    is confirmed or refuted, and only a confirmed one keeps its factor."""
+    verdicts, params = doc["verdicts"], doc["parameters"]
+    met = all(row["satisfied"] for row in verdicts["hypotheses"])
+    if not met:
+        doc["certificates"] = []
+    confirmation = ("confirmed" if doc["certificates"] else "refuted") if met else None
+    conclusion = THEOREMS[params["name"]].conclusion(SimpleNamespace(**params))
+    verdicts.update(hypotheses_met=met, prediction=conclusion if met else "no prediction",
+                    confirmation=confirmation if params["confirm"] else None)
+    return doc
+
+
+def row_tampers(report: dict):
+    """Every copy of a ``verify-theorem`` report with one row deleted, or
+    with the observation or the verdict of one polynomial row changed; the
+    rest of each copy agrees with its rows."""
+    polynomial = {name for name, exponential, _ in THEOREMS[report["parameters"]["name"]].rows
+                  if not exponential}
+    for i, row in enumerate(report["verdicts"]["hypotheses"]):
+        changes = [("deleted", None)]
+        if row["name"] in polynomial:
+            changes += [("observed", row["observed"] + "!"), ("satisfied", not row["satisfied"])]
+        for key, value in changes:
+            doc = json.loads(json.dumps(report))
+            rows = doc["verdicts"]["hypotheses"]
+            if value is None:
+                del rows[i]
+            else:
+                rows[i][key] = value
+            yield f"{row['name']} {key}", _agreeing(doc)
+
+
+def _golden_report(case: str) -> dict | None:
+    return json.loads((GOLDEN_DIR / f"{case}.json").read_text())["report"]
+
+
+@pytest.mark.parametrize("case", [case for case in sorted(CASES)
+                                  if case.startswith("verify-") and _golden_report(case)])
+def test_golden_row_tampers_fail(case):
+    """Deleting any row of a ``verify-*`` golden, or changing what one of
+    its polynomial rows observes or concludes, fails the recheck, even with
+    the verdicts made to agree with the tampered rows."""
+    tampers = list(row_tampers(_golden_report(case)))
+    assert tampers
+    for label, doc in tampers:
+        assert recheck_report(doc), label
 
 
 def regenerate() -> None:

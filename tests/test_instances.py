@@ -146,7 +146,7 @@ class TestReports:
         rep = deficiency(g, [], [3], f)
         assert rep.delta < 0
         certs = [violating_pair_certificate(rep)]
-        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g.n, {}, certs), certs)
+        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g, f, {}, certs), certs)
         assert recheck_report(doc) == []
 
     def test_tampered_pair_fails(self):
@@ -154,7 +154,7 @@ class TestReports:
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, [], [3], f)
         certs = [violating_pair_certificate(rep)]
-        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g.n, {}, certs), certs)
+        doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g, f, {}, certs), certs)
         doc["certificates"][0]["delta"] = -99
         # the tamper is the only failure
         assert recheck_report(doc) == [

@@ -2,6 +2,7 @@
 the standard library or ``ffactors`` itself."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +77,27 @@ def test_src_defines_no_unreferenced_private_name():
             } - own
     assert defined
     assert not {(module, name) for module, name in defined if name not in used}
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+importlib.import_module("ffactors.cli")
+old = [weakref.ref(value) for name, module in sys.modules.items() if name.startswith("ffactors.")
+       for value in vars(module).values()
+       if callable(value) and getattr(value, "__module__", None) == name]
+for name in [name for name in sys.modules if name.startswith("ffactors")]:
+    del sys.modules[name]
+importlib.import_module("ffactors.cli")
+gc.collect()
+print(len(old), sum(ref() is not None for ref in old))
+"""
+
+
+def test_reimport_frees_the_old_package():
+    """A fresh import, as the benchmark makes before each of its set-ups,
+    frees every function and class of the old one: no cache outside the
+    package, such as typing's cache of subscripted aliases, holds one."""
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], capture_output=True, text=True,
+                          check=True)
+    defined, alive = map(int, proc.stdout.split())
+    assert defined > 50 and alive == 0

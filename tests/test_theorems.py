@@ -6,7 +6,7 @@ from math import ceil
 import pytest
 from conftest import brute_vertex_connectivity, run_confirmed, seeded_corpus
 
-from ffactors import invariants
+from ffactors import invariants, theorems
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
     Graph,
@@ -234,6 +234,23 @@ class TestRegularConnectivity:
     def test_odd_order_fails(self):
         report = check_theorem_regular_connectivity(complete_graph(5), 1)
         assert not hypothesis_named(report, "even_order").satisfied
+
+    def test_connectivity_computed_once(self, monkeypatch):
+        """The connectivity row and the stability bound share one uncapped
+        kappa."""
+        g = random_connected_graph(16, 0.8, 1)
+        calls = []
+        connectivity = theorems.vertex_connectivity
+
+        def counting(*args):
+            calls.append(args[1:])
+            return connectivity(*args)
+
+        monkeypatch.setattr(theorems, "vertex_connectivity", counting)
+        report = check_theorem_regular_connectivity(g, 1)
+        assert hypothesis_named(report, "connectivity").satisfied
+        assert hypothesis_named(report, "stability").observed.startswith("alpha=")
+        assert calls == [()]
 
     def test_even_r_rejected(self):
         with pytest.raises(ValueError):

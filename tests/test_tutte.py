@@ -185,7 +185,7 @@ class TestFindViolatingPair:
             mate, _ = _blossom_matching(gadget.size, gadget.adj)
             assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
             certs = [violating_pair_certificate(rep)]
-            doc = build_report("audit", {}, None, (g, f), verdicts_of("audit", g.n, {}, certs),
+            doc = build_report("audit", {}, None, (g, f), verdicts_of("audit", g, f, {}, certs),
                                certs)
             assert recheck_report(doc) == []
         for _ in range(4):
