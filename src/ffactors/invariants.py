@@ -42,9 +42,6 @@ class ToughnessValue:
     def is_infinite(self) -> bool:
         return self.ratio is None
 
-    def at_least(self, t: Fraction | int) -> bool:
-        return self.ratio is None or self.ratio >= t
-
     def __str__(self) -> str:
         return "infinity" if self.ratio is None else str(self.ratio)
 
@@ -207,8 +204,9 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
     first, so kappa is computed capped at the first window top plus one: no
     flow runs past the window, and a kappa above it scans nothing.  The cap
     bounds work, not n: the scan is refused past 2^max_n subsets, the cost
-    of a full scan at n = max_n.  Each subset is screened by ``_reach``,
-    which stops once it covers G-S, before its components are counted, so
+    of a full scan at n = max_n; a cap above n counts as n, as no window
+    holds 2^n subsets.  Each subset is screened by ``_reach``, which stops
+    once it covers G-S, before its components are counted, so
     ``components_masks`` runs on cutsets only.  Both are BFS over
     ``g.adj_masks`` alone.
     """
@@ -216,7 +214,7 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
         raise ValueError("toughness is defined for connected graphs only")
     alpha, _ = stability_number(g)
     kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)
-    masks, full, budget = g.adj_masks, g.full_mask, 1 << max_n
+    masks, full, budget = g.adj_masks, g.full_mask, 1 << min(max_n, g.n)
     bits = [1 << v for v in range(g.n)]
     for size in range(kappa, g.n - 1):
         last = min(top(alpha), g.n - 2)

@@ -116,8 +116,8 @@ def verdicts_of(command: str, g: Graph, f: DegreeSpec, params: dict, certs: list
 
     A factor or a pair is claimed exactly when a certificate carries it.  A
     ``verify-theorem`` report's rows are ``Theorem.check``'s for the theorem
-    its parameters name, with each exponential row that passes the gate
-    taken from ``rows`` by name; with ``confirm``, a met prediction is
+    its parameters name, with each exponential row that runs (every
+    polynomial row holds) taken from ``rows`` by name; with ``confirm``, a met prediction is
     confirmed iff a factor certificate is present.  Malformed ``rows``
     raise ValueError.
     """

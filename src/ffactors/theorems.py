@@ -104,7 +104,6 @@ _F_ROWS: tuple[Row, ...] = (
                                   all(x.a <= fv <= x.b for fv in x.f.values))),
     ("f_total_even", False, lambda x: (f"f(X) = {x.f.total()}", x.f.total() % 2 == 0)),
 )
-# connected, b >= 2, a >= 1 and delta >= b gate the stability-bound rows
 _GRAPH_AND_F: tuple[Row, ...] = (
     _CONNECTED,
     ("b_at_least_2", False, lambda x: (f"b={x.b}", x.b >= 2)),
@@ -118,23 +117,22 @@ _STABILITY: Row = ("stability", True,
 
 @dataclass(frozen=True)
 class Theorem:
-    """One sufficient condition: its ordered hypothesis rows; ``gate``, the
-    number of leading rows that must hold before an exponential row runs;
-    ``domain``, the wording and test of the parameters it is defined for;
-    and ``factor``, the predicted factor ("f", "r" or "ab" for an f-, r- or
-    [a, b]-factor).  A campaign trial draws by ``factor`` after (a, b): a
-    random f in [a, b], or an odd r, or b raised to a + 1, and the last two
-    take the lower bound as f.  ``run`` calls the public function
-    ``checker`` with ``args``: f, and a, b, r, star_order or toughness_max_n
-    read from ``params``, which also carries confirm (the CLI's argparse
-    namespace is one such object).
+    """One sufficient condition: its ordered hypothesis rows, the polynomial
+    ones first, where an exponential row runs only when every polynomial row
+    holds, as the condition predicts nothing otherwise; ``domain``, the
+    wording and test of the parameters it is defined for; and ``factor``,
+    the predicted factor ("f", "r" or "ab" for an f-, r- or [a, b]-factor).
+    A campaign trial draws by ``factor`` after (a, b): a random f in [a, b],
+    or an odd r, or b raised to a + 1, and the last two take the lower bound
+    as f.  ``run`` calls the public function ``checker`` with ``args``: f,
+    and a, b, r, star_order or toughness_max_n read from ``params``, which
+    also carries confirm (the CLI's argparse namespace is one such object).
     """
 
     name: str
     summary: str
     checker: str
     rows: tuple[Row, ...]
-    gate: int = 0
     args: tuple[str, ...] = ("f", "a", "b")
     factor: str = "f"
     domain: tuple[str, Callable[[object], bool]] = ("", lambda p: True)
@@ -146,7 +144,7 @@ class Theorem:
     def check(self, g: Graph, f: DegreeSpec | None, params,
               recorded: list[dict] | None = None) -> HypothesisReport:
         """Walk the rows on (g, f).  With ``recorded``, a report's rows, an
-        exponential row past the gate is taken from it by name, and reads
+        exponential row that runs is taken from it by name, and reads
         "(absent)" when it is missing, instead of being evaluated."""
         if need := self.outside(params):
             raise ValueError(need)
@@ -154,7 +152,8 @@ class Theorem:
         report = HypothesisReport(self.name, self.conclusion(params))
         rows = report.hypotheses
         for name, exponential, evaluate in self.rows:
-            if exponential and not all(h.satisfied for h in rows[:self.gate]):
+            if exponential and not all(h.satisfied for h, (_, exp, _) in zip(rows, self.rows)
+                                       if not exp):
                 observed, satisfied = "not evaluated (prior hypothesis failed)", False
             elif exponential and recorded is not None:
                 row = given.get(name, {"observed": "(absent)", "satisfied": False})
@@ -199,10 +198,9 @@ THEOREMS: dict[str, Theorem] = {theorem.name: theorem for theorem in (
         *_GRAPH_AND_F, _STABILITY,
         ("odd_toughness", True, lambda x: (f"odd-toughness >= 1/{x.a}", is_t_odd_tough(
             x.g, x.f, Fraction(1, x.a), max_n=x.toughness_max_n)))),
-        gate=4, args=("f", "a", "b", "toughness_max_n")),
+        args=("f", "a", "b", "toughness_max_n")),
     Theorem("kappa_corollary", "stability bound strengthened by min(. , a*kappa)",
-            "check_corollary_kappa", (*_GRAPH_AND_F, ("stability", True, _kappa_stability)),
-            gate=4),
+            "check_corollary_kappa", (*_GRAPH_AND_F, ("stability", True, _kappa_stability))),
     Theorem("min_degree", "minimum-degree condition delta >= b|X|/(a+b)",
             "check_theorem_min_degree", (
                 ("min_degree", False, lambda x: (
@@ -236,9 +234,8 @@ THEOREMS: dict[str, Theorem] = {theorem.name: theorem for theorem in (
             4 * x.a * (x.delta - x.b - x.star_order + 1), (x.star_order - 1) * (x.b + 1) ** 2)))),
         args=("f", "a", "b", "star_order"),
         domain=("1 <= n-1 <= a <= b", lambda p: 1 <= p.star_order - 1 <= p.a <= p.b)),
-    # unlike main and kappa_corollary, alpha also waits for the f rows
     Theorem("stability_conjecture", "the stability bound alone (refuted by g0)",
-            "check_stability_conjecture", (*_GRAPH_AND_F, _STABILITY), gate=6),
+            "check_stability_conjecture", (*_GRAPH_AND_F, _STABILITY)),
 )}
 
 

@@ -67,6 +67,20 @@ class TestToughnessCap:
             assert_one_line_error(code, err)
             assert "--toughness-max-n" in err
 
+    def test_huge_cap_decides_as_the_default(self, tmp_path):
+        # a cap above n counts as n: no 2^cap budget is built
+        inst, out = tmp_path / "r10.inst", tmp_path / "report.json"
+        assert run(["gen", "random", "--n", "10", "--p-edge", "0.6", "--a", "1", "--b", "2",
+                    "--seed", "3", "--out", str(inst)])[0] == 0
+        for command in (["invariants", str(inst), "--odd-toughness"],
+                        ["verify-theorem", "main", str(inst), "--a", "1", "--b", "2"]):
+            verdicts = []
+            for cap in ([], ["--toughness-max-n", str(10**12)]):
+                assert run([*command, *cap, "--out", str(out)]) == (0, "")
+                verdicts.append(json.loads(out.read_text())["verdicts"])
+            assert verdicts[0] == verdicts[1]
+            assert "odd_toughness" in json.dumps(verdicts[0])
+
     def test_verify_theorem_main_decides_n60(self, tmp_path):
         inst, out = tmp_path / "r60.inst", tmp_path / "report.json"
         assert run(["gen", "random", "--n", "60", "--p-edge", "0.7", "--a", "1",
@@ -214,7 +228,7 @@ def _base_reports() -> dict[str, dict]:
     """A solve report with a factor certificate, an audit report with a
     violating pair, a confirmed [1,2]-factor report, a confirmed 1-factor
     report of ``regular_connectivity``, and a confirmed ``main`` report on
-    K6, whose exponential rows pass their gate; the ``ab`` and ``rc`` ones
+    K6, whose exponential rows run; the ``ab`` and ``rc`` ones
     are rechecked against the bounds (a and b, or r) in their parameters."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 from conftest import brute_vertex_connectivity, run_confirmed, seeded_corpus
@@ -9,6 +10,7 @@ from conftest import brute_vertex_connectivity, run_confirmed, seeded_corpus
 from ffactors import invariants, theorems
 from ffactors.constructions import build_g0, g0_desk_instance, stability_bound
 from ffactors.graph import (
+    DegreeSpec,
     Graph,
     build_graph,
     complete_graph,
@@ -352,3 +354,80 @@ class TestEmpiricalValidate:
         a = empirical_validate("main", 20, 7)
         b = empirical_validate("main", 20, 7)
         assert a.to_dict() == b.to_dict()
+
+
+NOT_EVALUATED = "not evaluated (prior hypothesis failed)"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("exponential routine called behind a failed polynomial row")
+
+
+class TestExponentialRowsWaitForPolynomialRows:
+    """An exponential row (alpha or odd-toughness) runs only when every
+    polynomial row of its table holds; otherwise it reads "not evaluated"."""
+
+    @pytest.mark.parametrize("name, g, f, params, failed", [
+        # f(X) = 7 is odd; alpha = 1 and no cutset, so both exponential rows would hold
+        ("main", complete_graph(7), constant_spec(complete_graph(7), 1),
+         {"a": 1, "b": 2, "toughness_max_n": invariants.TOUGHNESS_MAX_N}, {"f_total_even"}),
+        ("kappa_corollary", complete_graph(7), constant_spec(complete_graph(7), 1),
+         {"a": 1, "b": 2}, {"f_total_even"}),
+        # |X| = 9 is odd; kappa = 8 >= (r+1)^2/2 and alpha = 1 <= 6
+        ("regular_connectivity", complete_graph(9), None, {"r": 3}, {"even_order"}),
+        # f = 3 > b at two vertices; alpha = 1 <= 4/3
+        ("claw_free", complete_graph(8), DegreeSpec((3, 2, 2, 2, 2, 2, 2, 3)),
+         {"a": 2, "b": 2, "star_order": 3}, {"f_range"}),
+    ])
+    def test_no_scan_behind_a_failed_polynomial_row(self, monkeypatch, name, g, f, params,
+                                                    failed):
+        theorem, namespace = theorems.THEOREMS[name], SimpleNamespace(**params)
+        exponential = [row for row in theorem.rows if row[1]]
+        for binding in ("stability_number", "is_t_odd_tough"):
+            monkeypatch.setattr(theorems, binding, _refuse)
+        report = theorem.check(g, f, namespace)
+        assert {h.name for h in report.hypotheses if not h.satisfied} == (
+            failed | {row[0] for row in exponential})
+        assert all(hypothesis_named(report, row[0]).observed == NOT_EVALUATED
+                   for row in exponential)
+        assert report.prediction == "no prediction"
+        monkeypatch.undo()
+        facts = theorems._Facts(g, f, namespace)
+        assert all(evaluate(facts)[1] for _, _, evaluate in exponential)
+
+    def test_rule_on_seeded_corpus(self):
+        """Every exponential row reads "not evaluated" exactly when some
+        polynomial row failed, and its own evaluation otherwise."""
+        seen = {name: set() for name in theorems.THEOREMS}
+        for i, g in enumerate(seeded_corpus(12, 6, 10, seed=37)):
+            for a, b, r, star_order in ((1, 2, 1, 2), (2, 3, 3, 3)):
+                params = SimpleNamespace(a=a, b=b, r=r, star_order=star_order,
+                                         toughness_max_n=invariants.TOUGHNESS_MAX_N)
+                for f in (random_degree_spec(g, a, b, i), random_degree_spec(g, 1, 3, i)):
+                    for name, theorem in theorems.THEOREMS.items():
+                        report = theorem.check(g, f, params)
+                        blocked = not all(h.satisfied for h, row in zip(report.hypotheses,
+                                                                        theorem.rows)
+                                          if not row[1])
+                        seen[name].add(blocked)
+                        facts = theorems._Facts(g, f, params)
+                        for h, (_, exponential, evaluate) in zip(report.hypotheses,
+                                                                 theorem.rows):
+                            if exponential:
+                                want = (NOT_EVALUATED, False) if blocked else evaluate(facts)
+                                assert (h.observed, h.satisfied) == want, (name, i)
+        assert seen.pop("ab_factor") == {False}
+        assert all(both == {False, True} for both in seen.values()), seen
+
+    @pytest.mark.parametrize("name, n, params", [
+        ("regular_connectivity", 150, {"r": 3}),
+        ("claw_free", 160, {"a": 2, "b": 2, "star_order": 3}),
+    ])
+    def test_failed_polynomial_row_decides_at_scale(self, name, n, params):
+        g = random_connected_graph(n, 0.1, 1)
+        f = random_degree_spec(g, 1, 3, 2)
+        started = time.perf_counter()
+        report = theorems.THEOREMS[name].check(g, f, SimpleNamespace(**params))
+        assert time.perf_counter() - started < 1
+        assert hypothesis_named(report, "stability").observed == NOT_EVALUATED
+        assert report.prediction == "no prediction"
