@@ -18,7 +18,6 @@ from .graph import (
     cycle,
     disjoint_union,
     empty_graph,
-    is_connected,
     is_star_free,
     join,
     min_degree,

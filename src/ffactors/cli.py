@@ -49,14 +49,12 @@ def _emit(args, parameters: dict, seed: int | None, instance, verdicts: dict,
 
 
 def _cmd_solve(args, g, f) -> tuple[int, dict, dict, list[dict]]:
-    factor = solver.find_f_factor(g, f)
-    certs = [] if factor is None else [reports.factor_certificate(factor)]
-    return int(factor is None), {}, reports.verdicts_of("solve", g, f, {}, certs), certs
+    certs = reports.certificates(solver.find_f_factor(g, f))
+    return int(not certs), {}, reports.verdicts_of("solve", g, f, {}, certs), certs
 
 
 def _cmd_audit(args, g, f) -> tuple[int, dict, dict, list[dict]]:
-    found = tutte.find_violating_pair(g, f)
-    certs = [] if found is None else [reports.violating_pair_certificate(found)]
+    certs = reports.certificates(tutte.find_violating_pair(g, f))
     return 0, {}, reports.verdicts_of("audit", g, f, {}, certs), certs
 
 
@@ -82,7 +80,7 @@ def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
 
 def _cmd_verify_theorem(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     report = theorems.THEOREMS[args.name].run(g, f, args)
-    certs = [] if report.factor is None else [reports.factor_certificate(report.factor)]
+    certs = reports.certificates(report.factor)
     return 0, {"name": args.name, "a": args.a, "b": args.b, "r": args.r,
                "star_order": args.star_order, "confirm": args.confirm}, report.to_dict(), certs
 
@@ -100,8 +98,7 @@ def _cmd_gen(args) -> int:
         else:
             built = constructions.build_g1(args.a, args.b, args.r, args.delta, args.alpha)
         g, f, report_dict = built.graph, built.spec, built.to_dict()
-        witness = built.witness_pair
-        certs = [] if witness is None else [reports.violating_pair_certificate(witness)]
+        certs = reports.certificates(built.witness_pair)
     _write(instances.serialize_instance(g, f), args.out)
     if args.report:
         seed = args.seed if args.family == "random" else None

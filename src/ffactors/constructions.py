@@ -122,18 +122,12 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
     comp_size = delta + 1
-    n = k + p * comp_size
-    edges = []
     # S together with C_1 is a complete block
-    block = list(range(k + comp_size))
-    edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
-    for i in range(1, p):
-        start = k + i * comp_size
-        comp = list(range(start, start + comp_size))
-        edges += [(u, v) for j, u in enumerate(comp) for v in comp[j + 1:]]
-        edges.append((0, start))
-    g = build_graph(n, edges)
-    f = DegreeSpec((a,) * k + (b,) * (n - k))
+    blocks = disjoint_union([complete_graph(k + comp_size)]
+                            + [complete_graph(comp_size)] * (p - 1))
+    g = build_graph(blocks.n, blocks.edges()
+                    + tuple((0, k + i * comp_size) for i in range(1, p)))
+    f = DegreeSpec((a,) * k + (b,) * (g.n - k))
     bound = stability_bound(a, b, delta)
     return _report(
         "g0", g, f, {"a": a, "b": b, "k": k, "delta": delta, "p": p},

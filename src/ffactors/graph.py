@@ -30,13 +30,6 @@ def as_vertex_set(vertices: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(vs)
 
 
-def _mask_of(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def _bits_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -60,7 +53,7 @@ class Graph:
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
         """Neighbor sets as bitmasks, for fast subset arithmetic."""
-        return tuple(_mask_of(nbrs) for nbrs in self.adj)
+        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
     @cached_property
     def connected(self) -> bool:
@@ -166,11 +159,6 @@ def components_masks(g: Graph, mask: int) -> list[int]:
         out.append(_reach(masks, mask))
         mask &= ~out[-1]
     return out
-
-
-def is_connected(g: Graph) -> bool:
-    """True for connected graphs; ``g.connected``, searched once per graph."""
-    return g.connected
 
 
 def min_degree(g: Graph) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .graph import DegreeSpec, Graph, build_graph, is_connected
+from .graph import DegreeSpec, Graph, build_graph
 
 CONNECTED_TRIES = 200
 
@@ -141,7 +141,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     attempts."""
     for attempt in range(CONNECTED_TRIES):
         g = random_graph(n, p, seed + attempt * 7919)
-        if is_connected(g):
+        if g.connected:
             return g
     raise ValueError(
         f"no connected sample in {CONNECTED_TRIES} tries for n={n}, p={p}"

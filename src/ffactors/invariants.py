@@ -14,14 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, comb, floor
 
-from .graph import (
-    DegreeSpec,
-    Graph,
-    _bits_of,
-    _reach,
-    components_masks,
-    is_connected,
-)
+from .graph import DegreeSpec, Graph, _bits_of, _reach, components_masks
 from .tutte import deficiency
 
 TOUGHNESS_MAX_N = 20
@@ -37,10 +30,6 @@ class ToughnessValue:
 
     ratio: Fraction | None
     witness: tuple[int, ...] | None = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.ratio is None
 
     def __str__(self) -> str:
         return "infinity" if self.ratio is None else str(self.ratio)
@@ -72,10 +61,11 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     non-neighbour of v lies in another component of G-S, so its flow from v
     is at most |S|.  If v is in S, then S is minimal, so v has neighbours in
     two different components of G-S; they are non-adjacent, and their flow
-    is at most |S|.
+    is at most |S|.  When min(delta, cap) = 2, no flow runs: kappa >= 2
+    iff the graph has no cut vertex, found by ``_has_cut_vertex``.
     """
     n = g.n
-    if not is_connected(g):
+    if not g.connected:
         return 0
     if cap is None:
         cap = n
@@ -84,6 +74,8 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
     best = min(len(nbrs), cap)
     if best <= 1:
         return best
+    if best == 2:
+        return 1 if _has_cut_vertex(g) else 2
     pairs = chain(((v, u) for u in range(n) if u != v and not g.has_edge(v, u)),
                   ((x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)))
     for s, t in pairs:
@@ -91,6 +83,33 @@ def vertex_connectivity(g: Graph, cap: int | None = None) -> int:
         if best == 1:
             break
     return best
+
+
+def _has_cut_vertex(g: Graph) -> bool:
+    """Whether the connected graph has a cut vertex, by one iterative
+    depth-first search over the adjacency lists with lowpoints (Hopcroft &
+    Tarjan, CACM 1973): a non-root v is one iff some child w has
+    low(w) >= depth(v), the root iff it has two children.  Counting the
+    tree edge back to v in low(w) cannot break the test, which is not strict."""
+    depth, low = [-1] * g.n, [0] * g.n
+    depth[0], stack, root_children = 0, [(0, iter(g.adj[0]))], 0
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if depth[w] < 0:
+                depth[w] = low[w] = depth[v] + 1
+                root_children += v == 0
+                stack.append((w, iter(g.adj[w])))
+                break
+            low[v] = min(low[v], depth[w])
+        else:
+            stack.pop()
+            if len(stack) > 1:  # v's parent is not the root
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= depth[u]:
+                    return True
+    return root_children > 1
 
 
 def _vertex_disjoint_paths(masks: tuple[int, ...], s: int, t: int, cap: int) -> int:
@@ -210,7 +229,7 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
     ``components_masks`` runs on cutsets only.  Both are BFS over
     ``g.adj_masks`` alone.
     """
-    if not is_connected(g):
+    if not g.connected:
         raise ValueError("toughness is defined for connected graphs only")
     alpha, _ = stability_number(g)
     kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)

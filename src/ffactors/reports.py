@@ -16,20 +16,20 @@ import time
 from types import SimpleNamespace
 
 from .graph import DegreeSpec, Graph
-from .instances import instance_digest, parse_instance, serialize_instance, text_digest
+from .instances import parse_instance, serialize_instance, text_digest
 from .solver import FactorSubgraph, verify_factor
 from .theorems import THEOREMS
-from .tutte import deficiency
+from .tutte import DeficiencyReport, deficiency
 
 
-def factor_certificate(factor: FactorSubgraph) -> dict:
-    return {"type": "factor", "edges": [list(e) for e in factor.edges]}
-
-
-def violating_pair_certificate(report) -> dict:
-    out = {"type": "violating_pair"}
-    out.update(report.to_dict())
-    return out
+def certificates(result: FactorSubgraph | DeficiencyReport | None) -> list[dict]:
+    """The certificate list of a report on ``result``: a factor's edges, a
+    violating pair with its deficiency terms, or nothing for None."""
+    if result is None:
+        return []
+    if isinstance(result, FactorSubgraph):
+        return [{"type": "factor", "edges": [list(e) for e in result.edges]}]
+    return [{"type": "violating_pair", **result.to_dict()}]
 
 
 def build_report(
@@ -179,7 +179,7 @@ def recheck_report(doc: dict) -> list[str]:
         if not isinstance(instance_text, str):
             raise ValueError("embedded instance is not a string")
         g, f = parse_instance(instance_text)
-        if doc.get("instance_digest") != instance_digest(g, f):
+        if doc.get("instance_digest") != text_digest(instance_text):
             failures.append("instance digest does not match embedded instance")
     for i, cert in enumerate(certificates):
         if not isinstance(cert, dict):

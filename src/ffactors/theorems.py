@@ -20,7 +20,7 @@ from math import ceil
 from types import SimpleNamespace
 from typing import Callable
 
-from .graph import DegreeSpec, Graph, is_connected, is_star_free, min_degree
+from .graph import DegreeSpec, Graph, is_star_free, min_degree
 from .invariants import TOUGHNESS_MAX_N, is_t_odd_tough, stability_number, vertex_connectivity
 from .constructions import stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
@@ -98,7 +98,7 @@ def _ab_stability(x: _Facts) -> tuple[str, bool]:
 # the class would keep this module alive past a re-import.)
 Row = tuple[str, bool, Callable[["_Facts"], tuple[str, bool]]]
 
-_CONNECTED: Row = ("connected", False, lambda x: (f"n={x.g.n}", is_connected(x.g)))
+_CONNECTED: Row = ("connected", False, lambda x: (f"n={x.g.n}", x.g.connected))
 _F_ROWS: tuple[Row, ...] = (
     ("f_range", False, lambda x: (f"a={x.a} <= f <= b={x.b}",
                                   all(x.a <= fv <= x.b for fv in x.f.values))),
@@ -121,12 +121,13 @@ class Theorem:
     ones first, where an exponential row runs only when every polynomial row
     holds, as the condition predicts nothing otherwise; ``domain``, the
     wording and test of the parameters it is defined for; and ``factor``,
-    the predicted factor ("f", "r" or "ab" for an f-, r- or [a, b]-factor).
-    A campaign trial draws by ``factor`` after (a, b): a random f in [a, b],
-    or an odd r, or b raised to a + 1, and the last two take the lower bound
-    as f.  ``run`` calls the public function ``checker`` with ``args``: f,
-    and a, b, r, star_order or toughness_max_n read from ``params``, which
-    also carries confirm (the CLI's argparse namespace is one such object).
+    the parameter names of the predicted factor's (lo, hi): () for an
+    f-factor, ("r", "r") or ("a", "b").  A campaign trial draws by
+    ``factor`` after (a, b): a random f in [a, b], or an odd r, or b raised
+    to a + 1, and the last two take the lower bound as f.  ``run`` calls the
+    public function ``checker`` with ``args``: f, and a, b, r, star_order or
+    toughness_max_n read from ``params``, which also carries confirm (the
+    CLI's argparse namespace is one such object).
     """
 
     name: str
@@ -134,7 +135,7 @@ class Theorem:
     checker: str
     rows: tuple[Row, ...]
     args: tuple[str, ...] = ("f", "a", "b")
-    factor: str = "f"
+    factor: tuple[str, ...] = ()
     domain: tuple[str, Callable[[object], bool]] = ("", lambda p: True)
 
     def outside(self, params) -> str | None:
@@ -163,19 +164,15 @@ class Theorem:
             rows.append(Hypothesis(name, observed, bool(satisfied)))
         return report
 
-    def _degrees(self, params) -> tuple[int, ...]:
-        """The predicted factor's (lo, hi) from ``params``: (), (r, r) or (a, b)."""
-        keys = {"f": (), "r": ("r", "r"), "ab": ("a", "b")}[self.factor]
-        return tuple(getattr(params, key) for key in keys)
-
     def bounds(self, n: int, f: DegreeSpec | None, params) -> tuple[tuple[int, ...], ...]:
         """The degree bounds (lo, hi) of the predicted factor on n vertices."""
-        return tuple((d,) * n for d in self._degrees(params)) or (f.values, f.values)
+        return tuple((getattr(params, key),) * n for key in self.factor) or (f.values, f.values)
 
     def conclusion(self, params) -> str:
-        """What a met prediction says."""
-        return {"f": "f-factor exists", "r": "{}-factor exists",
-                "ab": "[{},{}]-factor exists"}[self.factor].format(*self._degrees(params))
+        """What a met prediction says: "f-factor exists", or the r- or
+        [a,b]-factor with its values read from ``params``."""
+        lo, hi = [getattr(params, key) for key in self.factor] or ["f", "f"]
+        return f"{lo}-factor exists" if lo == hi else f"[{lo},{hi}]-factor exists"
 
     def run(self, g: Graph, f: DegreeSpec | None, params) -> HypothesisReport:
         """Run the public checker, looked up per call so that a rebound name
@@ -219,10 +216,10 @@ THEOREMS: dict[str, Theorem] = {theorem.name: theorem for theorem in (
                     x.kappa >= Fraction((x.r + 1) ** 2, 2))),
                 ("stability", True, lambda x: _alpha_row(
                     x, Fraction(4 * x.r * x.kappa, (x.r + 1) ** 2)))),
-            args=("r",), factor="r", domain=("odd r >= 1", lambda p: p.r >= 1 and p.r % 2)),
+            args=("r",), factor=("r", "r"), domain=("odd r >= 1", lambda p: p.r >= 1 and p.r % 2)),
     Theorem("ab_factor", "[a,b]-factor via stability and minimum degree",
             "check_theorem_ab_factor", (("stability", True, _ab_stability),),
-            args=("a", "b"), factor="ab", domain=("1 <= a < b", lambda p: 1 <= p.a < p.b)),
+            args=("a", "b"), factor=("a", "b"), domain=("1 <= a < b", lambda p: 1 <= p.a < p.b)),
     Theorem("claw_free", "K_{1,n}-free condition", "check_theorem_claw_free", (
         _CONNECTED,
         ("star_free", False, lambda x: (f"no induced K_(1,{x.star_order})",
@@ -363,13 +360,13 @@ def empirical_validate(theorem: str, trials: int, seed: int,
         a, b = rng.choice(AB_CHOICES)
         params = SimpleNamespace(a=a, b=b, r=None, star_order=STAR_ORDER, confirm=True,
                                  toughness_max_n=TOUGHNESS_MAX_N)
-        if entry.factor == "f":
+        if not entry.factor:
             try:
                 f = random_degree_spec(g, a, b, rng.randrange(2**31))
             except ValueError:
                 continue  # unrepairable parity (a == b with odd total)
         else:
-            if entry.factor == "r":
+            if "r" in entry.factor:
                 params.r = rng.choice(R_CHOICES)
             else:
                 params.b = max(b, a + 1)

@@ -27,7 +27,6 @@ from ffactors.graph import (
     _bits_of,
     build_graph,
     components_masks,
-    is_connected,
 )
 from ffactors.instances import random_connected_graph
 from ffactors.invariants import TOUGHNESS_MAX_N
@@ -123,7 +122,7 @@ def brute_vertex_connectivity(g: Graph) -> int:
     """Minimum separator size by subset search; n-1 when none disconnects."""
     if g.n <= 1:
         return 0
-    if not is_connected(g):
+    if not g.connected:
         return 0
     for size in range(g.n - 1):
         for combo in combinations(range(g.n), size):
@@ -330,7 +329,7 @@ def atlas_graphs(max_n: int, connected_only: bool = False) -> list[Graph]:
         if n == 0 or n > max_n:
             continue
         g = build_graph(n, list(ag.edges()))
-        if connected_only and not is_connected(g):
+        if connected_only and not g.connected:
             continue
         out.append(g)
     return out

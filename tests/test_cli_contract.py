@@ -161,6 +161,21 @@ def test_kappa_of_a_3000_vertex_path(tmp_path):
     assert json.loads(out.read_text())["verdicts"]["kappa"] == 1
 
 
+def test_regular_connectivity_on_a_1500_vertex_cycle(tmp_path):
+    """The connectivity row reads the exact kappa = 2 of cycle(1500) from
+    one lowpoint search, in the check and again in its recheck."""
+    g = cycle(1500)
+    inst, out = tmp_path / "c1500.inst", tmp_path / "report.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, 1)))
+    for argv in (["verify-theorem", "regular_connectivity", str(inst), "--r", "1",
+                  "--confirm", "--out", str(out)], ["recheck", str(out)]):
+        started = time.perf_counter()
+        assert run(argv)[0] == 0
+        assert time.perf_counter() - started < 1, argv[0]
+    rows = json.loads(out.read_text())["verdicts"]["hypotheses"]
+    assert rows[1] == {"name": "connectivity", "observed": "kappa=2 >= 2", "satisfied": True}
+
+
 # runs the CLI in a fresh interpreter, then prints its exit code and its
 # peak resident set in MB (ru_maxrss counts kilobytes on Linux)
 _PEAK = ("import resource, sys; from ffactors.cli import main; code = main(sys.argv[1:]); "
@@ -342,6 +357,15 @@ class TestRecheckMalformed:
 
     def test_tampered_digest_exits_1(self, tmp_path, reports):
         reports["solve"]["instance_digest"] = "0" * 64
+        code, err = self.recheck(tmp_path, reports["solve"])
+        assert code == 1 and "instance digest does not match embedded instance" in err
+
+    def test_reordered_instance_text_exits_1(self, tmp_path, reports):
+        # the same instance, but not the text that the digest was taken of
+        lines = reports["solve"]["instance"].split("\n")
+        assert lines[1].startswith("e ") and lines[2].startswith("e ")
+        lines[1], lines[2] = lines[2], lines[1]
+        reports["solve"]["instance"] = "\n".join(lines)
         code, err = self.recheck(tmp_path, reports["solve"])
         assert code == 1 and "instance digest does not match embedded instance" in err
 

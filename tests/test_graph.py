@@ -17,7 +17,6 @@ from ffactors.graph import (
     cycle,
     disjoint_union,
     empty_graph,
-    is_connected,
     is_star_free,
     join,
     min_degree,
@@ -25,7 +24,7 @@ from ffactors.graph import (
     star,
 )
 from ffactors.instances import random_connected_graph, random_degree_spec
-from ffactors.invariants import odd_component_count
+from ffactors.invariants import odd_component_count, vertex_connectivity
 from ffactors.solver import find_f_factor
 from ffactors.theorems import check_main_theorem
 from ffactors.tutte import deficiency, find_violating_pair
@@ -119,10 +118,10 @@ class TestDegreeHelpers:
         assert min_degree(petersen_graph()) == 3
 
     def test_disconnected(self):
-        assert not is_connected(disjoint_union([complete_graph(3), complete_graph(3)]))
+        assert not disjoint_union([complete_graph(3), complete_graph(3)]).connected
 
     def test_single_vertex_connected(self):
-        assert is_connected(empty_graph(1))
+        assert empty_graph(1).connected
 
 
 class TestAdjacencyListsOnly:
@@ -130,16 +129,18 @@ class TestAdjacencyListsOnly:
     rows are not evaluated, never build the n-bit ``Graph.adj_masks``."""
 
     @pytest.mark.parametrize("call", [
-        lambda g, f: is_connected(g),
+        lambda g, f: g.connected,
         lambda g, f: odd_component_count(g, [0, 1], f),
         lambda g, f: deficiency(g, [0], [2, 3], f),
         lambda g, f: find_f_factor(g, f),
         lambda g, f: find_violating_pair(g, f),
+        lambda g, f: vertex_connectivity(g),
     ], ids=["is_connected", "odd_component_count", "deficiency", "find_f_factor",
-            "find_violating_pair"])
+            "find_violating_pair", "vertex_connectivity"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_polynomial_routines(self, call, seed):
-        # seeds 1 and 2 have no f-factor, the 2-factor of cycle(30) exists
+        # seeds 1 and 2 have no f-factor, the 2-factor of cycle(30) exists;
+        # kappa reads delta <= 2 (1 on seeds 1 and 2) without a flow
         g = random_connected_graph(30, 0.15, seed) if seed else cycle(30)
         call(g, random_degree_spec(g, 1, 3, seed) if seed else constant_spec(g, 2))
         assert "adj_masks" not in vars(g)

@@ -16,11 +16,10 @@ from ffactors.instances import (
 )
 from ffactors.reports import (
     build_report,
-    factor_certificate,
+    certificates,
     recheck_report,
     strip_timing,
     verdicts_of,
-    violating_pair_certificate,
 )
 from ffactors.solver import find_f_factor
 from ffactors.tutte import deficiency
@@ -128,7 +127,7 @@ class TestReports:
         factor = find_f_factor(g, f)
         doc = build_report("solve", {}, None, (g, f),
                            {"factor_exists": True},
-                           [factor_certificate(factor)])
+                           certificates(factor))
         assert recheck_report(doc) == []
 
     def test_tampered_factor_fails(self):
@@ -136,7 +135,7 @@ class TestReports:
         f = constant_spec(g, 2)
         factor = find_f_factor(g, f)
         doc = build_report("solve", {}, None, (g, f), {"factor_exists": True},
-                           [factor_certificate(factor)])
+                           certificates(factor))
         doc["certificates"][0]["edges"] = doc["certificates"][0]["edges"][:-1]
         assert recheck_report(doc)
 
@@ -145,7 +144,7 @@ class TestReports:
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, [], [3], f)
         assert rep.delta < 0
-        certs = [violating_pair_certificate(rep)]
+        certs = certificates(rep)
         doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g, f, {}, certs), certs)
         assert recheck_report(doc) == []
 
@@ -153,7 +152,7 @@ class TestReports:
         g = cycle(4)
         f = DegreeSpec((2, 2, 2, 4))
         rep = deficiency(g, [], [3], f)
-        certs = [violating_pair_certificate(rep)]
+        certs = certificates(rep)
         doc = build_report("audit", {}, 0, (g, f), verdicts_of("audit", g, f, {}, certs), certs)
         doc["certificates"][0]["delta"] = -99
         # the tamper is the only failure

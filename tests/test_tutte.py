@@ -12,12 +12,11 @@ from ffactors.graph import (
     complete_graph,
     constant_spec,
     cycle,
-    is_connected,
 )
 from ffactors.instances import random_connected_graph, random_graph
 from ffactors.invariants import is_t_odd_tough
 from ffactors.reports import (
-    build_report, recheck_report, verdicts_of, violating_pair_certificate,
+    build_report, certificates, recheck_report, verdicts_of,
 )
 from ffactors import tutte
 from ffactors.solver import _blossom_matching, tutte_gadget
@@ -184,7 +183,7 @@ class TestFindViolatingPair:
             gadget = tutte_gadget(g, f.values, f.values)
             mate, _ = _blossom_matching(gadget.size, gadget.adj)
             assert rep.delta == -(mate.count(-1) - f.total() % 2) <= -2
-            certs = [violating_pair_certificate(rep)]
+            certs = certificates(rep)
             doc = build_report("audit", {}, None, (g, f), verdicts_of("audit", g, f, {}, certs),
                                certs)
             assert recheck_report(doc) == []
@@ -210,7 +209,7 @@ class TestOracle:
         kinds["odd f(X)"] += f.total() % 2
         kinds["f > d"] += any(f.values[v] > g.degree(v) for v in range(g.n))
         kinds["isolated"] += any(g.degree(v) == 0 for v in range(g.n))
-        kinds["disconnected"] += not is_connected(g)
+        kinds["disconnected"] += not g.connected
         kinds["violating"] += derived is not None
 
     def test_atlas(self, small_atlas):
