@@ -5,9 +5,10 @@ the toughness values come back as Fractions with a witness cutset.
 """
 
 from ffactors import (
-    complete_bipartite,
     constant_spec,
     cycle,
+    empty_graph,
+    join,
     odd_toughness,
     petersen_graph,
     stability_number,
@@ -29,7 +30,7 @@ def show(name, g):
 
 show("Petersen", petersen_graph())
 show("C_6", cycle(6))
-show("K_{3,3}", complete_bipartite(3, 3))
+show("K_{3,3}", join(empty_graph(3), empty_graph(3)))
 show("star K_{1,4}", star(4))
 
 # odd-toughness depends on the target degrees, not just the graph

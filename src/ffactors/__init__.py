@@ -12,7 +12,6 @@ from .graph import (
     DegreeSpec,
     Graph,
     build_graph,
-    complete_bipartite,
     complete_graph,
     constant_spec,
     cycle,

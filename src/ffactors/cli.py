@@ -62,8 +62,7 @@ def _cmd_invariants(args, g, f) -> tuple[int, dict, dict, list[dict]]:
     cap = args.toughness_max_n
     verdicts: dict = {"n": g.n, "m": g.m}
     if args.alpha:
-        alpha, witness = invariants.stability_number(g)
-        verdicts["alpha"] = alpha
+        verdicts["alpha"], witness = invariants.stability_number(g)
         verdicts["alpha_witness"] = list(witness)
     if args.kappa:
         verdicts["kappa"] = invariants.vertex_connectivity(g)

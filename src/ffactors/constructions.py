@@ -30,6 +30,7 @@ from .graph import (
     disjoint_union,
     join,
 )
+from .instances import check_order
 from .tutte import DeficiencyReport, deficiency
 
 
@@ -39,8 +40,8 @@ class ConstructionReport:
 
     ``expected_existence`` is False when nonexistence is forced (by parity or
     by the witness pair), None when the construction makes no prediction.
-    ``to_dict`` leaves the witness out: ``gen --report`` carries it as a
-    violating-pair certificate, which ``recheck`` verifies.
+    ``to_dict`` keeps no graph, spec or witness: ``gen --report`` carries
+    the witness as a violating-pair certificate, which ``recheck`` verifies.
     """
 
     family: str
@@ -57,17 +58,9 @@ class ConstructionReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(sorted(self.params.items())),
-            "expected_alpha": self.expected_alpha,
-            "expected_min_degree": self.expected_min_degree,
-            "f_total": self.f_total,
-            "f_total_even": self.f_total_even,
-            "expected_existence": self.expected_existence,
-            "nonexistence_reason": self.nonexistence_reason,
-            "extras": {k: str(v) for k, v in sorted(self.extras.items())},
-        }
+        out = {k: v for k, v in vars(self).items() if k not in ("graph", "spec", "witness_pair")}
+        return dict(out, params=dict(sorted(self.params.items())),
+                    extras={k: str(v) for k, v in sorted(self.extras.items())})
 
 
 def stability_bound(a: int, b: int, delta: int) -> Fraction:
@@ -122,6 +115,7 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
     comp_size = delta + 1
+    check_order(k + p * comp_size)
     # S together with C_1 is a complete block
     blocks = disjoint_union([complete_graph(k + comp_size)]
                             + [complete_graph(comp_size)] * (p - 1))
@@ -161,6 +155,7 @@ def build_g1(a: int, b: int, r: int, delta: int, alpha: int) -> ConstructionRepo
     if a < 0:
         raise ValueError("need a >= 0")
     a_size = delta - r + 1
+    check_order(a_size + alpha * r)
     part_a = complete_graph(a_size)
     part_b = disjoint_union([complete_graph(r) for _ in range(alpha)])
     g = join(part_a, part_b)

@@ -289,10 +289,6 @@ def star(leaves: int) -> Graph:
     return join(complete_graph(1), empty_graph(leaves))
 
 
-def complete_bipartite(n1: int, n2: int) -> Graph:
-    return join(empty_graph(n1), empty_graph(n2))
-
-
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

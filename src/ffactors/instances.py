@@ -37,6 +37,13 @@ _LINE_FORMS = {
 }
 
 
+def check_order(n: int) -> int:
+    """``n`` if an instance may have n vertices; a ValueError otherwise."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n={n} is outside the limit of 0 to {MAX_N} vertices")
+    return n
+
+
 def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
     """Parse an instance document; errors name the offending line."""
     n = None
@@ -58,22 +65,22 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
             if parts[0] == "p":
                 if n is not None:
                     raise ValueError("duplicate problem line")
-                n, declared_m = int(parts[2]), int(parts[3])
-                if n > MAX_N:
-                    raise ValueError(f"n={n} exceeds the limit of {MAX_N} vertices")
+                n, declared_m = check_order(int(parts[2])), int(parts[3])
+            elif n is None and parts[0] != "default-f":
+                raise ValueError(f"{parts[0]} line before problem line")
             elif parts[0] == "e":
-                if n is None:
-                    raise ValueError("edge before problem line")
                 u, v = int(parts[1]), int(parts[2])
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"vertex out of range in edge ({u},{v})")
+                if u == v:
+                    raise ValueError(f"loop edge at vertex {u}")
                 edges.append((u, v))
             elif parts[0] == "f":
-                if n is None:
-                    raise ValueError("f line before problem line")
                 v, value = int(parts[1]), int(parts[2])
                 if not 0 <= v < n:
                     raise ValueError(f"vertex {v} out of range")
+                if value < 0:
+                    raise ValueError(f"negative target degree {value}")
                 if v in f_values:
                     raise ValueError(f"duplicate f assignment for vertex {v}")
                 f_values[v] = value
@@ -81,6 +88,8 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
                 if default_f is not None:
                     raise ValueError("duplicate default-f line")
                 default_f = int(parts[1])
+                if default_f < 0:
+                    raise ValueError(f"negative target degree {default_f}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
@@ -123,7 +132,8 @@ def instance_digest(g: Graph, f: DegreeSpec) -> str:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p) with a fixed seed."""
+    """Erdos-Renyi G(n, p) with a fixed seed, for n up to ``MAX_N``."""
+    check_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     rng = random.Random(seed)

@@ -41,24 +41,18 @@ def build_report(
     certificates: list[dict],
     started: float | None = None,
 ) -> dict:
-    doc = {
+    text = None if instance is None else serialize_instance(*instance)
+    return {
         "command": command,
         "parameters": {k: parameters[k] for k in sorted(parameters)},
         "seed": seed,
+        "instance_digest": None if text is None else text_digest(text),
+        "instance": text,
+        "verdicts": verdicts,
+        "certificates": certificates,
+        "timing": {"seconds": None if started is None
+                   else round(time.monotonic() - started, 6)},
     }
-    if instance is not None:
-        text = serialize_instance(*instance)
-        doc["instance_digest"] = text_digest(text)
-        doc["instance"] = text
-    else:
-        doc["instance_digest"] = None
-        doc["instance"] = None
-    doc["verdicts"] = verdicts
-    doc["certificates"] = certificates
-    doc["timing"] = {
-        "seconds": None if started is None else round(time.monotonic() - started, 6)
-    }
-    return doc
 
 
 def dumps_report(doc: dict) -> str:
@@ -94,6 +88,23 @@ def _factor_of(cert: dict, i: int) -> FactorSubgraph:
             and all(_is_int_list(e) and len(e) == 2 for e in edges)):
         raise ValueError(f"certificate {i}: 'edges' must be a list of vertex pairs")
     return FactorSubgraph(tuple(tuple(e) for e in edges))
+
+
+def _alpha_failures(g: Graph, alpha, witness) -> list[str]:
+    """Why ``witness`` is not an independent set of ``alpha`` vertices of g,
+    by its vertices' adjacency lists; this proves alpha >= value only."""
+    if not (type(alpha) is int and _is_int_list(witness)
+            and all(0 <= v < g.n for v in witness)):
+        raise ValueError("verdicts: 'alpha' must be an integer and 'alpha_witness' "
+                         "a list of the instance's vertices")
+    chosen, failures = set(witness), []
+    if len(chosen) < len(witness):
+        failures.append("verdicts.alpha_witness repeats a vertex")
+    if any(u in chosen for v in chosen for u in g.adj[v]):
+        failures.append("verdicts.alpha_witness holds two adjacent vertices")
+    if len(witness) != alpha:
+        failures.append(f"verdicts.alpha={alpha} but its witness has {len(witness)} vertices")
+    return failures
 
 
 def _theorem(params: dict):
@@ -152,13 +163,15 @@ def recheck_report(doc: dict) -> list[str]:
     certificate, of the kind ``_CERT_KIND`` gives its command.  A ``gen``
     report must also give "deficiency" as its parameters' nonexistence
     reason exactly when it carries a violating pair, and a ``verify-theorem``
-    report's parameters must lie in its theorem's domain.
+    report's parameters must lie in its theorem's domain.  An ``invariants``
+    report's alpha witness must be an independent set of alpha vertices.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a command outside ``_CERT_KIND``, a
-    certificate with a missing or mistyped field, verdicts or parameters
-    that are not objects, a theorem id, a, b, r or star_order of the wrong
-    type, or malformed hypothesis rows) raises ValueError instead.
+    certificate or alpha witness with a missing or mistyped field, verdicts
+    or parameters of a non-``fuzz`` report that are not objects, a theorem
+    id, a, b, r or star_order of the wrong type, or malformed hypothesis
+    rows) raises ValueError instead.
     """
     certificates = doc.get("certificates", []) if isinstance(doc, dict) else None
     if not isinstance(certificates, list):
@@ -168,9 +181,8 @@ def recheck_report(doc: dict) -> list[str]:
         raise ValueError(f"the report's 'command' must be one of {', '.join(_CERT_KIND)}")
     failures = ([f"certificates: {command} reports carry at most one, "
                  f"got {len(certificates)}"] if len(certificates) > 1 else [])
-    derived = _CERT_KIND[command] is not None
     for section, value in (("parameters", params), ("verdicts", verdicts)):
-        if derived and not isinstance(value, dict):
+        if command != "fuzz" and not isinstance(value, dict):
             raise ValueError(f"the report's {section!r} must be an object")
     theorem, namespace = _theorem(params) if command == "verify-theorem" else (None, None)
     instance_text = doc.get("instance")
@@ -207,10 +219,12 @@ def recheck_report(doc: dict) -> list[str]:
                                     f"{getattr(rep, key)} != recorded {cert[key]}")
             if rep.delta >= 0:
                 failures.append(f"certificate {i}: recorded pair has nonnegative deficiency")
-    if not derived:
+    if command == "fuzz" or (command == "invariants" and "alpha" not in verdicts):
         return failures
     if g is None:
         return failures + ["verdicts: no embedded instance to check against"]
+    if command == "invariants":
+        return failures + _alpha_failures(g, verdicts["alpha"], verdicts.get("alpha_witness"))
     if theorem and (need := theorem.outside(namespace)):
         return failures + [f"parameters: {need}"]
     want = verdicts_of(command, g, f, params, certificates, verdicts.get("hypotheses"))

@@ -157,9 +157,9 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
 
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
-    members of the contracted blossoms, not all n vertices.  The vertices of
-    a failed search's tree are marked dead and later searches skip them, as
-    the module docstring explains."""
+    members of the contracted blossoms, not all n vertices.  The labelled
+    vertices are exactly the dead ones, those of failed searches' trees,
+    and later searches skip them, as the module docstring explains."""
     mate = [-1] * n
     labels = [""] * n
     # greedy initialization in index order
@@ -174,7 +174,6 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
-    dead = [False] * n
     # stamp[x] == clock marks x for the current lca walk or contraction
     stamp = [0] * n
     clock = 0
@@ -214,7 +213,7 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
         while queue:
             v = queue.popleft()
             for to in adj[v]:
-                if dead[to] or base[v] == base[to] or mate[v] == to:
+                if labels[to] or base[v] == base[to] or mate[v] == to:
                     continue
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # odd cycle: contract the blossom
@@ -258,7 +257,7 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
         return False
 
     for v in range(n):
-        if mate[v] == -1 and not dead[v]:
+        if mate[v] == -1 and not labels[v]:
             tree: list[int] = []
             found = augment_from(v, tree)
             if not found:
@@ -268,7 +267,6 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
                 parent[i] = -1
                 base[i] = i
                 in_queue[i] = False
-                dead[i] = not found
     return mate, labels
 
 

@@ -281,13 +281,6 @@ def check_stability_conjecture(g: Graph, f: DegreeSpec, a: int, b: int) -> Hypot
 
 
 @dataclass
-class TrialRecord:
-    index: int
-    seed: int
-    instance: str
-
-
-@dataclass
 class CampaignReport:
     theorem: str
     trials: int
@@ -295,31 +288,25 @@ class CampaignReport:
     parameters: dict
     hypotheses_met: int = 0
     confirmed: int = 0
-    discrepancies: list[TrialRecord] = field(default_factory=list)
+    discrepancies: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "seed": self.seed,
-            "parameters": {k: str(v) for k, v in sorted(self.parameters.items())},
-            "hypotheses_met": self.hypotheses_met,
-            "confirmed": self.confirmed,
-            "discrepancy_count": len(self.discrepancies),
-            "discrepancies": [asdict(d) for d in self.discrepancies],
-        }
+        out = dict(vars(self), parameters={k: str(v) for k, v in sorted(self.parameters.items())})
+        found = out.pop("discrepancies")
+        return dict(out, discrepancy_count=len(found), discrepancies=found)
 
     def tally(self, index: int, seed: int, check: HypothesisReport,
               g: Graph, spec: DegreeSpec) -> None:
         """Count one checked instance; a met prediction that the solver
-        refutes is kept as a discrepancy, with the instance."""
+        refutes is kept as a discrepancy: its index, seed and instance."""
         if not check.hypotheses_met:
             return
         self.hypotheses_met += 1
         if check.confirmation == "confirmed":
             self.confirmed += 1
         elif check.confirmation == "refuted":
-            self.discrepancies.append(TrialRecord(index, seed, serialize_instance(g, spec)))
+            self.discrepancies.append(
+                {"index": index, "seed": seed, "instance": serialize_instance(g, spec)})
 
 
 # what a campaign trial draws from

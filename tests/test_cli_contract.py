@@ -26,7 +26,9 @@ from ffactors import cli, theorems
 from ffactors.graph import (
     DegreeSpec, build_graph, complete_graph, constant_spec, cycle, path, star,
 )
-from ffactors.instances import parse_instance, serialize_instance
+from ffactors.instances import (
+    parse_instance, random_connected_graph, random_degree_spec, serialize_instance,
+)
 from ffactors.invariants import stability_number
 from ffactors.reports import strip_timing
 
@@ -761,6 +763,66 @@ class TestRecheckCertificateKinds:
         assert code == 1 and err.count("\n") == 1 and "'violating_pair'" in err
 
 
+class TestRecheckAlphaWitness:
+    """An ``invariants`` report's alpha witness must be an independent set
+    of alpha vertices: a wrong one fails (exit 1), and one that is not a
+    list of the instance's vertices is malformed (exit 2)."""
+
+    def recheck(self, tmp_path, doc) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])
+
+    def g14(self, tmp_path) -> tuple[dict, tuple[int, int]]:
+        """An ``invariants --alpha --kappa`` report on G(14, .4), and an edge."""
+        g = random_connected_graph(14, 0.4, 1)
+        inst, out = tmp_path / "g14.inst", tmp_path / "inv.json"
+        inst.write_text(serialize_instance(g, random_degree_spec(g, 1, 3, 2)))
+        assert run(["invariants", str(inst), "--alpha", "--kappa", "--out", str(out)])[0] == 0
+        return json.loads(out.read_text()), g.edges()[0]
+
+    def test_untampered_rechecks(self, tmp_path):
+        doc, _ = self.g14(tmp_path)
+        assert self.recheck(tmp_path, doc) == (0, "")
+
+    def test_adjacent_witness_exits_1(self, tmp_path):
+        doc, edge = self.g14(tmp_path)
+        doc["verdicts"].update(alpha=1, alpha_witness=list(edge))
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and "adjacent" in err
+
+    def test_repeated_vertex_exits_1(self, tmp_path):
+        doc, _ = self.g14(tmp_path)
+        witness = doc["verdicts"]["alpha_witness"]
+        doc["verdicts"].update(alpha=len(witness) + 1, alpha_witness=witness + witness[:1])
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and "repeats" in err
+
+    def test_short_witness_exits_1(self, tmp_path):
+        doc, _ = self.g14(tmp_path)
+        doc["verdicts"]["alpha"] += 1
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and "verdicts.alpha=" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_witness", [14]), ("alpha_witness", [-1]), ("alpha_witness", [True]),
+        ("alpha_witness", None), ("alpha", "1"), ("alpha", True),
+    ])
+    def test_malformed_witness_exits_2(self, tmp_path, key, value):
+        doc, _ = self.g14(tmp_path)
+        doc["verdicts"][key] = value
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'alpha_witness'" in err
+
+    def test_verdicts_not_an_object(self, tmp_path):
+        doc, _ = self.g14(tmp_path)
+        doc["verdicts"] = [doc["verdicts"]]
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'verdicts'" in err
+
+
 def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:
     """Write the g0 desk instance's gen --report; return its path and document."""
     report = tmp_path / "gen.json"
@@ -801,6 +863,23 @@ def test_declared_n_past_the_cap(tmp_path):
     code, err = run(["recheck", str(report)])
     assert_one_line_error(code, err)
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["g1", "--a", "1", "--b", "3", "--r", "1", "--delta", "1", "--alpha", "100000"], 100_001),
+    (["g0", "--a", "1", "--b", "3", "--k", "1", "--delta", "100000", "--p", "2"], 200_003),
+    (["random", "--n", "100001"], 100_001),
+])
+def test_gen_refuses_n_past_the_cap(tmp_path, argv, n):
+    """gen refuses a family whose n would pass the cap of 100,000 vertices
+    before it builds anything, so it writes no instance that parse_instance
+    would refuse."""
+    out = tmp_path / "big.inst"
+    started = time.monotonic()
+    code, err = run(["gen", *argv, "--out", str(out)])
+    assert time.monotonic() - started < 1
+    assert_one_line_error(code, err)
+    assert f"n={n}" in err and "100000" in err and not out.exists()
 
 
 @pytest.mark.parametrize("tamper", ["drop certificate", "drop reason"])

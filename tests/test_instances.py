@@ -67,6 +67,18 @@ class TestParseInstance:
         with pytest.raises(ValueError, match=r"^line \d: expected '"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("text", [
+        "p ffactor 2 1\ne 1 1\ndefault-f 1\n",
+        "p ffactor 2 0\nf 0 -1\nf 1 1\n",
+        "p ffactor 2 0\ndefault-f -1\n",
+        "p ffactor -3 0\n",
+    ])
+    def test_value_errors_name_line(self, text):
+        """A loop, a negative target degree and a negative vertex count are
+        refused on their own line, like every other line error."""
+        with pytest.raises(ValueError, match=r"^line \d"):
+            parse_instance(text)
+
 
 class TestRoundTrip:
     def test_corpus(self):
