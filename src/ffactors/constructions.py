@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .graph import (
     DegreeSpec,
@@ -32,6 +33,10 @@ from .graph import (
 )
 from .instances import check_order
 from .tutte import DeficiencyReport, deficiency
+
+# the most edges a family member may have, checked with n before anything
+# is built: ``gen`` of either family peaks at about 170 MB at the cap
+MAX_M = 500_000
 
 
 @dataclass
@@ -72,6 +77,14 @@ def stability_bound(a: int, b: int, delta: int) -> Fraction:
     if a < 0:
         raise ValueError("need a >= 0")
     return Fraction(4 * a * (delta - b), (b + 1) ** 2)
+
+
+def _check_size(n: int, m: int) -> None:
+    """Refuse a family member of n vertices and m edges past ``MAX_N`` or
+    ``MAX_M``, before it is built."""
+    check_order(n)
+    if m > MAX_M:
+        raise ValueError(f"m={m} is outside the limit of {MAX_M} edges")
 
 
 def _report(
@@ -115,7 +128,8 @@ def build_g0(a: int, b: int, k: int, delta: int, p: int) -> ConstructionReport:
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
     comp_size = delta + 1
-    check_order(k + p * comp_size)
+    _check_size(k + p * comp_size,
+                comb(k + comp_size, 2) + (p - 1) * (comb(comp_size, 2) + 1))
     # S together with C_1 is a complete block
     blocks = disjoint_union([complete_graph(k + comp_size)]
                             + [complete_graph(comp_size)] * (p - 1))
@@ -155,7 +169,8 @@ def build_g1(a: int, b: int, r: int, delta: int, alpha: int) -> ConstructionRepo
     if a < 0:
         raise ValueError("need a >= 0")
     a_size = delta - r + 1
-    check_order(a_size + alpha * r)
+    _check_size(a_size + alpha * r,
+                comb(a_size, 2) + alpha * (comb(r, 2) + a_size * r))
     part_a = complete_graph(a_size)
     part_b = disjoint_union([complete_graph(r) for _ in range(alpha)])
     g = join(part_a, part_b)

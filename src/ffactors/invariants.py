@@ -3,7 +3,7 @@ toughness, odd-component counts, and odd-toughness.
 
 All toughness-type quantities are exact rationals (``fractions.Fraction``),
 never floats: hypothesis thresholds like 1/a must be compared exactly.  The
-toughness computations enumerate vertex subsets in a window of sizes and are
+toughness computations enumerate the cutsets in a window of sizes and are
 exponential; they refuse a window of more than 2^max_n subsets.
 """
 
@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, comb, floor
 
-from .graph import DegreeSpec, Graph, _bits_of, _reach, components_masks
+from .graph import DegreeSpec, Graph, _bits_of, _max_independent, _reach, components_masks
 from .tutte import deficiency
 
 TOUGHNESS_MAX_N = 20
@@ -212,29 +212,47 @@ def odd_component_count(g: Graph, s, f: DegreeSpec) -> int:
     return deficiency(g, s, (), f).h
 
 
-def _cutset_scan(g: Graph, weight, max_n: int, top):
+def _cutset_scan(g: Graph, carriers: int, weight, max_n: int, top):
     """The one cutset enumerator: yield (S, |S| / w) for each cutset S of G,
     i.e. each S whose removal leaves at least two components, with
     w = weight(components of G-S) > 0, by size upward from kappa.
 
-    Every cutset has |S| >= kappa and w <= c(G-S) <= alpha, so a ratio r
-    needs |S| <= r * alpha.  ``top(alpha)``, read again before each size and
-    never growing, is the largest size the caller still needs.  alpha comes
-    first, so kappa is computed capped at the first window top plus one: no
-    flow runs past the window, and a kappa above it scans nothing.  The cap
-    bounds work, not n: the scan is refused past 2^max_n subsets, the cost
-    of a full scan at n = max_n; a cap above n counts as n, as no window
-    holds 2^n subsets.  Each subset is screened by ``_reach``, which stops
-    once it covers G-S, before its components are counted, so
-    ``components_masks`` runs on cutsets only.  Both are BFS over
-    ``g.adj_masks`` alone.
+    The window: every component that ``weight`` counts holds a vertex of
+    the mask ``carriers``, and one such vertex from each component is an
+    independent set, so w <= alpha, the stability number of G[carriers]
+    (the search ``stability_number`` caches when every vertex carries; an
+    alpha of 0 returns at once, as then no component counts).  Every
+    cutset has |S| >= kappa, so a ratio r needs |S| <= r * alpha.
+    ``top(alpha)``, read again before each size and never growing, is the
+    largest size the caller still needs.  alpha comes first, so kappa is
+    computed capped at the first window top plus one: no flow runs past
+    the window, and a kappa above it scans nothing.  The cap bounds work,
+    not n: the scan is refused past 2^max_n subsets, charged as C(n, |S|)
+    before each size as if every subset were screened, the cost of a full
+    scan at n = max_n; a cap above n counts as n, as no window holds 2^n
+    subsets.
+
+    The cutsets: each size visits only its own, from ``_cutsets_of_size``.
+    A cutset S fixes u, the lowest vertex outside S; A, the component of u
+    in G-S; and X = S - ({v < u} | N(A)), a proper subset of
+    Y = {v > u} - N[A] whose complement Y - X is the rest of G-S.  Each
+    such triple gives back S = {v < u} | N(A) | X, so triples and cutsets
+    correspond one to one.  A grows from u by including or excluding each
+    frontier vertex above u; an excluded vertex is adjacent to A but not in
+    the component A, so it lies in N(A), inside S.  Each size's cutsets
+    come in the order ``combinations`` gives their vertex tuples, the
+    order of a screen of every subset, so a caller that stops at its first
+    hit stops where that screen would, and every witness is the screen's.
+    ``components_masks`` counts the components of G-S-A.
     """
     if not g.connected:
         raise ValueError("toughness is defined for connected graphs only")
-    alpha, _ = stability_number(g)
+    alpha = (stability_number(g)[0] if carriers == g.full_mask
+             else _max_independent(g, carriers)[0])
+    if not alpha:
+        return
     kappa = vertex_connectivity(g, min(top(alpha), g.n - 2) + 1)
-    masks, full, budget = g.adj_masks, g.full_mask, 1 << min(max_n, g.n)
-    bits = [1 << v for v in range(g.n)]
+    budget = 1 << min(max_n, g.n)
     for size in range(kappa, g.n - 1):
         last = min(top(alpha), g.n - 2)
         if size > last:
@@ -246,36 +264,82 @@ def _cutset_scan(g: Graph, weight, max_n: int, top):
                 f"{kappa} <= |S| <= {last} holds more than 2^{max_n} subsets "
                 f"(cap {max_n}); raise the cap (--toughness-max-n) to override"
             )
-        for combo in combinations(bits, size):
-            s_mask = sum(combo)
-            rest = full & ~s_mask
-            if _reach(masks, rest) == rest:
-                continue
-            comps = components_masks(g, rest)
-            w = weight(comps)
+        for s_mask, first in _cutsets_of_size(g, size):
+            w = weight([first] + components_masks(g, g.full_mask & ~s_mask & ~first))
             if w:
                 yield s_mask, Fraction(size, w)
 
 
-def _min_ratio(g: Graph, weight, max_n: int) -> ToughnessValue:
+def _cutsets_of_size(g: Graph, size: int) -> list[tuple[int, int]]:
+    """Every cutset S of ``size`` vertices as (S, A), where A is the
+    component of G-S holding u, the lowest vertex outside S, in
+    ``combinations`` order; by the (u, A, X) correspondence of
+    ``_cutset_scan``.
+
+    For each u <= size, a stack grows A from u, branching on its lowest
+    undecided frontier vertex above u.  The excluded vertices join the u
+    vertices below u in S, so a branch dies once no vertex of Y is left,
+    which only shrinks, and A stops growing once G-S would have no room
+    for a second component.  Once S holds ``size`` vertices without X, A
+    is the component of u in G minus S, one ``_reach``; once the frontier
+    is empty, X ranges over the subsets of Y that fill S and leave some of
+    Y out.  Of two sets of one size, ``combinations`` yields first the one
+    holding the lowest vertex where they differ, so the order is that of
+    the bit-reversed masks, descending.
+    """
+    masks, full, room = g.adj_masks, g.full_mask, g.n - size - 1
+    found = []
+    for u in range(min(size, g.n - 2) + 1):
+        below = (1 << u) - 1
+        above = full & ~below & ~(1 << u)
+        stack = [(1 << u, 0, masks[u] & above)]
+        while stack:
+            comp, out, frontier = stack.pop()
+            y = above & ~comp & ~out & ~frontier
+            if not y:
+                continue
+            spare = size - u - out.bit_count()
+            if not spare:
+                rest = full & ~below & ~out
+                comp = _reach(masks, rest)
+                if comp.bit_count() <= room:
+                    found.append((below | out, comp))
+            elif not frontier:
+                if y.bit_count() > spare:
+                    for picked in combinations([1 << v for v in _bits_of(y)], spare):
+                        x = sum(picked)
+                        found.append((below | out | x, comp))
+            else:
+                low = frontier & -frontier
+                stack.append((comp, out | low, frontier ^ low))
+                if comp.bit_count() < room:
+                    grown = masks[low.bit_length() - 1] & y
+                    stack.append((comp | low, out, (frontier ^ low) | grown))
+    width = f"0{g.n}b"
+    found.sort(key=lambda cut: int(format(cut[0], width)[::-1], 2), reverse=True)
+    return found
+
+
+def _min_ratio(g: Graph, carriers: int, weight, max_n: int) -> ToughnessValue:
     """Minimum ratio over all cutsets; the least mask among the minimizers
     is the witness.  A cutset ties the best ratio r only if |S| <= r * alpha."""
     best: Fraction | None = None
     witness = 0
     for s_mask, ratio in _cutset_scan(
-        g, weight, max_n, lambda alpha: g.n if best is None else floor(best * alpha)
+        g, carriers, weight, max_n,
+        lambda alpha: g.n if best is None else floor(best * alpha)
     ):
         if best is None or ratio < best or (ratio == best and s_mask < witness):
             best, witness = ratio, s_mask
     return ToughnessValue(best, None if best is None else _bits_of(witness))
 
 
-def _odd_weight(f: DegreeSpec):
-    """h'(G-S) as a weight on the component masks of G-S: a component's
-    f-sum is odd iff it holds an odd number of odd-f vertices, whose mask is
-    built once per call."""
+def _odd_weight(f: DegreeSpec) -> tuple[int, object]:
+    """The odd-f vertices' mask, the carriers of h'(G-S), and h'(G-S) as a
+    weight on the component masks of G-S: a component's f-sum is odd iff
+    it holds an odd number of odd-f vertices."""
     odd = sum(1 << v for v, fv in enumerate(f.values) if fv & 1)
-    return lambda comps: sum((comp & odd).bit_count() & 1 for comp in comps)
+    return odd, lambda comps: sum((comp & odd).bit_count() & 1 for comp in comps)
 
 
 def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
@@ -283,14 +347,16 @@ def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> Toug
 
     h'(G-S) counts components of G-S whose f-sum is odd.  Infinity when no
     qualifying cutset exists (complete graphs, or no odd component ever).
+    Each such component holds an odd-f vertex, so h'(G-S) is at most alpha
+    of the odd-f vertices, which sets the window: no odd-f vertex, no scan.
     """
-    return _min_ratio(g, _odd_weight(f), max_n)
+    return _min_ratio(g, *_odd_weight(f), max_n)
 
 
 def toughness(g: Graph, max_n: int = TOUGHNESS_MAX_N) -> ToughnessValue:
     """Exact classical toughness min |S| / c(G-S) over cutsets S; infinity for
     complete graphs."""
-    return _min_ratio(g, len, max_n)
+    return _min_ratio(g, g.full_mask, len, max_n)
 
 
 def find_small_odd_tough_violation(
@@ -301,7 +367,7 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
-    scan = _cutset_scan(g, _odd_weight(f), g.n, lambda alpha: SMALL_CUTSET_MAX)
+    scan = _cutset_scan(g, *_odd_weight(f), g.n, lambda alpha: SMALL_CUTSET_MAX)
     return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
 
@@ -311,13 +377,15 @@ def is_t_odd_tough(
     """True iff odd_toughness(G, f) >= t (infinity beats everything; t = 0 is
     always satisfied).
 
-    A violation needs kappa <= |S| < t * alpha, so the scan covers only that
+    A violation needs kappa <= |S| < t * alpha, with alpha taken over the
+    odd-f vertices (h'(G-S) is at most that), so the scan covers only that
     window and stops at the first violating cutset; when t * alpha <= kappa
-    (t = 0, for one) no cutset is scanned at all.  kappa is computed capped
-    at ceil(t * alpha), so no flow runs past the window.
+    (t = 0, or no odd-f vertex, for two) no cutset is scanned at all.
+    kappa is computed capped at ceil(t * alpha), so no flow runs past the
+    window.
     """
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    scan = _cutset_scan(g, _odd_weight(f), max_n, lambda alpha: ceil(t * alpha) - 1)
+    scan = _cutset_scan(g, *_odd_weight(f), max_n, lambda alpha: ceil(t * alpha) - 1)
     return all(ratio >= t for _, ratio in scan)

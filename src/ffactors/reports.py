@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .graph import DegreeSpec, Graph
@@ -107,6 +108,72 @@ def _alpha_failures(g: Graph, alpha, witness) -> list[str]:
     return failures
 
 
+def _component_f_sums(g: Graph, s, f: DegreeSpec) -> list[int]:
+    """f(C) for each component C of G - S, by a breadth-first search over
+    the adjacency lists."""
+    seen, sums = bytearray(g.n), []
+    for v in s:
+        seen[v] = 1
+    for root in range(g.n):
+        if not seen[root]:
+            seen[root], queue = 1, [root]
+            for v in queue:
+                for u in g.adj[v]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        queue.append(u)
+            sums.append(sum(f.values[v] for v in queue))
+    return sums
+
+
+def _ratio_failures(g: Graph, f: DegreeSpec, key: str, value, witness, weight) -> list[str]:
+    """Why ``witness`` does not show the toughness-type ``value`` of g:
+    "infinity" carries a null witness, a finite value a cutset S (at least
+    two components of G - S) with |S| / weight(the components' f-sums)
+    equal to it exactly.  This proves min <= value only; no cutset scan
+    runs."""
+    try:
+        ratio = None if value == "infinity" else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        ratio = False
+    if not (isinstance(value, str) and ratio is not False and (witness is None or (
+            _is_int_list(witness) and all(0 <= v < g.n for v in witness)))):
+        raise ValueError(f"verdicts: {key!r} must be \"infinity\" or a fraction and "
+                         f"'{key}_witness' null or a list of the instance's vertices")
+    if (ratio is None) != (witness is None):
+        return [f"verdicts.{key}={value} but its witness is {json.dumps(witness)}"]
+    if ratio is None:
+        return []
+    if len(set(witness)) < len(witness):
+        return [f"verdicts.{key}_witness repeats a vertex"]
+    sums = _component_f_sums(g, witness, f)
+    if len(sums) < 2:
+        return [f"verdicts.{key}_witness leaves G - S connected"]
+    w = weight(sums)
+    if not w or Fraction(len(witness), w) != ratio:
+        return [f"verdicts.{key}={value} but its witness gives {len(witness)}/{w}"]
+    return []
+
+
+def _invariants_failures(g: Graph, f: DegreeSpec, verdicts: dict) -> list[str]:
+    """Why an ``invariants`` report's verdicts do not check against (g, f):
+    n and m, where given, are read off g, and the alpha and (odd-)toughness
+    witnesses are checked by ``_alpha_failures`` and ``_ratio_failures``,
+    with c(G - S) and h'(G - S), the number of components with an odd
+    f-sum, as the toughness weights."""
+    failures = [f"verdicts.{key}={json.dumps(verdicts[key])} does not match {want}"
+                for key, want in (("n", g.n), ("m", g.m))
+                if key in verdicts and json.dumps(verdicts[key]) != str(want)]
+    if "alpha" in verdicts:
+        failures += _alpha_failures(g, verdicts["alpha"], verdicts.get("alpha_witness"))
+    for key, weight in (("toughness", len),
+                        ("odd_toughness", lambda sums: sum(x & 1 for x in sums))):
+        if key in verdicts:
+            failures += _ratio_failures(g, f, key, verdicts[key],
+                                        verdicts.get(f"{key}_witness"), weight)
+    return failures
+
+
 def _theorem(params: dict):
     """The theorem that a ``verify-theorem`` report's parameters name, and
     the parameters as a namespace; a, b, r and star_order must be integers."""
@@ -164,11 +231,14 @@ def recheck_report(doc: dict) -> list[str]:
     report must also give "deficiency" as its parameters' nonexistence
     reason exactly when it carries a violating pair, and a ``verify-theorem``
     report's parameters must lie in its theorem's domain.  An ``invariants``
-    report's alpha witness must be an independent set of alpha vertices.
+    report's n and m must be the instance's, and its alpha and
+    (odd-)toughness witnesses must show their values, by
+    ``_invariants_failures``: a witness proves alpha >= value and
+    toughness <= value only.
 
     Returns a list of failure descriptions; empty means everything checks.
     A malformed report (not an object, a command outside ``_CERT_KIND``, a
-    certificate or alpha witness with a missing or mistyped field, verdicts
+    certificate or witness with a missing or mistyped field, verdicts
     or parameters of a non-``fuzz`` report that are not objects, a theorem
     id, a, b, r or star_order of the wrong type, or malformed hypothesis
     rows) raises ValueError instead.
@@ -219,12 +289,12 @@ def recheck_report(doc: dict) -> list[str]:
                                     f"{getattr(rep, key)} != recorded {cert[key]}")
             if rep.delta >= 0:
                 failures.append(f"certificate {i}: recorded pair has nonnegative deficiency")
-    if command == "fuzz" or (command == "invariants" and "alpha" not in verdicts):
+    if command == "fuzz":
         return failures
     if g is None:
         return failures + ["verdicts: no embedded instance to check against"]
     if command == "invariants":
-        return failures + _alpha_failures(g, verdicts["alpha"], verdicts.get("alpha_witness"))
+        return failures + _invariants_failures(g, f, verdicts)
     if theorem and (need := theorem.outside(namespace)):
         return failures + [f"parameters: {need}"]
     want = verdicts_of(command, g, f, params, certificates, verdicts.get("hypotheses"))

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own algorithms: maximum
 independent sets by full subset enumeration (and, for larger graphs and
 exact witnesses, by the branch and bound without its cover bound), vertex separators by subset
 search (of the whole graph, and between one pair of vertices),
-(odd-)toughness by a full scan of all subsets, matchings by
+(odd-)toughness by a full scan of all subsets, cutsets by a screen of
+every subset, matchings by
 vertex-subset recursion, degree-bounded factors by edge-subset recursion
 and minimum-deficiency pairs by all 3^n disjoint pairs, each evaluated on
 bitmasks.  They are the ground truth the fast paths are checked against.
@@ -25,6 +26,7 @@ from ffactors.graph import (
     DegreeSpec,
     Graph,
     _bits_of,
+    _reach,
     build_graph,
     components_masks,
 )
@@ -168,6 +170,18 @@ def brute_min_ratio(g: Graph, f: DegreeSpec | None = None):
             best = Fraction(s.bit_count(), w)
             witness = tuple(v for v in range(g.n) if s >> v & 1)
     return best, witness
+
+
+def brute_cutsets(g: Graph, size: int) -> list[tuple[int, list[int]]]:
+    """The cutsets S of ``size`` vertices, each with the components of G-S,
+    in ``combinations`` order: every subset, kept when one BFS from the
+    lowest vertex of G-S does not cover it."""
+    out = []
+    for combo in combinations(range(g.n), size):
+        rest = g.full_mask & ~sum(1 << v for v in combo)
+        if rest and _reach(g.adj_masks, rest) != rest:
+            out.append((g.full_mask & ~rest, components_masks(g, rest)))
+    return out
 
 
 def brute_maximum_matching_size(g: Graph, mask: int | None = None) -> int:

@@ -823,6 +823,73 @@ class TestRecheckAlphaWitness:
         assert "'verdicts'" in err
 
 
+class TestRecheckInvariants:
+    """An ``invariants`` report's n and m must be the instance's, and each
+    (odd-)toughness value must be "infinity" with a null witness, or a
+    fraction that its witness cutset S attains exactly as |S| / c(G - S)
+    or |S| / h'(G - S).  The report carries no alpha, which these checks
+    do not need."""
+
+    def recheck(self, tmp_path, doc) -> tuple[int, str]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(["recheck", str(path)])
+
+    def g12(self, tmp_path) -> dict:
+        """An ``invariants --toughness --odd-toughness`` report on G(12, .4):
+        toughness 6/5 and odd-toughness 4/3, and vertex 0 is no cut vertex."""
+        g = random_connected_graph(12, 0.4, 1)
+        inst, out = tmp_path / "g12.inst", tmp_path / "inv.json"
+        inst.write_text(serialize_instance(g, random_degree_spec(g, 1, 3, 2)))
+        assert run(["invariants", str(inst), "--toughness", "--odd-toughness",
+                    "--out", str(out)])[0] == 0
+        doc = json.loads(out.read_text())
+        assert (doc["verdicts"]["toughness"], doc["verdicts"]["odd_toughness"]) == ("6/5", "4/3")
+        return doc
+
+    def test_untampered_rechecks(self, tmp_path):
+        assert self.recheck(tmp_path, self.g12(tmp_path)) == (0, "")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 99), ("m", 1), ("toughness", "1/100"), ("odd_toughness_witness", [0]),
+        ("toughness_witness", None), ("odd_toughness", "infinity"),
+        ("toughness_witness", [1, 1, 4, 5, 6, 8]),
+    ])
+    def test_single_tamper_exits_1(self, tmp_path, key, value):
+        doc = self.g12(tmp_path)
+        doc["verdicts"][key] = value
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1
+        assert f"verdicts.{key.removesuffix('_witness')}" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("toughness", 1), ("toughness", "abc"), ("odd_toughness", "1/0"),
+        ("toughness_witness", "0"), ("odd_toughness_witness", [12]),
+        ("odd_toughness_witness", [True]),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, key, value):
+        doc = self.g12(tmp_path)
+        doc["verdicts"][key] = value
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert f"'{key.removesuffix('_witness')}'" in err
+
+
+def test_no_odd_f_vertex_gives_infinite_odd_toughness_at_once(tmp_path):
+    """With f = 2 everywhere no component of G - S has an odd f-sum, so
+    odd-toughness is infinity without a scan, even on cycle(400), whose
+    window would hold far more than 2^20 subsets."""
+    g = cycle(400)
+    inst, out = tmp_path / "c400.inst", tmp_path / "inv.json"
+    inst.write_text(serialize_instance(g, constant_spec(g, 2)))
+    started = time.monotonic()
+    assert run(["invariants", str(inst), "--odd-toughness", "--out", str(out)]) == (0, "")
+    assert time.monotonic() - started < 1
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert (verdicts["odd_toughness"], verdicts["odd_toughness_witness"]) == ("infinity", None)
+    assert run(["recheck", str(out)]) == (0, "")
+
+
 def gen_desk_report(tmp_path, *extra: str) -> tuple[Path, dict]:
     """Write the g0 desk instance's gen --report; return its path and document."""
     report = tmp_path / "gen.json"
@@ -880,6 +947,22 @@ def test_gen_refuses_n_past_the_cap(tmp_path, argv, n):
     assert time.monotonic() - started < 1
     assert_one_line_error(code, err)
     assert f"n={n}" in err and "100000" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, m", [
+    (["g0", "--a", "1", "--b", "3", "--k", "1", "--delta", "49998", "--p", "2"], 2_499_900_002),
+    (["g0", "--a", "1", "--b", "3", "--k", "1", "--delta", "708", "--p", "2"], 502_682),
+    (["g1", "--a", "1", "--b", "3", "--r", "1", "--delta", "1000", "--alpha", "2"], 501_500),
+])
+def test_gen_refuses_m_past_the_cap(tmp_path, argv, m):
+    """gen refuses a family member with more than 500,000 edges, K_50,000
+    among them, before it builds anything; n is far below its own cap."""
+    out = tmp_path / "big.inst"
+    started = time.monotonic()
+    code, err = run(["gen", *argv, "--out", str(out)])
+    assert time.monotonic() - started < 1
+    assert_one_line_error(code, err)
+    assert f"m={m}" in err and "500000" in err and not out.exists()
 
 
 @pytest.mark.parametrize("tamper", ["drop certificate", "drop reason"])

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     atlas_graphs,
+    brute_cutsets,
     brute_local_connectivity,
     brute_min_ratio,
     brute_stability,
@@ -285,7 +286,8 @@ class TestComponentsAgainstNetworkx:
         g = build_graph(n, [e for e in combinations(range(n), 2)
                             if rng.random() < min(1.0, 3 / n)])
         f = DegreeSpec(tuple(rng.randint(0, 3) for _ in range(n)))
-        odd_weight = invariants._odd_weight(f)
+        odd, odd_weight = invariants._odd_weight(f)
+        assert _bits_of(odd) == tuple(v for v in range(n) if f.values[v] % 2)
         nx_graph = nx.Graph(g.edges())
         nx_graph.add_nodes_from(range(n))
         seen = set()
@@ -380,6 +382,16 @@ class TestOddToughness:
         with pytest.raises(ValueError, match="connected"):
             odd_toughness(g, constant_spec(g, 1))
 
+    def test_no_odd_f_vertex_is_infinite_at_once(self):
+        # no component of G - S has an odd f-sum, so alpha over the odd-f
+        # vertices is 0 and nothing is scanned, though the window of
+        # cycle(400) would hold far more than 2^20 subsets
+        g = cycle(400)
+        started = time.perf_counter()
+        value = odd_toughness(g, constant_spec(g, 2))
+        assert time.perf_counter() - started < 0.1
+        assert (value.ratio, value.witness) == (None, None)
+
 
 class TestIsTOddTough:
     def test_infinite_beats_everything(self):
@@ -410,6 +422,12 @@ class TestIsTOddTough:
             value = odd_toughness(g, f)
             for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 2):
                 assert is_t_odd_tough(g, f, t) == (value.ratio is None or value.ratio >= t)
+
+    def test_no_odd_f_vertex_holds_at_once(self):
+        g = cycle(400)
+        started = time.perf_counter()
+        assert is_t_odd_tough(g, constant_spec(g, 2), 1)
+        assert time.perf_counter() - started < 0.1
 
     def test_above_cap_without_small_violation_refuses(self):
         # kappa = 2 and alpha = 6, so t = 1 needs sizes 2 to 5: 1,573 subsets
@@ -445,6 +463,92 @@ class TestWindowedScanAgainstFullScan:
             assert (value.ratio, value.witness) == (ratio, witness)
             for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 2):
                 assert is_t_odd_tough(g, f, t) == (ratio is None or ratio >= t)
+
+
+def enumerated_cutsets(g, size):
+    """``_cutsets_of_size`` with each cutset's components as a sorted list."""
+    return [(s_mask, sorted([first] + components_masks(g, g.full_mask & ~s_mask & ~first)))
+            for s_mask, first in invariants._cutsets_of_size(g, size)]
+
+
+def screened_cutsets(g, size):
+    return [(s_mask, sorted(comps)) for s_mask, comps in brute_cutsets(g, size)]
+
+
+def bridged_graph(k, c, seed):
+    """Two G(k, .9) blobs joined only through a clique of c vertices, each
+    joined to every blob vertex with probability .7; removing the clique
+    separates the blobs."""
+    rng = random.Random(seed)
+    edges = [(offset + u, offset + v) for offset in (0, k)
+             for u, v in combinations(range(k), 2) if rng.random() < 0.9]
+    for i in range(2 * k, 2 * k + c):
+        edges += [(i, j) for j in range(i + 1, 2 * k + c)]
+        edges += [(i, v) for v in range(2 * k) if rng.random() < 0.7]
+    return build_graph(2 * k + c, edges)
+
+
+class TestCutsetEnumeration:
+    """Each size's cutsets from the (u, A, X) enumeration against a screen
+    of every subset: the same cutsets in the same order, with the same
+    components."""
+
+    def test_oracle_corpus(self, oracle_corpus):
+        for g, _ in oracle_corpus[::2]:
+            for size in range(g.n - 1):
+                assert enumerated_cutsets(g, size) == screened_cutsets(g, size), (g, size)
+
+    def test_dense16(self):
+        for seed in range(20):
+            g = random_connected_graph(16, 0.7 + 0.15 * seed / 19, seed)
+            found = 0
+            for size in range(g.n - 1):
+                cutsets = enumerated_cutsets(g, size)
+                assert cutsets == screened_cutsets(g, size), (seed, size)
+                found += len(cutsets)
+            assert found
+
+    @pytest.mark.parametrize("k, c", [(7, 2), (8, 3), (9, 4), (10, 4)])
+    def test_bridged(self, k, c):
+        g = bridged_graph(k, c, k + c)
+        assert sum(1 << v for v in range(2 * k, 2 * k + c)) in (
+            s_mask for s_mask, _ in screened_cutsets(g, c))
+        for size in range(c + 2):
+            assert enumerated_cutsets(g, size) == screened_cutsets(g, size), size
+
+    def test_relabelling(self):
+        """Toughness and odd-toughness of n = 14-18 graphs do not change
+        under a random relabelling, and each witness shows its value."""
+        rng = random.Random(47)
+        for g in seeded_corpus(12, 14, 18, seed=47):
+            f = random_degree_spec(g, 1, 2, rng.randrange(1000))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            f_h = DegreeSpec(tuple(f.values[perm.index(v)] for v in range(g.n)))
+            for graph, spec in ((g, f), (h, f_h)):
+                for value, weight in (
+                    (toughness(graph), lambda s: len(components_masks(
+                        graph, graph.full_mask & ~sum(1 << v for v in s)))),
+                    (odd_toughness(graph, spec), lambda s: odd_component_count(graph, s, spec)),
+                ):
+                    if value.ratio is not None:
+                        assert Fraction(len(value.witness), weight(value.witness)) == value.ratio
+                        assert len(components_masks(graph, graph.full_mask & ~sum(
+                            1 << v for v in value.witness))) >= 2
+            assert toughness(h).ratio == toughness(g).ratio
+            assert odd_toughness(h, f_h).ratio == odd_toughness(g, f).ratio
+
+    def test_n20_in_a_second(self):
+        """Odd-toughness of G(20, p) with f in {1, 2}: each size visits only
+        its cutsets, in a window set by alpha of the odd-f vertices."""
+        started = time.perf_counter()
+        values = []
+        for p in (0.5, 0.6, 0.75):
+            g = random_connected_graph(20, p, 1)
+            values.append(odd_toughness(g, random_degree_spec(g, 1, 2, 1)).ratio)
+        assert time.perf_counter() - started < 1
+        assert values == [Fraction(8, 3), Fraction(13, 3), Fraction(16, 3)]
 
 
 class TestToughness:

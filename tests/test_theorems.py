@@ -68,7 +68,9 @@ class TestMainTheorem:
         assert report.prediction == "no prediction"
 
     def test_alpha_searched_once(self, monkeypatch):
-        """The stability row and the odd-toughness scan share one search."""
+        """The stability row searches the whole graph once, and the
+        odd-toughness scan adds one search over the odd-f vertices, the
+        carriers of its window's alpha."""
         import ffactors.graph
         import ffactors.invariants
 
@@ -86,7 +88,11 @@ class TestMainTheorem:
         report = check_main_theorem(built.graph, built.spec, a, b)
         assert hypothesis_named(report, "stability").satisfied
         assert not hypothesis_named(report, "odd_toughness").satisfied
-        assert len(calls) == 1
+        odd = sum(1 << v for v, fv in enumerate(built.spec.values) if fv % 2)
+        assert odd != built.graph.full_mask
+        assert calls.count((built.graph.full_mask,)) == 1
+        assert calls.count((odd,)) == 1
+        assert len(calls) == 2
 
     def test_connectivity_searched_once(self, monkeypatch):
         """The connected row, the cutset scan and its kappa share one BFS."""
