@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import ceil, comb, floor
+from typing import Iterator
 
 from .graph import DegreeSpec, Graph, _bits_of, _max_independent, _reach, components_masks
 from .tutte import deficiency
@@ -239,11 +240,8 @@ def _cutset_scan(g: Graph, carriers: int, weight, max_n: int, top):
     such triple gives back S = {v < u} | N(A) | X, so triples and cutsets
     correspond one to one.  A grows from u by including or excluding each
     frontier vertex above u; an excluded vertex is adjacent to A but not in
-    the component A, so it lies in N(A), inside S.  Each size's cutsets
-    come in the order ``combinations`` gives their vertex tuples, the
-    order of a screen of every subset, so a caller that stops at its first
-    hit stops where that screen would, and every witness is the screen's.
-    ``components_masks`` counts the components of G-S-A.
+    the component A, so it lies in N(A), inside S.  ``components_masks``
+    counts the components of G-S-A.
     """
     if not g.connected:
         raise ValueError("toughness is defined for connected graphs only")
@@ -270,26 +268,25 @@ def _cutset_scan(g: Graph, carriers: int, weight, max_n: int, top):
                 yield s_mask, Fraction(size, w)
 
 
-def _cutsets_of_size(g: Graph, size: int) -> list[tuple[int, int]]:
-    """Every cutset S of ``size`` vertices as (S, A), where A is the
-    component of G-S holding u, the lowest vertex outside S, in
-    ``combinations`` order; by the (u, A, X) correspondence of
-    ``_cutset_scan``.
+def _cutsets_of_size(g: Graph, size: int) -> Iterator[tuple[int, int]]:
+    """Yield every cutset S of ``size`` vertices as (S, A), where A is the
+    component of G-S holding u, the lowest vertex outside S, as it is
+    found; by the (u, A, X) correspondence of ``_cutset_scan``.
 
-    For each u <= size, a stack grows A from u, branching on its lowest
-    undecided frontier vertex above u.  The excluded vertices join the u
-    vertices below u in S, so a branch dies once no vertex of Y is left,
-    which only shrinks, and A stops growing once G-S would have no room
-    for a second component.  Once S holds ``size`` vertices without X, A
-    is the component of u in G minus S, one ``_reach``; once the frontier
-    is empty, X ranges over the subsets of Y that fill S and leave some of
-    Y out.  Of two sets of one size, ``combinations`` yields first the one
-    holding the lowest vertex where they differ, so the order is that of
-    the bit-reversed masks, descending.
+    For each u <= size, from the highest down, so that cutsets holding the
+    lowest vertices come first, as in a screen of every subset (a caller
+    that stops at its first hit, as ``is_t_odd_tough`` does, then meets
+    the clique cut of a g0 member at once), a stack grows A from u,
+    branching on its lowest undecided frontier vertex above u.  The
+    excluded vertices join the u vertices below u in S, so a branch dies
+    once no vertex of Y is left, which only shrinks, and A stops growing
+    once G-S would have no room for a second component.  Once S holds
+    ``size`` vertices without X, A is the component of u in G minus S, one
+    ``_reach``; once the frontier is empty, X ranges over the subsets of Y
+    that fill S and leave some of Y out.
     """
     masks, full, room = g.adj_masks, g.full_mask, g.n - size - 1
-    found = []
-    for u in range(min(size, g.n - 2) + 1):
+    for u in range(min(size, g.n - 2), -1, -1):
         below = (1 << u) - 1
         above = full & ~below & ~(1 << u)
         stack = [(1 << u, 0, masks[u] & above)]
@@ -303,21 +300,17 @@ def _cutsets_of_size(g: Graph, size: int) -> list[tuple[int, int]]:
                 rest = full & ~below & ~out
                 comp = _reach(masks, rest)
                 if comp.bit_count() <= room:
-                    found.append((below | out, comp))
+                    yield below | out, comp
             elif not frontier:
                 if y.bit_count() > spare:
                     for picked in combinations([1 << v for v in _bits_of(y)], spare):
-                        x = sum(picked)
-                        found.append((below | out | x, comp))
+                        yield below | out | sum(picked), comp
             else:
                 low = frontier & -frontier
                 stack.append((comp, out | low, frontier ^ low))
                 if comp.bit_count() < room:
                     grown = masks[low.bit_length() - 1] & y
                     stack.append((comp | low, out, (frontier ^ low) | grown))
-    width = f"0{g.n}b"
-    found.sort(key=lambda cut: int(format(cut[0], width)[::-1], 2), reverse=True)
-    return found
 
 
 def _min_ratio(g: Graph, carriers: int, weight, max_n: int) -> ToughnessValue:

@@ -2,20 +2,22 @@
 
 The solver reduces factor existence to perfect matching in an auxiliary
 gadget graph.  A vertex v of degree d gets d external vertices, one per
-incident edge, and one of two blocks joined completely to them:
+incident edge, and the smaller of two blocks joined completely to them.
+With t = min(hi(v), d), v takes
 
-- copy form, when lo(v) == hi(v) == f(v) and either f(v) < d - f(v) or
-  f(v) > d: f(v) copy vertices (Tutte, "A short proof of the factor
-  theorem for finite graphs", 1954).  Each copy takes one external, so
-  exactly f(v) of v's externals are matched inside the block: those are
-  v's edges in H.  With f(v) > d at least f(v) - d copies stay exposed.
-- slack form, otherwise: d - hi(v) mandatory and hi(v) - lo(v) optional
-  slack vertices (Lovász, "Subgraphs with prescribed valencies", 1970).
-  Here an external matched inside the block is an edge *off* H, so the
-  mandatory slack gives deg_H(v) <= hi(v) and the slack count gives
+- the copy form iff lo(v) + t < d or lo(v) > d: max(lo(v), t) copy
+  vertices, the first lo(v) of them mandatory (Tutte, "A short proof of
+  the factor theorem for finite graphs", 1954).  The externals matched
+  to copies are v's edges in H, so lo(v) <= deg_H(v) <= t; with
+  lo(v) > d, at least lo(v) - d copies stay exposed.
+- the slack form otherwise: d - t mandatory and t - lo(v) optional slack
+  vertices (Lovász, "Subgraphs with prescribed valencies", 1970).  Here
+  an external matched inside the block is an edge *off* H, so the
+  mandatory slack gives deg_H(v) <= t and the slack count gives
   deg_H(v) >= lo(v).
 
-So each vertex has at most d * min(f, d - f) block edges when lo == hi.
+Either way the optional vertices are the block's last t - lo(v), and v has
+at most d * min(t, d - lo(v)) block edges when lo(v) <= d.
 An original edge uv joins its two externals x_u and x_v by a bridge x_u x_v
 when both ends take the same form, and otherwise (a mixed edge) through one
 subdivision vertex joined to both.  Readback: uv is in H iff x_u is matched
@@ -28,18 +30,15 @@ across the edge, and both cross cases put uv in H: the slack-slack bridge
 is matched, or the subdivision vertex takes the slack end's external and
 frees the copy end's external for a copy.  So either endpoint decides.
 
-With q > 0 optional slack vertices, a pairing path of 2q + e vertices comes
-last, e = sum(lo) mod 2, and optional vertex k is joined to its vertices 2k
-and 2k + 1.  Parity lemma: without the path the gadget has sum(lo) vertices
-mod 2, as a copy-form v adds d + lo(v) and a slack-form v adds 2d - lo(v);
-the externals at copy-form ends number 2 (copy-copy edges) + (mixed edges),
-and each mixed edge adds one subdivision vertex.  Pairing lemma: the path
-plus a set U of optional vertices has a perfect matching iff |U| = e mod 2.
-Sweep the pairs (2k, 2k + 1) in order: k in U takes 2k when the open run is
+With q > 0 optional vertices, a pairing path of 2q + e vertices comes
+last, e the parity of the vertex count before it, and optional vertex k is
+joined to its vertices 2k and 2k + 1.  Pairing lemma: the path plus a set
+U of optional vertices has a perfect matching iff |U| = e mod 2.  Sweep
+the pairs (2k, 2k + 1) in order: k in U takes 2k when the open run is
 even, else 2k + 1, so each closed run is even and the last has parity
-|U| + e.  A copy-form v holds no optional slack and has deg_H(v) = lo(v),
-so a factor H leaves 2|H| - sum(lo) = e (mod 2) optional vertices unused:
-a perfect matching gives a factor, and every factor extends to one.
+|U| + e.  A factor H gives a matching of the vertices before the path
+but a set U of optional ones, so |U| = e (mod 2): a perfect matching
+gives a factor, and every factor extends to one.
 
 Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
 initialization; everything is deterministic given the graph's vertex order.
@@ -77,10 +76,10 @@ class GadgetGraph:
     """Auxiliary graph of the factor-to-matching reduction.
 
     Vertex v's block takes consecutive ids, v in increasing order: first its
-    external copies of edges vu, u in increasing order, then its copy
-    vertices, or its mandatory and then its optional slack vertices.  The
-    subdivision vertices of mixed edges follow, in edge order, and the
-    pairing path, if any, comes last.  The layout is ``starts`` plus
+    external copies of edges vu, u in increasing order, then its mandatory
+    and then its optional copy or slack vertices.  The subdivision vertices
+    of mixed edges follow, in edge order, and the pairing path, if any,
+    comes last.  The layout is ``starts`` plus
     ``copy_form``, and no per-edge table is kept: vertex v's externals and
     block are the ids from ``starts[v]`` up to ``starts[v + 1]``, its
     external for its k-th neighbour is ``starts[v] + k``, and
@@ -97,8 +96,8 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     """Build the gadget for lo(v) <= deg(v) <= hi(v), as in the module
     docstring; requires 0 <= lo(v) <= hi(v) and, unless lo(v) == hi(v),
     lo(v) <= d(v); a bound hi(v) above d(v) counts as d(v).  Vertex v takes
-    the copy form iff lo(v) == hi(v) and either 2 lo(v) < d(v) or
-    lo(v) > d(v); the parity lemma there counts the vertices."""
+    the smaller block: the copy form iff lo(v) + min(hi(v), d(v)) < d(v)
+    or lo(v) > d(v)."""
     adj: list[list[int]] = []
     optional: list[int] = []
     copy_form = [False] * g.n
@@ -108,21 +107,21 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         d = g.degree(v)
         if lo[v] > hi[v]:
             raise ValueError(f"lower bound {lo[v]} exceeds upper bound {hi[v]} at vertex {v}")
-        copy_form[v] = lo[v] == hi[v] and (2 * lo[v] < d or lo[v] > d)
-        if lo[v] > d and not copy_form[v]:
+        if lo[v] > d and lo[v] != hi[v]:
             raise ValueError(f"lower bound {lo[v]} exceeds degree {d} at vertex {v}")
+        t = min(hi[v], d)
+        copy_form[v] = lo[v] + t < d or lo[v] > d
         externals = range(len(adj), len(adj) + d)
         adj.extend([] for _ in externals)
         # a list, not a range: the block's entries then share one int
         # object per block vertex instead of allocating their own
-        block = list(range(len(adj), len(adj) + (lo[v] if copy_form[v] else d - lo[v])))
+        block = list(range(len(adj), len(adj) + (max(lo[v], t) if copy_form[v] else d - lo[v])))
         adj.extend([] for _ in block)
         for e in externals:
             for i in block:
                 adj[e].append(i)
                 adj[i].append(e)
-        if not copy_form[v]:
-            optional.extend(block[d - min(hi[v], d):])
+        optional.extend(block[len(block) - t + lo[v]:])
     starts.append(len(adj))
     nxt = starts[:-1]  # v's next unwired external: g.edges() meets v's neighbours in order
     for u, v in g.edges():
@@ -139,7 +138,7 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
             adj[j].append(sub)
     if optional:
         # the pairing path: optional vertex k is joined to path vertices 2k and 2k + 1
-        path = range(len(adj), len(adj) + 2 * len(optional) + sum(lo) % 2)
+        path = range(len(adj), len(adj) + 2 * len(optional) + len(adj) % 2)
         adj.extend([p for p in (i - 1, i + 1) if p in path] for i in path)
         for k, i in enumerate(optional):
             for p in path[2 * k:2 * k + 2]:
@@ -278,7 +277,7 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     if any(low > min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
         return None
     if sum(lo) % 2 and all(low == min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
-        return None  # no optional slack: the degrees are lo(v) and sum to 2|H|
+        return None  # no optional vertex: the degrees are lo(v) and sum to 2|H|
     gadget = tutte_gadget(g, lo, hi)
     mate, _ = _blossom_matching(gadget.size, gadget.adj)
     if -1 in mate:

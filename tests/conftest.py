@@ -333,6 +333,13 @@ def brute_force_ab_factor(
     return _edge_search(g, [a] * g.n, [b] * g.n, max_m)
 
 
+def complement(g: Graph, h: FactorSubgraph) -> FactorSubgraph:
+    """E(G) minus h: an f-factor's complement is a (d - f)-factor, and an
+    [lo, hi]-factor's a [d - hi, d - lo]-factor."""
+    kept = set(h.edges)
+    return FactorSubgraph(tuple(e for e in g.edges() if e not in kept))
+
+
 def atlas_graphs(max_n: int, connected_only: bool = False) -> list[Graph]:
     """All graphs up to isomorphism with at most max_n <= 7 vertices."""
     import networkx as nx

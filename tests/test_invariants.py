@@ -416,6 +416,22 @@ class TestIsTOddTough:
         a = built.params["a"]
         assert not is_t_odd_tough(built.graph, built.spec, Fraction(1, a))
 
+    def test_g0_clique_cut_is_the_first_cutset(self, monkeypatch):
+        """Each size's cutsets holding the lowest vertices come first, so
+        the desk instance's violation, its clique cut {0}, is the first
+        cutset handed to ``components_masks``."""
+        calls = []
+
+        def counted(g, mask):
+            calls.append(mask)
+            return components_masks(g, mask)
+
+        monkeypatch.setattr(invariants, "components_masks", counted)
+        built = g0_desk_instance()
+        assert built.params["k"] == 1
+        assert not is_t_odd_tough(built.graph, built.spec, Fraction(1, built.params["a"]))
+        assert len(calls) == 1
+
     def test_agrees_with_odd_toughness(self):
         for g in seeded_corpus(20, 4, 9, seed=29):
             f = DegreeSpec(tuple((v % 3) + 1 for v in range(g.n)))
@@ -466,13 +482,14 @@ class TestWindowedScanAgainstFullScan:
 
 
 def enumerated_cutsets(g, size):
-    """``_cutsets_of_size`` with each cutset's components as a sorted list."""
-    return [(s_mask, sorted([first] + components_masks(g, g.full_mask & ~s_mask & ~first)))
-            for s_mask, first in invariants._cutsets_of_size(g, size)]
+    """``_cutsets_of_size`` by mask, with each cutset's components as a
+    sorted list."""
+    return sorted((s_mask, sorted([first] + components_masks(g, g.full_mask & ~s_mask & ~first)))
+                  for s_mask, first in invariants._cutsets_of_size(g, size))
 
 
 def screened_cutsets(g, size):
-    return [(s_mask, sorted(comps)) for s_mask, comps in brute_cutsets(g, size)]
+    return sorted((s_mask, sorted(comps)) for s_mask, comps in brute_cutsets(g, size))
 
 
 def bridged_graph(k, c, seed):
@@ -490,8 +507,9 @@ def bridged_graph(k, c, seed):
 
 class TestCutsetEnumeration:
     """Each size's cutsets from the (u, A, X) enumeration against a screen
-    of every subset: the same cutsets in the same order, with the same
-    components."""
+    of every subset: the same cutsets, each once, with the same components;
+    both sides are sorted by mask, as the enumeration yields them in no
+    fixed order."""
 
     def test_oracle_corpus(self, oracle_corpus):
         for g, _ in oracle_corpus[::2]:

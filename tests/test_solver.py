@@ -10,6 +10,7 @@ from conftest import (
     brute_force_f_factor,
     brute_gallai_edmonds,
     brute_maximum_matching_size,
+    complement,
     maximum_matching,
     seeded_corpus,
 )
@@ -28,6 +29,7 @@ from ffactors.graph import (
 from ffactors.instances import random_connected_graph, random_degree_spec, random_graph
 from ffactors.solver import (
     FactorSubgraph,
+    GadgetGraph,
     _blossom_matching,
     find_f_factor,
     find_factor,
@@ -41,16 +43,62 @@ from ffactors.tutte import find_violating_pair
 def _gadget_edge_kinds(g, lo, hi) -> Counter:
     """How the gadget of find_factor(g, lo, hi) joins each edge: "copy"
     (two copy-form ends), "slack" (two slack-form ends) or "mixed".  A
-    vertex takes the copy form iff lo == hi and 2 lo < d.  Empty when
-    find_factor answers before building a gadget."""
+    vertex takes the copy form iff lo + min(hi, d) < d, as lo <= min(hi, d)
+    here.  Empty when find_factor answers before building a gadget."""
     degrees = [g.degree(v) for v in range(g.n)]
     if any(x > min(h, d) for x, h, d in zip(lo, hi, degrees)):
         return Counter()
-    copy = [x == h and 2 * x < d for x, h, d in zip(lo, hi, degrees)]
+    copy = [x + min(h, d) < d for x, h, d in zip(lo, hi, degrees)]
     return Counter(
         "copy" if copy[u] and copy[v] else "mixed" if copy[u] or copy[v] else "slack"
         for u, v in g.edges()
     )
+
+
+def _lo_eq_hi_copy_form_gadget(g, lo, hi) -> GadgetGraph:
+    """A frozen copy of the gadget as built while only lo == hi vertices
+    could take the copy form, with the pairing path's parity taken from
+    sum(lo)."""
+    adj: list[list[int]] = []
+    optional: list[int] = []
+    copy_form = [False] * g.n
+    starts = []
+    for v in range(g.n):
+        starts.append(len(adj))
+        d = g.degree(v)
+        copy_form[v] = lo[v] == hi[v] and (2 * lo[v] < d or lo[v] > d)
+        externals = range(len(adj), len(adj) + d)
+        adj.extend([] for _ in externals)
+        block = list(range(len(adj), len(adj) + (lo[v] if copy_form[v] else d - lo[v])))
+        adj.extend([] for _ in block)
+        for e in externals:
+            for i in block:
+                adj[e].append(i)
+                adj[i].append(e)
+        if not copy_form[v]:
+            optional.extend(block[d - min(hi[v], d):])
+    starts.append(len(adj))
+    nxt = starts[:-1]
+    for u, v in g.edges():
+        i, j = nxt[u], nxt[v]
+        nxt[u] += 1
+        nxt[v] += 1
+        if copy_form[u] == copy_form[v]:
+            adj[i].append(j)
+            adj[j].append(i)
+        else:
+            sub = len(adj)
+            adj.append([i, j])
+            adj[i].append(sub)
+            adj[j].append(sub)
+    if optional:
+        path = range(len(adj), len(adj) + 2 * len(optional) + sum(lo) % 2)
+        adj.extend([p for p in (i - 1, i + 1) if p in path] for i in path)
+        for k, i in enumerate(optional):
+            for p in path[2 * k:2 * k + 2]:
+                adj[i].append(p)
+                adj[p].append(i)
+    return GadgetGraph(len(adj), adj, starts, copy_form)
 
 
 def _matcher_corpus() -> list:
@@ -144,22 +192,28 @@ class TestGadget:
         assert odd_sums >= 15
 
     def test_bounded_shape(self):
-        g = complete_graph(4)  # d = 3 and hi = 2: one mandatory slack vertex each
+        g = complete_graph(4)  # d = 3 and hi = 2, so t = min(hi, d) = 2
         gadget = tutte_gadget(g, (0, 1, 1, 1), (2,) * 4)
-        # externals, mandatory, optional (2 + 1 + 1 + 1), and a pairing path
-        # of 2 * 5 + 1 vertices (sum(lo) = 3)
-        assert gadget.size == 12 + 4 + 5 + 11 == 32
-        # bridges, blocks of 3 externals times d - lo slack, path edges, and
-        # two edges from each optional vertex to the path
-        assert sum(map(len, gadget.adj)) // 2 == 6 + (9 + 3 * 6) + 10 + 2 * 5 == 53
+        # lo + t < d only at vertex 0: two optional copies; vertices 1-3 get
+        # one mandatory and one optional slack vertex each
+        assert gadget.copy_form == [True, False, False, False]
+        # externals, blocks (2 + 3 * 2), a subdivision vertex on each of
+        # vertex 0's three mixed edges, and a pairing path of 2 * 5 + 1
+        # vertices, as the 23 vertices before it are odd
+        assert gadget.size == 12 + 8 + 3 + 11 == 34
+        # bridges, subdivision edges, blocks of 3 externals times 2, path
+        # edges, and two edges from each optional vertex to the path
+        assert sum(map(len, gadget.adj)) // 2 == 3 + 6 + 4 * 6 + 10 + 2 * 5 == 53
         # hi above the degree counts as the degree: no mandatory slack, so
-        # 8 optional slack vertices and a path of 2 * 8 (sum(lo) = 4)
+        # 8 optional slack vertices and a path of 2 * 8, as the 20 vertices
+        # before it are even
         assert tutte_gadget(g, (1,) * 4, (9,) * 4).size == 12 + 4 * 2 + 16 == 36
 
     def test_pairing_path(self):
-        """Optional slack vertex k is joined to path vertices 2k and 2k + 1 of
-        a path of 2q + sum(lo) mod 2 vertices that comes last, and the
-        gadget has an even number of vertices."""
+        """Optional vertex k, the last min(hi, d) - lo of either form's
+        block, is joined to path vertices 2k and 2k + 1 of a path of
+        2q + (vertex count before the path) mod 2 vertices that comes last,
+        and the gadget has an even number of vertices."""
         rng = random.Random(67)
         paths = 0
         for _ in range(200):
@@ -168,13 +222,16 @@ class TestGadget:
             lo = [rng.randint(0, g.degree(v)) for v in range(n)]
             hi = [x + rng.randint(0, 3) for x in lo]
             gadget = tutte_gadget(g, lo, hi)
-            optional = [i for v in range(n) if not gadget.copy_form[v]
+            optional = [i for v in range(n)
                         for i in range(gadget.starts[v + 1] - (min(hi[v], g.degree(v)) - lo[v]),
                                        gadget.starts[v + 1])]
             if not optional:
                 continue
             paths += 1
-            first = gadget.size - 2 * len(optional) - sum(lo) % 2
+            # the path follows the blocks and one subdivision vertex per mixed edge
+            first = gadget.starts[-1] + sum(
+                gadget.copy_form[u] != gadget.copy_form[v] for u, v in g.edges())
+            assert gadget.size == first + 2 * len(optional) + first % 2
             assert gadget.size % 2 == 0
             for i in range(first, gadget.size):
                 along = {p for p in (i - 1, i + 1) if first <= p < gadget.size}
@@ -416,6 +473,67 @@ class TestFindFactor:
         """An [a, b] search on a 20,000-vertex cycle stays linear in size."""
         n = 20_000
         g, lo, hi = cycle(n), [1] * n, [2] * n
+        started = time.perf_counter()
+        factor = find_factor(g, lo, hi)
+        assert time.perf_counter() - started < 2
+        assert factor is not None and verify_factor(g, lo, hi, factor)
+
+    def test_gadget_unchanged_without_a_new_copy_form(self):
+        """Where no vertex has lo < hi and lo + min(hi, d) < d, the gadget is
+        the one built when only lo == hi vertices took the copy form, down
+        to the order of every adjacency list."""
+        rng = random.Random(131)
+        kinds: Counter = Counter()
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8, 1]), rng.randrange(10**6))
+            d = [g.degree(v) for v in range(n)]
+            lo = [rng.randint(0, x) for x in d]
+            hi = lo[:] if rng.random() < 0.25 else [x + rng.randint(0, 3) for x in lo]
+            if any(x < y and x + min(y, z) < z for x, y, z in zip(lo, hi, d)):
+                kinds["new copy form"] += 1
+                continue
+            gadget = tutte_gadget(g, lo, hi)
+            assert gadget == _lo_eq_hi_copy_form_gadget(g, lo, hi), (g.edges(), lo, hi)
+            kinds["path"] += gadget.size > gadget.starts[-1] + sum(
+                gadget.copy_form[u] != gadget.copy_form[v] for u, v in g.edges())
+            kinds["both forms"] += len(set(gadget.copy_form)) == 2
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_lo_hi_duality(self):
+        """H is an [lo, hi]-factor iff E(G) - H is a [d - hi, d - lo]-factor.
+        A small lo < hi takes the copy form and its dual the slack form, so
+        each form is checked against the other above the oracles' reach."""
+        rng = random.Random(21)
+        kinds: Counter = Counter()
+        for _ in range(150):
+            n = rng.randint(10, 120)
+            g = random_graph(n, rng.choice([3 / n, 6 / n, 0.3, 0.6]), rng.randrange(10**6))
+            d = [g.degree(v) for v in range(n)]
+            lo = [min(rng.randint(0, 3), x) for x in d]
+            hi = [min(x + rng.randint(0, 3), y) for x, y in zip(lo, d)]
+            dual_lo, dual_hi = [x - y for x, y in zip(d, hi)], [x - y for x, y in zip(d, lo)]
+            factor, dual = find_factor(g, lo, hi), find_factor(g, dual_lo, dual_hi)
+            assert (factor is None) == (dual is None), (g.edges(), lo, hi)
+            if factor is not None:
+                assert verify_factor(g, lo, hi, factor)
+                assert verify_factor(g, dual_lo, dual_hi, complement(g, factor))
+                assert verify_factor(g, lo, hi, complement(g, dual))
+            kinds["new copy form"] += any(
+                x < y and x + y < z for x, y, z in zip(lo, hi, d))
+            kinds["factor"] += factor is not None
+            kinds["no factor"] += factor is None
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_ab_gadget_scale(self):
+        """The [1, 2] gadget of G(400, .5) has O(b m + b n) edges, at most
+        (2b + 2) m + 4 b n: blocks of at most d * b, two edges per mixed
+        edge, and a pairing path of at most b optional vertices each."""
+        g = random_connected_graph(400, 0.5, 1)
+        lo, hi = [1] * g.n, [2] * g.n
+        gadget = tutte_gadget(g, lo, hi)
+        assert sum(map(len, gadget.adj)) // 2 <= (2 * 2 + 2) * g.m + 4 * 2 * g.n
+        del gadget
         started = time.perf_counter()
         factor = find_factor(g, lo, hi)
         assert time.perf_counter() - started < 2

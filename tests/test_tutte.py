@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_min_deficiency, oracle_deficiencies, seeded_corpus
+from conftest import brute_min_deficiency, complement, oracle_deficiencies, seeded_corpus
 from ffactors.graph import (
     DegreeSpec,
     _bits_of,
@@ -19,7 +19,7 @@ from ffactors.reports import (
     build_report, certificates, recheck_report, verdicts_of,
 )
 from ffactors import tutte
-from ffactors.solver import _blossom_matching, tutte_gadget
+from ffactors.solver import _blossom_matching, find_f_factor, tutte_gadget, verify_f_factor
 from ffactors.tutte import (
     deficiency,
     find_violating_pair,
@@ -242,6 +242,82 @@ class TestOracle:
             self._check(g, f, kinds)
             kinds["clamped"] += any(f.values[v] > g.degree(v) + 2 for v in range(n))
         assert min(kinds.values()) >= 50, kinds
+
+
+def _scaling_instance(rng):
+    """A graph with n = 10-80 and an f with an even sum and f <= d: on half
+    of them sparse, with f in [1, 3], mostly without a factor; on the other
+    half dense, with the degrees of a random fifth of the edges, so a factor
+    exists and small f takes the copy form where d - f takes the slack form."""
+    n = rng.randint(10, 80)
+    sparse = rng.random() < 0.5
+    g = random_graph(n, rng.choice([3 / n, 6 / n] if sparse else [0.3, 0.6]),
+                     rng.randrange(10**6))
+    d = [g.degree(v) for v in range(n)]
+    if sparse:
+        f = [rng.randint(min(1, x), min(3, x)) for x in d]
+    else:
+        keep = [e for e in g.edges() if rng.random() < 0.2]
+        f = [sum(v in e for e in keep) for v in range(n)]
+    if sum(f) % 2:  # some f(v) < d(v), as f == d would sum to 2m
+        f[next(v for v in range(n) if f[v] < d[v])] += 1
+    return g, DegreeSpec(tuple(f))
+
+
+class TestScalingOracles:
+    """Two exact relations that hold at any n, above the brute-force
+    oracles' reach."""
+
+    def test_f_and_d_minus_f(self):
+        """H is an f-factor iff E(G) - H is a (d - f)-factor, and
+        delta_f(S, T) = delta_{d-f}(T, S) term by term, so the minimum
+        delta is the same for f and d - f."""
+        rng = random.Random(21)
+        kinds: Counter = Counter()
+        for _ in range(80):
+            g, f = _scaling_instance(rng)
+            dual = DegreeSpec(tuple(g.degree(v) - fv for v, fv in enumerate(f.values)))
+            pair, dual_pair = find_violating_pair(g, f), find_violating_pair(g, dual)
+            assert (pair is None) == (dual_pair is None), (g.edges(), f.values)
+            if pair is not None:
+                assert pair.delta == dual_pair.delta, (g.edges(), f.values)
+                assert deficiency(g, pair.t, pair.s, dual).delta == pair.delta
+            factor = find_f_factor(g, f)
+            assert (factor is None) == (pair is not None)
+            if factor is not None:
+                assert verify_f_factor(g, dual, complement(g, factor))
+            gadget, dual_gadget = tutte_gadget(g, f.values, f.values), tutte_gadget(
+                g, dual.values, dual.values)
+            kinds["both forms"] += any(a != b for a, b in zip(
+                gadget.copy_form, dual_gadget.copy_form))
+            kinds["violating"] += pair is not None
+            kinds["factor"] += factor is not None
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_relabelling(self):
+        """A random relabelling keeps factor existence and minimum delta."""
+        rng = random.Random(11)
+        kinds: Counter = Counter()
+        for _ in range(80):
+            g, f = _scaling_instance(rng)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            f_h = [0] * g.n
+            for v, fv in enumerate(f.values):
+                f_h[perm[v]] = fv
+            f_h = DegreeSpec(tuple(f_h))
+            pair, pair_h = find_violating_pair(g, f), find_violating_pair(h, f_h)
+            assert (pair is None) == (pair_h is None), (g.edges(), f.values)
+            if pair is not None:
+                assert pair.delta == pair_h.delta, (g.edges(), f.values)
+            factor, factor_h = find_f_factor(g, f), find_f_factor(h, f_h)
+            assert (factor is None) == (factor_h is None) == (pair is not None)
+            if factor_h is not None:
+                assert verify_f_factor(h, f_h, factor_h)
+            kinds["violating"] += pair is not None
+            kinds["factor"] += factor is not None
+        assert min(kinds.values()) >= 10, kinds
 
 
 def test_gadget_bound_stays_within_degree_plus_two(monkeypatch):
