@@ -57,18 +57,9 @@ class Graph:
 
     @cached_property
     def connected(self) -> bool:
-        """True for connected graphs, by one BFS over the adjacency lists; a
-        single vertex counts as connected, the null graph does not."""
-        if not self.n:
-            return False
-        seen, queue = bytearray(self.n), [0]
-        seen[0] = 1
-        for v in queue:
-            for u in self.adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    queue.append(u)
-        return len(queue) == self.n
+        """True for connected graphs, by ``components``; a single vertex
+        counts as connected, the null graph does not."""
+        return len(components(self)) == 1
 
     @cached_property
     def full_mask(self) -> int:
@@ -146,6 +137,25 @@ def _reach(masks: tuple[int, ...], mask: int) -> int:
         if reached == mask:
             break
     return reached
+
+
+def components(g: Graph, removed: Iterable[int] = ()) -> list[list[int]]:
+    """Connected components of G minus the vertices ``removed``, ordered by
+    smallest vertex, as vertex lists in breadth-first order from it: one
+    search over the adjacency lists."""
+    seen, out = bytearray(g.n), []
+    for v in removed:
+        seen[v] = 1
+    for root in range(g.n):
+        if not seen[root]:
+            seen[root], queue = 1, [root]
+            for v in queue:
+                for u in g.adj[v]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        queue.append(u)
+            out.append(queue)
+    return out
 
 
 def components_masks(g: Graph, mask: int) -> list[int]:

@@ -16,8 +16,9 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .graph import DegreeSpec, Graph
+from .graph import DegreeSpec, Graph, components
 from .instances import parse_instance, serialize_instance, text_digest
+from .invariants import vertex_connectivity
 from .solver import FactorSubgraph, verify_factor
 from .theorems import THEOREMS
 from .tutte import DeficiencyReport, deficiency
@@ -108,30 +109,12 @@ def _alpha_failures(g: Graph, alpha, witness) -> list[str]:
     return failures
 
 
-def _component_f_sums(g: Graph, s, f: DegreeSpec) -> list[int]:
-    """f(C) for each component C of G - S, by a breadth-first search over
-    the adjacency lists."""
-    seen, sums = bytearray(g.n), []
-    for v in s:
-        seen[v] = 1
-    for root in range(g.n):
-        if not seen[root]:
-            seen[root], queue = 1, [root]
-            for v in queue:
-                for u in g.adj[v]:
-                    if not seen[u]:
-                        seen[u] = 1
-                        queue.append(u)
-            sums.append(sum(f.values[v] for v in queue))
-    return sums
-
-
-def _ratio_failures(g: Graph, f: DegreeSpec, key: str, value, witness, weight) -> list[str]:
+def _ratio_failures(g: Graph, key: str, value, witness, weight) -> list[str]:
     """Why ``witness`` does not show the toughness-type ``value`` of g:
     "infinity" carries a null witness, a finite value a cutset S (at least
-    two components of G - S) with |S| / weight(the components' f-sums)
-    equal to it exactly.  This proves min <= value only; no cutset scan
-    runs."""
+    two components of G - S, by ``components``) with |S| / weight(those
+    components) equal to it exactly.  This proves min <= value only; no
+    cutset scan runs."""
     try:
         ratio = None if value == "infinity" else Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -146,10 +129,10 @@ def _ratio_failures(g: Graph, f: DegreeSpec, key: str, value, witness, weight) -
         return []
     if len(set(witness)) < len(witness):
         return [f"verdicts.{key}_witness repeats a vertex"]
-    sums = _component_f_sums(g, witness, f)
-    if len(sums) < 2:
+    comps = components(g, witness)
+    if len(comps) < 2:
         return [f"verdicts.{key}_witness leaves G - S connected"]
-    w = weight(sums)
+    w = weight(comps)
     if not w or Fraction(len(witness), w) != ratio:
         return [f"verdicts.{key}={value} but its witness gives {len(witness)}/{w}"]
     return []
@@ -157,19 +140,26 @@ def _ratio_failures(g: Graph, f: DegreeSpec, key: str, value, witness, weight) -
 
 def _invariants_failures(g: Graph, f: DegreeSpec, verdicts: dict) -> list[str]:
     """Why an ``invariants`` report's verdicts do not check against (g, f):
-    n and m, where given, are read off g, and the alpha and (odd-)toughness
-    witnesses are checked by ``_alpha_failures`` and ``_ratio_failures``,
-    with c(G - S) and h'(G - S), the number of components with an odd
-    f-sum, as the toughness weights."""
+    n and m, where given, are read off g, kappa is recomputed capped at
+    its value + 1, which proves it from both sides, and the alpha and
+    (odd-)toughness witnesses are checked by ``_alpha_failures`` and
+    ``_ratio_failures``, with c(G - S) and h'(G - S), the number of
+    components with an odd f-sum, as the toughness weights."""
     failures = [f"verdicts.{key}={json.dumps(verdicts[key])} does not match {want}"
                 for key, want in (("n", g.n), ("m", g.m))
                 if key in verdicts and json.dumps(verdicts[key]) != str(want)]
+    if "kappa" in verdicts:
+        kappa = verdicts["kappa"]
+        if not (type(kappa) is int and kappa >= 0):
+            raise ValueError("verdicts: 'kappa' must be a nonnegative integer")
+        if (got := vertex_connectivity(g, kappa + 1)) != kappa:
+            failures.append(f"verdicts.kappa={kappa} but min(kappa, {kappa + 1}) = {got}")
     if "alpha" in verdicts:
         failures += _alpha_failures(g, verdicts["alpha"], verdicts.get("alpha_witness"))
-    for key, weight in (("toughness", len),
-                        ("odd_toughness", lambda sums: sum(x & 1 for x in sums))):
+    for key, weight in (("toughness", len), ("odd_toughness", lambda comps: sum(
+            sum(f.values[v] for v in c) & 1 for c in comps))):
         if key in verdicts:
-            failures += _ratio_failures(g, f, key, verdicts[key],
+            failures += _ratio_failures(g, key, verdicts[key],
                                         verdicts.get(f"{key}_witness"), weight)
     return failures
 
@@ -231,7 +221,7 @@ def recheck_report(doc: dict) -> list[str]:
     report must also give "deficiency" as its parameters' nonexistence
     reason exactly when it carries a violating pair, and a ``verify-theorem``
     report's parameters must lie in its theorem's domain.  An ``invariants``
-    report's n and m must be the instance's, and its alpha and
+    report's n, m and kappa must be the instance's, and its alpha and
     (odd-)toughness witnesses must show their values, by
     ``_invariants_failures``: a witness proves alpha >= value and
     toughness <= value only.

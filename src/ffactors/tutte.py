@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DegreeSpec, Graph, as_vertex_set
+from .graph import DegreeSpec, Graph, as_vertex_set, components
 from .solver import _blossom_matching, tutte_gadget
 
 
@@ -48,32 +48,20 @@ class DeficiencyReport:
 
 def _evaluate(g: Graph, s, t, fvals) -> tuple[int, int, int, int, int]:
     """Return (f_s, f_t, degree_term, h, delta) for the disjoint vertex lists
-    s and t, in O(n + m): one BFS of G - (S u T) sums f(C) + e(C, T) per
-    component C."""
-    adj = g.adj
-    side = bytearray(g.n)  # 1 in S, 2 in T, 3 once reached in G - (S u T)
+    s and t, in O(n + m).  The pass over T's lists that counts the degree
+    term also adds e(v, T) to the weight f(v) of each vertex v it reaches,
+    so h counts the components of G - (S u T) with an odd weight sum."""
+    in_s, weight, degree_term = bytearray(g.n), list(fvals), 0
     for v in s:
-        side[v] = 1
+        in_s[v] = 1
     for v in t:
-        side[v] = 2
+        for u in g.adj[v]:
+            if not in_s[u]:
+                degree_term += 1
+                weight[u] += 1
     f_s = sum(fvals[v] for v in s)
     f_t = sum(fvals[v] for v in t)
-    degree_term = sum(side[u] != 1 for v in t for u in adj[v])
-    h = 0
-    for root in range(g.n):
-        if side[root]:
-            continue
-        side[root] = 3
-        queue, parity = [root], 0
-        for v in queue:
-            parity += fvals[v]
-            for u in adj[v]:
-                if not side[u]:
-                    side[u] = 3
-                    queue.append(u)
-                elif side[u] == 2:
-                    parity += 1
-        h += parity & 1
+    h = sum(sum(weight[v] for v in c) & 1 for c in components(g, [*s, *t]))
     return f_s, f_t, degree_term, h, f_s - f_t + degree_term - h
 
 

@@ -828,6 +828,31 @@ class TestRecheckAlphaWitness:
         assert "'verdicts'" in err
 
 
+class TestRecheckKappa:
+    """An ``invariants`` report's kappa is recomputed capped at its value
+    + 1: any other value fails (exit 1), and one that is not a nonnegative
+    integer is malformed (exit 2).  The G(14, .4) report has kappa = 2."""
+
+    recheck = TestRecheckAlphaWitness.recheck
+    g14 = TestRecheckAlphaWitness.g14
+
+    @pytest.mark.parametrize("kappa", [99, 3, 1, 0])
+    def test_wrong_kappa_exits_1(self, tmp_path, kappa):
+        doc, _ = self.g14(tmp_path)
+        assert doc["verdicts"]["kappa"] == 2
+        doc["verdicts"]["kappa"] = kappa
+        code, err = self.recheck(tmp_path, doc)
+        assert code == 1 and err.count("\n") == 1 and f"verdicts.kappa={kappa} " in err
+
+    @pytest.mark.parametrize("kappa", [True, "2", 2.0, -1])
+    def test_malformed_kappa_exits_2(self, tmp_path, kappa):
+        doc, _ = self.g14(tmp_path)
+        doc["verdicts"]["kappa"] = kappa
+        code, err = self.recheck(tmp_path, doc)
+        assert_one_line_error(code, err)
+        assert "'kappa'" in err
+
+
 class TestRecheckInvariants:
     """An ``invariants`` report's n and m must be the instance's, and each
     (odd-)toughness value must be "infinity" with a null witness, or a

@@ -24,6 +24,7 @@ from ffactors.graph import (
     _max_independent,
     build_graph,
     complete_graph,
+    components,
     components_masks,
     constant_spec,
     cycle,
@@ -274,8 +275,9 @@ class TestVertexConnectivity:
 
 
 class TestComponentsAgainstNetworkx:
-    """The one bitmask component search, and the adjacency-list BFS of
-    ``Graph.connected``, against networkx."""
+    """The two component searches against networkx: ``components_masks``
+    over bitmasks, and ``components`` over the adjacency lists, which
+    ``Graph.connected`` reads."""
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 53])
     def test_components_masks(self, n):
@@ -301,6 +303,30 @@ class TestComponentsAgainstNetworkx:
             assert odd_weight(comps) == sum(sum(f.values[v] for v in c) % 2 for c in expected)
             seen.add(len(comps) == 1)
         assert seen == ({True} if n == 1 else {True, False})
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 53])
+    def test_components(self, n):
+        """Components of G - R, their order by smallest vertex, and each
+        list's first vertex, on the same graphs and random removed sets R,
+        none and all of V included."""
+        rng = random.Random(n)
+        g = build_graph(n, [e for e in combinations(range(n), 2)
+                            if rng.random() < min(1.0, 3 / n)])
+        nx_graph = nx.Graph(g.edges())
+        nx_graph.add_nodes_from(range(n))
+        removed_sets = [[], list(range(n))]
+        for _ in range(500):
+            density = rng.random()
+            removed_sets.append([v for v in range(n) if rng.random() < density])
+        sizes = set()
+        for removed in removed_sets:
+            comps = components(g, removed)
+            expected = nx.connected_components(nx_graph.subgraph(set(range(n)) - set(removed)))
+            assert sorted(map(sorted, comps)) == sorted(sorted(c) for c in expected)
+            assert all(c[0] == min(c) for c in comps)
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+            sizes.add(min(len(comps), 2))
+        assert sizes == ({0, 1} if n == 1 else {0, 1, 2})
 
     def test_is_connected(self, small_atlas):
         kinds = set()

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import ceil
 from types import SimpleNamespace
 
@@ -437,3 +438,40 @@ class TestExponentialRowsWaitForPolynomialRows:
         assert time.perf_counter() - started < 1
         assert hypothesis_named(report, "stability").observed == NOT_EVALUATED
         assert report.prediction == "no prediction"
+
+
+class TestRelabelling:
+    def test_alpha_kappa_and_every_theorem(self):
+        """alpha, kappa and every theorem's rows and confirmation do not
+        change under a random relabelling, on n = 6-13 graphs, and the
+        relabelled graph's alpha witness is an independent set of alpha
+        vertices."""
+        rng = random.Random(23)
+        runs = met = 0
+        for _ in range(200):
+            n = rng.randint(6, 13)
+            g = random_connected_graph(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.randrange(2**31))
+            a, b = rng.choice(((1, 2), (1, 3), (2, 3), (2, 4)))
+            f = random_degree_spec(g, a, b, rng.randrange(2**31))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            f_h = [0] * n
+            for v, fv in enumerate(f.values):
+                f_h[perm[v]] = fv
+            f_h = DegreeSpec(tuple(f_h))
+            alpha, witness = invariants.stability_number(h)
+            assert alpha == invariants.stability_number(g)[0] == len(witness)
+            assert not any(h.has_edge(u, v) for u, v in combinations(witness, 2))
+            assert invariants.vertex_connectivity(h) == invariants.vertex_connectivity(g)
+            params = SimpleNamespace(a=a, b=b, r=rng.choice((1, 2, 3)),
+                                     star_order=rng.choice((2, 3)), confirm=True,
+                                     toughness_max_n=invariants.TOUGHNESS_MAX_N)
+            for theorem in theorems.THEOREMS.values():
+                if theorem.outside(params) is None:
+                    report = theorem.run(g, f, params)
+                    assert theorem.run(h, f_h, params).to_dict() == report.to_dict(), (
+                        theorem.name, g.edges(), f.values)
+                    runs += 1
+                    met += report.hypotheses_met
+        assert runs > 1000 and met > 100, (runs, met)
