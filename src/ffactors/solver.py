@@ -40,8 +40,14 @@ even, else 2k + 1, so each closed run is even and the last has parity
 but a set U of optional ones, so |U| = e (mod 2): a perfect matching
 gives a factor, and every factor extends to one.
 
-Matching runs on a blossom (odd-cycle contraction) algorithm with greedy
-initialization; everything is deterministic given the graph's vertex order.
+The solver first looks for the factor on G itself (``_near_factor``): a
+greedy pass, then alternating trails from the vertices still short of
+lo(v).  When that finds a factor, no gadget is built.  Otherwise the
+writeback (``_writeback``), the readback run backwards, turns its subgraph
+into a partial matching of the gadget, and the matcher starts from that.
+Matching runs on a blossom (odd-cycle contraction) algorithm, which ends
+in a maximum matching from any start; everything is deterministic given
+the graph's vertex order.
 Each search grows one alternating tree and costs time in that tree alone.
 A search that fails leaves a Hungarian tree: no augmenting path meets it,
 later augmentations flip only paths outside it, so none ever will
@@ -147,21 +153,160 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
     return GadgetGraph(len(adj), adj, starts, copy_form)
 
 
-def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str]]:
+def _near_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgraph:
+    """A subgraph H of G with deg_H(v) <= min(hi(v), d(v)) everywhere that
+    tries to reach lo(v) at every v; a factor whenever every vertex gets
+    there, which ``verify_factor`` tells.
+
+    One greedy pass visits the vertices in order, and each vertex u takes
+    edges to later neighbours until it reaches its want, min(lo(u), d(u)),
+    joining only neighbours still below theirs.  It takes first the
+    neighbours v with the fewest undecided edges to spare: the edges of v
+    not yet decided after uv, less what v still lacks to reach its want.
+    Aiming at lo, not at the cap, leaves room for the trails to end in.
+    Then each vertex u below lo(u) searches breadth-first for
+    a trail from u whose edges alternate off H and in H, starting off H,
+    that ends where flipping it keeps every bound: at another vertex below
+    its cap after an edge off H, at a vertex above its lo after an edge in
+    H, or back at u after an edge off H when u has room for two more.
+    Flipping the trail raises u and changes no inner vertex.  The search
+    walks states (vertex, kind of the last edge), so its walk may repeat
+    an edge; such a walk is skipped, and u stays below lo(u)."""
+    n, adj = g.n, g.adj
+    cap = [min(h, len(nbrs)) for h, nbrs in zip(hi, adj)]
+    nbrs_h: list[set[int]] = [set() for _ in range(n)]  # deg_H(v) = len(nbrs_h[v])
+    want = [min(low, c) for low, c in zip(lo, cap)]
+    undecided = [len(nbrs) for nbrs in adj]
+    for u in range(n):
+        later = [v for v in adj[u] if v > u]
+        for v in later:
+            undecided[v] -= 1
+        room = want[u] - len(nbrs_h[u])
+        if room > 0:
+            later = [v for v in later if len(nbrs_h[v]) < want[v]]
+            if len(later) > room:
+                # the neighbours with the fewest undecided edges to spare first
+                later.sort(key=lambda v: undecided[v] - want[v] + len(nbrs_h[v]))
+            for v in later[:room]:
+                nbrs_h[u].add(v)
+                nbrs_h[v].add(u)
+    parent = [-1] * (2 * n)  # state 2v + 1: at v after an edge off H, so one in H is next
+    for u in range(n):
+        while len(nbrs_h[u]) < lo[u]:
+            parent[2 * u] = 2 * u
+            reached = [2 * u]  # in breadth-first order
+            end = -1
+            for state in reached:
+                v, off = state >> 1, state & 1
+                at_v = nbrs_h[v]
+                for w in adj[v]:
+                    nxt = 2 * w + 1 - off
+                    if (w in at_v) != off or parent[nxt] != -1:
+                        continue
+                    parent[nxt] = state
+                    reached.append(nxt)
+                    d = len(nbrs_h[w])
+                    if (d > lo[w] and w != u) if off else d < cap[w] - (w == u):
+                        end = nxt
+                        break
+                if end != -1:
+                    break
+            trail = []
+            while end not in (-1, 2 * u):
+                a, b = end >> 1, parent[end] >> 1
+                trail.append((min(a, b), max(a, b)))
+                end = parent[end]
+            for state in reached:
+                parent[state] = -1
+            if not trail or len(set(trail)) < len(trail):
+                break
+            for a, b in trail:
+                nbrs_h[a] ^= {b}
+                nbrs_h[b] ^= {a}
+    return FactorSubgraph(tuple((u, v) for u in range(n) for v in adj[u]
+                                if u < v and v in nbrs_h[u]))
+
+
+def _writeback(g: Graph, gadget: GadgetGraph, edges) -> list[int]:
+    """A matching of ``gadget``, as a mate list with -1 for exposed
+    vertices, that reads back to the subgraph of G with these edges by the
+    module docstring's rule.  An external goes into its own block, to the
+    block's lowest free vertex, when its edge's membership in H equals its
+    end's copy form, and across the edge otherwise: to the other external
+    on a bridge, or to the subdivision vertex of a mixed edge, which takes
+    whichever of its two externals crosses.  An external left without a
+    free block vertex stays exposed.  The pairing path then takes the
+    optional vertices still exposed by the sweep of the pairing lemma; it
+    leaves one path vertex exposed when their count has the wrong parity.
+    Perfect exactly when the subgraph is a factor for the gadget's bounds."""
+    starts, copy_form = gadget.starts, gadget.copy_form
+    mate = [-1] * gadget.size
+
+    def match(i: int, j: int) -> None:
+        mate[i] = j
+        mate[j] = i
+
+    in_h = set(edges)
+    free = [starts[v] + g.degree(v) for v in range(g.n)]
+    nxt = starts[:-1]
+    sub = starts[-1]
+    for u, v in g.edges():
+        i, j = nxt[u], nxt[v]
+        nxt[u] += 1
+        nxt[v] += 1
+        h = (u, v) in in_h
+        for w, x in ((u, i), (v, j)):
+            if h == copy_form[w] and free[w] < starts[w + 1]:
+                match(x, free[w])
+                free[w] += 1
+        if copy_form[u] != copy_form[v]:
+            match(sub, j if h == copy_form[u] else i)
+            sub += 1
+        elif h != copy_form[u]:
+            match(i, j)
+    # the pairing path: path vertex 2k's last neighbour is optional vertex k
+    path = range(sub, gadget.size)
+    prev = -1  # the open run's last path vertex while the run is odd
+    for p in path:
+        if mate[p] != -1:
+            continue
+        opt = gadget.adj[p][-1] if (p - sub) % 2 == 0 and p + 1 in path else -1
+        if opt != -1 and mate[opt] == -1:
+            if prev == -1:
+                match(opt, p)
+            else:
+                match(prev, p)
+                match(opt, p + 1)
+                prev = -1
+        elif prev == -1:
+            prev = p
+        else:
+            match(prev, p)
+            prev = -1
+    return mate
+
+
+def _blossom_matching(
+    n: int, adj: list[list[int]], mate: list[int] | None = None
+) -> tuple[list[int], list[str]]:
     """Maximum matching by blossom contraction; returns (mate, labels):
     mate[v] == -1 for exposed vertices, and labels[v] is the Gallai-Edmonds
     class of v, as the module docstring explains: "D" if some maximum
     matching misses it, "A" if it is a neighbour of D outside D, and "" for
     the rest.  Only failed searches write labels.
 
+    ``mate``, if given, is a starting matching, extended in place; a greedy
+    pass in index order first matches what it leaves exposed.  Any start
+    gives a maximum matching and the same labels.
+
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
     members of the contracted blossoms, not all n vertices.  The labelled
     vertices are exactly the dead ones, those of failed searches' trees,
     and later searches skip them, as the module docstring explains."""
-    mate = [-1] * n
+    if mate is None:
+        mate = [-1] * n
     labels = [""] * n
-    # greedy initialization in index order
     for v in range(n):
         if mate[v] == -1:
             for u in adj[v]:
@@ -271,15 +416,24 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> tuple[list[int], list[str
 
 def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgraph | None:
     """A spanning subgraph with lo(v) <= deg(v) <= hi(v) for every v if one
-    exists, None otherwise; the existence answer is exact."""
+    exists, None otherwise; the existence answer is exact.
+
+    The near-factor of ``_near_factor`` is returned as it is when it is a
+    factor, and no gadget is built.  Otherwise the blossom matcher starts
+    from its writeback into the gadget, and the factor is read back from
+    a perfect matching; a maximum matching that is not perfect means no
+    factor, whatever the start."""
     if not len(lo) == len(hi) == g.n:
         raise ValueError("degree spec length mismatch")
     if any(low > min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
         return None
     if sum(lo) % 2 and all(low == min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
         return None  # no optional vertex: the degrees are lo(v) and sum to 2|H|
+    near = _near_factor(g, lo, hi)
+    if verify_factor(g, lo, hi, near):
+        return near
     gadget = tutte_gadget(g, lo, hi)
-    mate, _ = _blossom_matching(gadget.size, gadget.adj)
+    mate, _ = _blossom_matching(gadget.size, gadget.adj, _writeback(g, gadget, near.edges))
     if -1 in mate:
         return None
     starts, copy_form = gadget.starts, gadget.copy_form

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DegreeSpec, Graph, as_vertex_set, components
-from .solver import _blossom_matching, tutte_gadget
+from .solver import _blossom_matching, _near_factor, _writeback, tutte_gadget, verify_factor
 
 
 @dataclass
@@ -78,8 +78,12 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     """A disjoint pair minimizing delta(S, T) if that minimum is negative,
     None if no pair violates, that is, if an f-factor exists.
 
-    One maximum matching of ``tutte_gadget(g, f, f)`` labels the gadget
-    vertices by Gallai-Edmonds class, and v joins S or T by where its
+    When the solver's near-factor (``solver._near_factor``) is an
+    f-factor, None comes at once and no gadget is built.  Otherwise one
+    maximum matching of ``tutte_gadget(g, f, f)``, started from the
+    near-factor's writeback, labels the gadget vertices by
+    Gallai-Edmonds class; neither the classes nor the exposed count
+    depend on the start.  Vertex v joins S or T by where its
     block and externals fall: a slack-form v is in S if all its externals
     are in A, otherwise in T if all its slack vertices are; a copy-form v
     is in S if all its copies are in A, otherwise in T if all its
@@ -94,10 +98,13 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     delta_f >= delta_f' - sum(f - f') on every pair.
     """
     fvals = f.values
+    near = _near_factor(g, fvals, fvals)
+    if verify_factor(g, fvals, fvals, near):
+        return None
     clamped = [fv if fv <= len(nbrs) + 2 else len(nbrs) + 2 - (fv - len(nbrs)) % 2
                for fv, nbrs in zip(fvals, g.adj)]
     gadget = tutte_gadget(g, clamped, clamped)
-    mate, labels = _blossom_matching(gadget.size, gadget.adj)
+    mate, labels = _blossom_matching(gadget.size, gadget.adj, _writeback(g, gadget, near.edges))
     # each unit of f removed by the clamp is one more exposed copy
     exposed = mate.count(-1) + f.total() - sum(clamped)
     if not exposed:

@@ -31,6 +31,8 @@ from ffactors.solver import (
     FactorSubgraph,
     GadgetGraph,
     _blossom_matching,
+    _near_factor,
+    _writeback,
     find_f_factor,
     find_factor,
     tutte_gadget,
@@ -269,7 +271,8 @@ class TestGadget:
     def test_readback_either_end(self):
         """In a perfect matching of the gadget, "x_u is matched into u's own
         block exactly when u takes the copy form" picks the same edges read
-        at u as read at v, and those are find_factor's factor."""
+        at u as read at v, and they form a factor; so does find_factor's
+        answer, which may be another factor."""
         rng = random.Random(89)
         matched = 0
         kinds: Counter = Counter()
@@ -294,7 +297,8 @@ class TestGadget:
 
             at_u = {(u, v) for u, v in g.edges() if read_at(u, v)}
             assert at_u == {(u, v) for u, v in g.edges() if read_at(v, u)}, (g, lo, hi)
-            assert at_u == set(find_factor(g, lo, hi).edges), (g, lo, hi)
+            assert verify_factor(g, lo, hi, FactorSubgraph(tuple(sorted(at_u)))), (g, lo, hi)
+            assert verify_factor(g, lo, hi, find_factor(g, lo, hi)), (g, lo, hi)
             kinds += _gadget_edge_kinds(g, lo, hi)
             in_h += Counter((u, v) in at_u for u, v in g.edges())
         assert matched >= 300, matched
@@ -372,6 +376,73 @@ class TestMaximumMatching:
             assert {v for v in range(h.n) if labels[v] == "A"} == a, h
             nontrivial += bool(a)
         assert nontrivial >= 100, nontrivial
+
+
+def _half_degree_instance():
+    """G(200, .5) with f = floor(d / 2), its first vertex raised for parity:
+    the exact-bound gadget is quadratic there, about 10^6 edges."""
+    g = random_connected_graph(200, 0.5, 1)
+    f = [g.degree(v) // 2 for v in range(g.n)]
+    f[0] += sum(f) % 2
+    return g, DegreeSpec(tuple(f))
+
+
+class TestWarmStart:
+    def test_writeback_and_labels_match_the_cold_start(self):
+        """On random [lo, hi] bounds with n = 2-14, optional vertices, a
+        pairing path and lo above d included: the writeback of the
+        near-factor is a matching of gadget edges, perfect exactly when the
+        near-factor is a factor.  Started from it, or from the writeback of
+        a random part of it, the matcher leaves as many vertices exposed as
+        the cold start, with the same D and A."""
+        rng = random.Random(97)
+        kinds: Counter = Counter()
+        for _ in range(3000):
+            n = rng.randint(2, 14)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8]), rng.randrange(10**6))
+            d = [g.degree(v) for v in range(n)]
+            if rng.random() < 0.5:
+                lo = [rng.randint(0, x + 1) for x in d]
+                hi = lo[:]
+            else:
+                lo = [rng.randint(0, x) for x in d]
+                hi = [x + rng.randint(0, 3) for x in lo]
+            gadget = tutte_gadget(g, lo, hi)
+            cold, cold_labels = _blossom_matching(gadget.size, gadget.adj)
+            near = _near_factor(g, lo, hi)
+            part = [e for e in near.edges if rng.random() < 0.7]
+            for edges in (near.edges, part):
+                start = _writeback(g, gadget, edges)
+                for i, j in enumerate(start):
+                    assert j == -1 or (start[j] == i and j in gadget.adj[i]), (g.edges(), lo, hi)
+                if edges is near.edges:
+                    assert verify_factor(g, lo, hi, near) == (-1 not in start), (g.edges(), lo, hi)
+                kinds["perfect start"] += -1 not in start
+                kinds["factor searched"] += -1 in start and -1 not in cold
+                warm, warm_labels = _blossom_matching(gadget.size, gadget.adj, start)
+                assert cold.count(-1) == warm.count(-1), (g.edges(), lo, hi, edges)
+                for label in "DA":
+                    assert ({v for v, x in enumerate(cold_labels) if x == label}
+                            == {v for v, x in enumerate(warm_labels) if x == label}), (
+                        g.edges(), lo, hi, edges)
+            kinds["path"] += gadget.size > gadget.starts[-1] + sum(
+                gadget.copy_form[u] != gadget.copy_form[v] for u, v in g.edges())
+            kinds["lo above d"] += any(x > y for x, y in zip(lo, d))
+            kinds["no factor"] += -1 in cold
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_half_degree_scale(self):
+        """f near d / 2 on G(200, .5): the near-factor completes, or the
+        warm start is a few searches from done, so the factor and the
+        audit's None each take well under 2 s."""
+        g, f = _half_degree_instance()
+        started = time.perf_counter()
+        factor = find_f_factor(g, f)
+        assert time.perf_counter() - started < 2
+        assert factor is not None and verify_f_factor(g, f, factor)
+        started = time.perf_counter()
+        assert find_violating_pair(g, f) is None
+        assert time.perf_counter() - started < 2
 
 
 class TestFindFFactor:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from conftest import brute_min_deficiency, complement, oracle_deficiencies, seeded_corpus
@@ -19,7 +20,14 @@ from ffactors.reports import (
     build_report, certificates, recheck_report, verdicts_of,
 )
 from ffactors import tutte
-from ffactors.solver import _blossom_matching, find_f_factor, tutte_gadget, verify_f_factor
+from ffactors.solver import (
+    _blossom_matching,
+    _near_factor,
+    _writeback,
+    find_f_factor,
+    tutte_gadget,
+    verify_f_factor,
+)
 from ffactors.tutte import (
     deficiency,
     find_violating_pair,
@@ -193,6 +201,39 @@ class TestFindViolatingPair:
             keep = [e for e in g.edges() if rng.random() < 0.5]
             f = DegreeSpec(tuple(sum(v in e for e in keep) for v in range(n)))
             assert find_violating_pair(g, f) is None
+
+
+def test_matcher_against_networkx():
+    """The blossom matcher, from the cold start and from the writebacks of
+    the near-factor and of a random part of it, matches as many gadget
+    vertices as networkx's independent maximum-cardinality matcher, on
+    gadgets of graphs with n = 20-60: barriers, which have no factor, and
+    random f in [1, 3]."""
+    rng = random.Random(29)
+    instances = [_barrier(rng, rng.randint(1, 2), [rng.randint(5, 15) for _ in range(3)])
+                 for _ in range(3)]
+    while len(instances) < 10:
+        n = rng.randint(20, 60)
+        g = random_connected_graph(n, rng.choice([0.1, 0.2, 0.3]), rng.randrange(10**6))
+        d = [g.degree(v) for v in range(n)]
+        f = [min(rng.randint(1, 3), x) for x in d]
+        if sum(f) % 2:  # some f(v) < d(v), as f == d would sum to 2m
+            f[next(v for v in range(n) if f[v] < d[v])] += 1
+        instances.append((g, DegreeSpec(tuple(f))))
+    kinds: Counter = Counter()
+    for g, f in instances:
+        assert 20 <= g.n <= 60 and f.total() % 2 == 0
+        gadget = tutte_gadget(g, f.values, f.values)
+        edges = [(i, j) for i, nbrs in enumerate(gadget.adj) for j in nbrs if i < j]
+        size = len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
+        near = _near_factor(g, f.values, f.values).edges
+        starts = [_writeback(g, gadget, edges)
+                  for edges in (near, [e for e in near if rng.random() < 0.7])]
+        for mate in [_blossom_matching(gadget.size, gadget.adj)[0]] + [
+                _blossom_matching(gadget.size, gadget.adj, start)[0] for start in starts]:
+            assert sum(u != -1 for u in mate) == 2 * size, (g.edges(), f.values)
+        kinds["factor" if 2 * size == gadget.size else "no factor"] += 1
+    assert min(kinds.values()) >= 2, kinds
 
 
 class TestOracle:
