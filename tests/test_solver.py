@@ -378,15 +378,6 @@ class TestMaximumMatching:
         assert nontrivial >= 100, nontrivial
 
 
-def _half_degree_instance():
-    """G(200, .5) with f = floor(d / 2), its first vertex raised for parity:
-    the exact-bound gadget is quadratic there, about 10^6 edges."""
-    g = random_connected_graph(200, 0.5, 1)
-    f = [g.degree(v) // 2 for v in range(g.n)]
-    f[0] += sum(f) % 2
-    return g, DegreeSpec(tuple(f))
-
-
 class TestWarmStart:
     def test_writeback_and_labels_match_the_cold_start(self):
         """On random [lo, hi] bounds with n = 2-14, optional vertices, a
@@ -432,10 +423,13 @@ class TestWarmStart:
         assert min(kinds.values()) >= 500, kinds
 
     def test_half_degree_scale(self):
-        """f near d / 2 on G(200, .5): the near-factor completes, or the
-        warm start is a few searches from done, so the factor and the
+        """f = floor(d / 2) on G(200, .5), vertex 0 raised for parity, where
+        the exact-bound gadget has about 10^6 edges: the factor and the
         audit's None each take well under 2 s."""
-        g, f = _half_degree_instance()
+        g = random_connected_graph(200, 0.5, 1)
+        f = [g.degree(v) // 2 for v in range(g.n)]
+        f[0] += sum(f) % 2
+        f = DegreeSpec(tuple(f))
         started = time.perf_counter()
         factor = find_f_factor(g, f)
         assert time.perf_counter() - started < 2
