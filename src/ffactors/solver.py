@@ -43,8 +43,8 @@ gives a factor, and every factor extends to one.
 The solver first looks for the factor on G itself (``_near_factor``): a
 greedy pass, then alternating trails from the vertices still short of
 lo(v).  When that finds a factor, no gadget is built.  Otherwise the
-writeback (``_writeback``), the readback run backwards, turns its subgraph
-into a partial matching of the gadget, and the matcher starts from that.
+gadget is built with the readback run backwards on that subgraph as its
+starting matching (``GadgetGraph.mate``), and the matcher starts from it.
 Matching runs on a blossom (odd-cycle contraction) algorithm, which ends
 in a maximum matching from any start; everything is deterministic given
 the graph's vertex order.
@@ -64,8 +64,8 @@ a neighbour of such vertices that no maximum matching misses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .graph import DegreeSpec, Graph
 
@@ -89,25 +89,39 @@ class GadgetGraph:
     ``copy_form``, and no per-edge table is kept: vertex v's externals and
     block are the ids from ``starts[v]`` up to ``starts[v + 1]``, its
     external for its k-th neighbour is ``starts[v] + k``, and
-    ``copy_form[v]`` says which form its block takes.
+    ``copy_form[v]`` says which form its block takes.  ``mate``, the
+    starting matching that ``tutte_gadget`` writes, is left out of equality.
     """
 
     size: int
     adj: list[list[int]]
     starts: list[int]
     copy_form: list[bool]
+    mate: list[int] = field(compare=False)
 
 
-def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
+def tutte_gadget(
+    g: Graph, lo: Sequence[int], hi: Sequence[int], h: Iterable[tuple[int, int]] = ()
+) -> GadgetGraph:
     """Build the gadget for lo(v) <= deg(v) <= hi(v), as in the module
     docstring; requires 0 <= lo(v) <= hi(v) and, unless lo(v) == hi(v),
     lo(v) <= d(v); a bound hi(v) above d(v) counts as d(v).  Vertex v takes
     the smaller block: the copy form iff lo(v) + min(hi(v), d(v)) < d(v)
-    or lo(v) > d(v)."""
+    or lo(v) > d(v).
+
+    ``mate`` is the starting matching: the readback run backwards on the
+    subgraph H with the edges ``h``, (u, v) pairs with u < v.  As the edge
+    walk wires uv, each of its externals goes to its block's lowest free
+    vertex when "uv in H" equals its end's copy form, or stays exposed if
+    none is left, and crosses the edge otherwise: to the other external on
+    a bridge, or to the subdivision vertex of a mixed edge.  The pairing
+    lemma's sweep then matches the path and the optional vertices still
+    exposed.  ``mate`` is perfect exactly when H is a factor."""
     adj: list[list[int]] = []
     optional: list[int] = []
     copy_form = [False] * g.n
     starts = []
+    free = []  # v's lowest block vertex not yet matched
     for v in range(g.n):
         starts.append(len(adj))
         d = g.degree(v)
@@ -119,6 +133,7 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
         copy_form[v] = lo[v] + t < d or lo[v] > d
         externals = range(len(adj), len(adj) + d)
         adj.extend([] for _ in externals)
+        free.append(len(adj))
         # a list, not a range: the block's entries then share one int
         # object per block vertex instead of allocating their own
         block = list(range(len(adj), len(adj) + (max(lo[v], t) if copy_form[v] else d - lo[v])))
@@ -129,28 +144,55 @@ def tutte_gadget(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> GadgetGraph:
                 adj[i].append(e)
         optional.extend(block[len(block) - t + lo[v]:])
     starts.append(len(adj))
+    mate = [-1] * len(adj)
+
+    def match(i: int, j: int) -> None:
+        mate[i] = j
+        mate[j] = i
+
+    in_h = set(h)
     nxt = starts[:-1]  # v's next unwired external: g.edges() meets v's neighbours in order
     for u, v in g.edges():
         i, j = nxt[u], nxt[v]
         nxt[u] += 1
         nxt[v] += 1
+        uv_in_h = (u, v) in in_h
+        for w, x in ((u, i), (v, j)):
+            if uv_in_h == copy_form[w] and free[w] < starts[w + 1]:
+                match(x, free[w])
+                free[w] += 1
         if copy_form[u] == copy_form[v]:
             adj[i].append(j)
             adj[j].append(i)
+            if uv_in_h != copy_form[u]:
+                match(i, j)
         else:
             sub = len(adj)
             adj.append([i, j])
             adj[i].append(sub)
             adj[j].append(sub)
+            mate.append(-1)
+            match(sub, j if uv_in_h == copy_form[u] else i)
     if optional:
         # the pairing path: optional vertex k is joined to path vertices 2k and 2k + 1
         path = range(len(adj), len(adj) + 2 * len(optional) + len(adj) % 2)
         adj.extend([p for p in (i - 1, i + 1) if p in path] for i in path)
+        mate.extend(-1 for _ in path)
         for k, i in enumerate(optional):
             for p in path[2 * k:2 * k + 2]:
                 adj[i].append(p)
                 adj[p].append(i)
-    return GadgetGraph(len(adj), adj, starts, copy_form)
+        prev = -1  # the open run's last path vertex while the run is odd
+        for p in path:
+            k = (p - path.start) // 2
+            if prev == -1 and k < len(optional) and mate[optional[k]] == -1:
+                match(optional[k], p)
+            elif prev == -1:
+                prev = p
+            else:
+                match(prev, p)
+                prev = -1
+    return GadgetGraph(len(adj), adj, starts, copy_form, mate)
 
 
 def _near_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgraph:
@@ -227,65 +269,6 @@ def _near_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgra
                                 if u < v and v in nbrs_h[u]))
 
 
-def _writeback(g: Graph, gadget: GadgetGraph, edges) -> list[int]:
-    """A matching of ``gadget``, as a mate list with -1 for exposed
-    vertices, that reads back to the subgraph of G with these edges by the
-    module docstring's rule.  An external goes into its own block, to the
-    block's lowest free vertex, when its edge's membership in H equals its
-    end's copy form, and across the edge otherwise: to the other external
-    on a bridge, or to the subdivision vertex of a mixed edge, which takes
-    whichever of its two externals crosses.  An external left without a
-    free block vertex stays exposed.  The pairing path then takes the
-    optional vertices still exposed by the sweep of the pairing lemma; it
-    leaves one path vertex exposed when their count has the wrong parity.
-    Perfect exactly when the subgraph is a factor for the gadget's bounds."""
-    starts, copy_form = gadget.starts, gadget.copy_form
-    mate = [-1] * gadget.size
-
-    def match(i: int, j: int) -> None:
-        mate[i] = j
-        mate[j] = i
-
-    in_h = set(edges)
-    free = [starts[v] + g.degree(v) for v in range(g.n)]
-    nxt = starts[:-1]
-    sub = starts[-1]
-    for u, v in g.edges():
-        i, j = nxt[u], nxt[v]
-        nxt[u] += 1
-        nxt[v] += 1
-        h = (u, v) in in_h
-        for w, x in ((u, i), (v, j)):
-            if h == copy_form[w] and free[w] < starts[w + 1]:
-                match(x, free[w])
-                free[w] += 1
-        if copy_form[u] != copy_form[v]:
-            match(sub, j if h == copy_form[u] else i)
-            sub += 1
-        elif h != copy_form[u]:
-            match(i, j)
-    # the pairing path: path vertex 2k's last neighbour is optional vertex k
-    path = range(sub, gadget.size)
-    prev = -1  # the open run's last path vertex while the run is odd
-    for p in path:
-        if mate[p] != -1:
-            continue
-        opt = gadget.adj[p][-1] if (p - sub) % 2 == 0 and p + 1 in path else -1
-        if opt != -1 and mate[opt] == -1:
-            if prev == -1:
-                match(opt, p)
-            else:
-                match(prev, p)
-                match(opt, p + 1)
-                prev = -1
-        elif prev == -1:
-            prev = p
-        else:
-            match(prev, p)
-            prev = -1
-    return mate
-
-
 def _blossom_matching(
     n: int, adj: list[list[int]], mate: list[int] | None = None
 ) -> tuple[list[int], list[str]]:
@@ -295,9 +278,9 @@ def _blossom_matching(
     matching misses it, "A" if it is a neighbour of D outside D, and "" for
     the rest.  Only failed searches write labels.
 
-    ``mate``, if given, is a starting matching, extended in place; a greedy
-    pass in index order first matches what it leaves exposed.  Any start
-    gives a maximum matching and the same labels.
+    ``mate``, if given, is a starting matching, extended in place; every
+    vertex it leaves exposed, or every vertex without it, is a search root.
+    Any start gives a maximum matching and the same labels.
 
     A search from an exposed root works only on its own alternating tree:
     it resets just the vertices it touched, and a contraction relabels the
@@ -307,13 +290,6 @@ def _blossom_matching(
     if mate is None:
         mate = [-1] * n
     labels = [""] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
 
     parent = [-1] * n
     base = list(range(n))
@@ -419,10 +395,10 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     exists, None otherwise; the existence answer is exact.
 
     The near-factor of ``_near_factor`` is returned as it is when it is a
-    factor, and no gadget is built.  Otherwise the blossom matcher starts
-    from its writeback into the gadget, and the factor is read back from
-    a perfect matching; a maximum matching that is not perfect means no
-    factor, whatever the start."""
+    factor, and no gadget is built.  Otherwise the gadget is built with the
+    near-factor as its starting matching, the blossom matcher starts from
+    that, and the factor is read back from a perfect matching; a maximum
+    matching that is not perfect means no factor, whatever the start."""
     if not len(lo) == len(hi) == g.n:
         raise ValueError("degree spec length mismatch")
     if any(low > min(h, g.degree(v)) for v, (low, h) in enumerate(zip(lo, hi))):
@@ -432,8 +408,8 @@ def find_factor(g: Graph, lo: Sequence[int], hi: Sequence[int]) -> FactorSubgrap
     near = _near_factor(g, lo, hi)
     if verify_factor(g, lo, hi, near):
         return near
-    gadget = tutte_gadget(g, lo, hi)
-    mate, _ = _blossom_matching(gadget.size, gadget.adj, _writeback(g, gadget, near.edges))
+    gadget = tutte_gadget(g, lo, hi, near.edges)
+    mate, _ = _blossom_matching(gadget.size, gadget.adj, gadget.mate)
     if -1 in mate:
         return None
     starts, copy_form = gadget.starts, gadget.copy_form

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DegreeSpec, Graph, as_vertex_set, components
-from .solver import _blossom_matching, _near_factor, _writeback, tutte_gadget, verify_factor
+from .solver import _blossom_matching, _near_factor, tutte_gadget, verify_factor
 
 
 @dataclass
@@ -80,15 +80,15 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
 
     When the solver's near-factor (``solver._near_factor``) is an
     f-factor, None comes at once and no gadget is built.  Otherwise one
-    maximum matching of ``tutte_gadget(g, f, f)``, started from the
-    near-factor's writeback, labels the gadget vertices by
-    Gallai-Edmonds class; neither the classes nor the exposed count
-    depend on the start.  Vertex v joins S or T by where its
-    block and externals fall: a slack-form v is in S if all its externals
-    are in A, otherwise in T if all its slack vertices are; a copy-form v
-    is in S if all its copies are in A, otherwise in T if all its
-    externals are.  No pair has delta below minus the exposed count, and
-    the pair is checked to reach it; a mismatch raises ValueError.
+    maximum matching of ``tutte_gadget(g, f, f, near)``, started from its
+    ``mate``, labels the gadget vertices by Gallai-Edmonds class; neither
+    the classes nor the exposed count depend on the start.  Vertex v joins
+    S or T by where its block and externals fall: a slack-form v is in S if
+    all its externals are in A, otherwise in T if all its slack vertices
+    are; a copy-form v is in S if all its copies are in A, otherwise in T
+    if all its externals are.  No pair has delta below minus the exposed
+    count, and the pair is checked to reach it; a mismatch raises
+    ValueError.
 
     The gadget is built for f'(v) = f(v) when f(v) <= d(v) + 2, otherwise
     for whichever of d(v) + 1 and d(v) + 2 has the parity of f(v), so its
@@ -103,8 +103,8 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
         return None
     clamped = [fv if fv <= len(nbrs) + 2 else len(nbrs) + 2 - (fv - len(nbrs)) % 2
                for fv, nbrs in zip(fvals, g.adj)]
-    gadget = tutte_gadget(g, clamped, clamped)
-    mate, labels = _blossom_matching(gadget.size, gadget.adj, _writeback(g, gadget, near.edges))
+    gadget = tutte_gadget(g, clamped, clamped, near.edges)
+    mate, labels = _blossom_matching(gadget.size, gadget.adj, gadget.mate)
     # each unit of f removed by the clamp is one more exposed copy
     exposed = mate.count(-1) + f.total() - sum(clamped)
     if not exposed:

@@ -32,14 +32,13 @@ from ffactors.solver import (
     GadgetGraph,
     _blossom_matching,
     _near_factor,
-    _writeback,
     find_f_factor,
     find_factor,
     tutte_gadget,
     verify_f_factor,
     verify_factor,
 )
-from ffactors.tutte import find_violating_pair
+from ffactors.tutte import deficiency, find_violating_pair
 
 
 def _gadget_edge_kinds(g, lo, hi) -> Counter:
@@ -100,7 +99,7 @@ def _lo_eq_hi_copy_form_gadget(g, lo, hi) -> GadgetGraph:
             for p in path[2 * k:2 * k + 2]:
                 adj[i].append(p)
                 adj[p].append(i)
-    return GadgetGraph(len(adj), adj, starts, copy_form)
+    return GadgetGraph(len(adj), adj, starts, copy_form, [-1] * len(adj))
 
 
 def _matcher_corpus() -> list:
@@ -381,11 +380,12 @@ class TestMaximumMatching:
 class TestWarmStart:
     def test_writeback_and_labels_match_the_cold_start(self):
         """On random [lo, hi] bounds with n = 2-14, optional vertices, a
-        pairing path and lo above d included: the writeback of the
-        near-factor is a matching of gadget edges, perfect exactly when the
-        near-factor is a factor.  Started from it, or from the writeback of
-        a random part of it, the matcher leaves as many vertices exposed as
-        the cold start, with the same D and A."""
+        pairing path and lo above d included: the gadget's starting
+        matching for the near-factor is a matching of gadget edges, perfect
+        exactly when the near-factor is a factor.  Started from it, or from
+        the starting matching of a random part of it or of the empty
+        subgraph, the matcher leaves as many vertices exposed as the cold
+        start, with the same D and A."""
         rng = random.Random(97)
         kinds: Counter = Counter()
         for _ in range(3000):
@@ -402,8 +402,8 @@ class TestWarmStart:
             cold, cold_labels = _blossom_matching(gadget.size, gadget.adj)
             near = _near_factor(g, lo, hi)
             part = [e for e in near.edges if rng.random() < 0.7]
-            for edges in (near.edges, part):
-                start = _writeback(g, gadget, edges)
+            for edges in (near.edges, part, ()):
+                start = tutte_gadget(g, lo, hi, edges).mate
                 for i, j in enumerate(start):
                     assert j == -1 or (start[j] == i and j in gadget.adj[i]), (g.edges(), lo, hi)
                 if edges is near.edges:
@@ -437,6 +437,19 @@ class TestWarmStart:
         started = time.perf_counter()
         assert find_violating_pair(g, f) is None
         assert time.perf_counter() - started < 2
+
+    def test_half_degree_scale_without_a_factor(self):
+        """f = floor(d / 2) on G(200, .5) with f(X) made odd: no factor, so
+        the exact-bound gadget of about 10^6 edges is built with its
+        starting matching, and the audit's pair still takes under 2 s."""
+        g = random_connected_graph(200, 0.5, 1)
+        f = [g.degree(v) // 2 for v in range(g.n)]
+        f[0] += 1 - sum(f) % 2
+        f = DegreeSpec(tuple(f))
+        started = time.perf_counter()
+        pair = find_violating_pair(g, f)
+        assert time.perf_counter() - started < 2
+        assert pair is not None and deficiency(g, pair.s, pair.t, f).delta == pair.delta < 0
 
 
 class TestFindFFactor:

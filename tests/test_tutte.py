@@ -23,7 +23,6 @@ from ffactors import tutte
 from ffactors.solver import (
     _blossom_matching,
     _near_factor,
-    _writeback,
     find_f_factor,
     tutte_gadget,
     verify_f_factor,
@@ -204,8 +203,9 @@ class TestFindViolatingPair:
 
 
 def test_matcher_against_networkx():
-    """The blossom matcher, from the cold start and from the writebacks of
-    the near-factor and of a random part of it, matches as many gadget
+    """The blossom matcher, from the cold start and from the gadget's
+    starting matchings for the near-factor and for a random part of it,
+    matches as many gadget
     vertices as networkx's independent maximum-cardinality matcher, on
     gadgets of graphs with n = 20-60: barriers, which have no factor, and
     random f in [1, 3]."""
@@ -227,7 +227,7 @@ def test_matcher_against_networkx():
         edges = [(i, j) for i, nbrs in enumerate(gadget.adj) for j in nbrs if i < j]
         size = len(nx.max_weight_matching(nx.Graph(edges), maxcardinality=True))
         near = _near_factor(g, f.values, f.values).edges
-        starts = [_writeback(g, gadget, edges)
+        starts = [tutte_gadget(g, f.values, f.values, edges).mate
                   for edges in (near, [e for e in near if rng.random() < 0.7])]
         for mate in [_blossom_matching(gadget.size, gadget.adj)[0]] + [
                 _blossom_matching(gadget.size, gadget.adj, start)[0] for start in starts]:
@@ -365,9 +365,9 @@ def test_gadget_bound_stays_within_degree_plus_two(monkeypatch):
     """The gadget for f does not grow with f."""
     bounds = []
 
-    def recording(g, lo, hi):
+    def recording(g, lo, hi, h=()):
         bounds.extend(hi[v] - g.degree(v) for v in range(g.n))
-        return tutte_gadget(g, lo, hi)
+        return tutte_gadget(g, lo, hi, h)
 
     monkeypatch.setattr(tutte, "tutte_gadget", recording)
     rng = random.Random(107)
