@@ -116,6 +116,12 @@ class DegreeSpec:
         return sum(self.values)
 
 
+def check_spec(g: Graph, f: DegreeSpec) -> None:
+    """Raise ValueError unless f gives one target degree per vertex of g."""
+    if len(f.values) != g.n:
+        raise ValueError("degree spec length mismatch")
+
+
 def constant_spec(graph: Graph, value: int) -> DegreeSpec:
     return DegreeSpec((value,) * graph.n)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .graph import DegreeSpec, Graph, build_graph
+from .graph import DegreeSpec, Graph, build_graph, check_spec
 
 CONNECTED_TRIES = 200
 
@@ -113,8 +113,7 @@ def parse_instance(text: str) -> tuple[Graph, DegreeSpec]:
 
 def serialize_instance(g: Graph, f: DegreeSpec) -> str:
     """Normal-form serialization: sorted edges, explicit sorted f lines."""
-    if len(f.values) != g.n:
-        raise ValueError("degree spec length mismatch")
+    check_spec(g, f)
     lines = [f"p ffactor {g.n} {g.m}"]
     lines += [f"e {u} {v}" for u, v in g.edges()]
     lines += [f"f {v} {f.values[v]}" for v in range(g.n)]

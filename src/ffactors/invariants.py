@@ -15,7 +15,9 @@ from itertools import chain, combinations
 from math import ceil, comb, floor
 from typing import Iterator
 
-from .graph import DegreeSpec, Graph, _bits_of, _max_independent, _reach, components_masks
+from .graph import (
+    DegreeSpec, Graph, _bits_of, _max_independent, _reach, check_spec, components_masks,
+)
 from .tutte import deficiency
 
 TOUGHNESS_MAX_N = 20
@@ -343,6 +345,7 @@ def odd_toughness(g: Graph, f: DegreeSpec, max_n: int = TOUGHNESS_MAX_N) -> Toug
     Each such component holds an odd-f vertex, so h'(G-S) is at most alpha
     of the odd-f vertices, which sets the window: no odd-f vertex, no scan.
     """
+    check_spec(g, f)
     return _min_ratio(g, *_odd_weight(f), max_n)
 
 
@@ -360,6 +363,7 @@ def find_small_odd_tough_violation(
     Sound but incomplete: a hit disproves t odd-toughness on graphs of any
     size without full enumeration.
     """
+    check_spec(g, f)
     scan = _cutset_scan(g, *_odd_weight(f), g.n, lambda alpha: SMALL_CUTSET_MAX)
     return next((_bits_of(s_mask) for s_mask, ratio in scan if ratio < t), None)
 
@@ -377,6 +381,7 @@ def is_t_odd_tough(
     kappa is computed capped at ceil(t * alpha), so no flow runs past the
     window.
     """
+    check_spec(g, f)
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be nonnegative")

@@ -20,7 +20,7 @@ from math import ceil
 from types import SimpleNamespace
 from typing import Callable
 
-from .graph import DegreeSpec, Graph, is_star_free, min_degree
+from .graph import DegreeSpec, Graph, check_spec, is_star_free, min_degree
 from .invariants import TOUGHNESS_MAX_N, is_t_odd_tough, stability_number, vertex_connectivity
 from .constructions import stability_bound
 from .instances import random_connected_graph, random_degree_spec, serialize_instance
@@ -149,6 +149,8 @@ class Theorem:
         "(absent)" when it is missing, instead of being evaluated."""
         if need := self.outside(params):
             raise ValueError(need)
+        if f is not None:
+            check_spec(g, f)
         facts, given = _Facts(g, f, params), {row["name"]: row for row in recorded or ()}
         report = HypothesisReport(self.name, self.conclusion(params))
         rows = report.hypotheses

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DegreeSpec, Graph, as_vertex_set, components
+from .graph import DegreeSpec, Graph, as_vertex_set, check_spec, components
 from .solver import _blossom_matching, _near_factor, tutte_gadget, verify_factor
 
 
@@ -67,7 +67,9 @@ def _evaluate(g: Graph, s, t, fvals) -> tuple[int, int, int, int, int]:
 
 def deficiency(g: Graph, s, t, f: DegreeSpec) -> DeficiencyReport:
     """Evaluate every term of delta(S, T) exactly.  Raises ValueError unless
-    S and T are disjoint sets of vertices of g."""
+    S and T are disjoint sets of vertices of g and f has one value per
+    vertex."""
+    check_spec(g, f)
     s, t = as_vertex_set(s, g.n), as_vertex_set(t, g.n)
     if not set(s).isdisjoint(t):
         raise ValueError("S and T must be disjoint")
@@ -97,6 +99,7 @@ def find_violating_pair(g: Graph, f: DegreeSpec) -> DeficiencyReport | None:
     are kept, so delta_f = delta_f' - sum(f - f') on the derived pair and
     delta_f >= delta_f' - sum(f - f') on every pair.
     """
+    check_spec(g, f)
     fvals = f.values
     near = _near_factor(g, fvals, fvals)
     if verify_factor(g, fvals, fvals, near):

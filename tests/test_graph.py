@@ -23,8 +23,14 @@ from ffactors.graph import (
     petersen_graph,
     star,
 )
-from ffactors.instances import random_connected_graph, random_degree_spec
-from ffactors.invariants import odd_component_count, vertex_connectivity
+from ffactors.instances import random_connected_graph, random_degree_spec, serialize_instance
+from ffactors.invariants import (
+    find_small_odd_tough_violation,
+    is_t_odd_tough,
+    odd_component_count,
+    odd_toughness,
+    vertex_connectivity,
+)
 from ffactors.solver import find_f_factor
 from ffactors.theorems import check_main_theorem
 from ffactors.tutte import deficiency, find_violating_pair
@@ -206,3 +212,24 @@ class TestBuilders:
     def test_degree_spec_negative(self):
         with pytest.raises(ValueError, match="negative"):
             DegreeSpec((1, -1))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("entry", [
+    lambda g, f: deficiency(g, [0], [1], f),
+    find_violating_pair,
+    odd_toughness,
+    lambda g, f: is_t_odd_tough(g, f, 1),
+    lambda g, f: find_small_odd_tough_violation(g, f, 2),
+    lambda g, f: check_main_theorem(g, f, 1, 2),
+    find_f_factor,
+    serialize_instance,
+], ids=["deficiency", "find_violating_pair", "odd_toughness", "is_t_odd_tough",
+        "find_small_odd_tough_violation", "check_main_theorem", "find_f_factor",
+        "serialize_instance"])
+def test_degree_spec_of_the_wrong_length(entry, extra):
+    """Every entry point that takes f refuses one value too few or too many
+    with the same message, instead of an IndexError or a silent answer."""
+    g = cycle(4)
+    with pytest.raises(ValueError, match="degree spec length mismatch"):
+        entry(g, DegreeSpec((2,) * (g.n + extra)))
