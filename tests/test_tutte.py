@@ -205,10 +205,9 @@ class TestFindViolatingPair:
 def test_matcher_against_networkx():
     """The blossom matcher, from the cold start and from the gadget's
     starting matchings for the near-factor and for a random part of it,
-    matches as many gadget
-    vertices as networkx's independent maximum-cardinality matcher, on
-    gadgets of graphs with n = 20-60: barriers, which have no factor, and
-    random f in [1, 3]."""
+    matches as many gadget vertices as networkx's independent
+    maximum-cardinality matcher, on gadgets of graphs with n = 20-60:
+    barriers, which have no factor, and random f in [1, 3]."""
     rng = random.Random(29)
     instances = [_barrier(rng, rng.randint(1, 2), [rng.randint(5, 15) for _ in range(3)])
                  for _ in range(3)]
